@@ -277,7 +277,7 @@ class InvariantChecker(SimulationHooks):
                        f"says {float(e[worst])!r}, shadow says "
                        f"{float(self._shadow[worst])!r}")
 
-        self._expected_cost += sum(t.cost(net.dist) for t in tours)
+        self._expected_cost += sum(t.cost(coords=net.coordinates) for t in tours)
         self._schedulings.append(scheduling)
 
     def on_fleet(self, charger: int, time: float, available: bool) -> None:
@@ -327,7 +327,8 @@ class InvariantChecker(SimulationHooks):
             except ScheduleError:
                 plan = None
             if plan is not None:
-                via_module = service_cost(self.network.dist, plan)
+                via_module = service_cost(None, plan,
+                                          coords=self.network.coordinates)
                 if abs(via_module - m.service_cost) > cost_slack:
                     self._fail(
                         "cost", self._horizon,

@@ -491,7 +491,7 @@ def _cmd_plan(args: argparse.Namespace, obs: Instrumentation | None) -> int:
         return 1
     net_path = save_network(net, args.network_out)
     plan_path = save_plan(result.plan, args.plan_out)
-    cost = result.plan.total_cost(net.dist)
+    cost = result.plan.total_cost(coords=net.coordinates)
     print(f"topology : n={net.n} q={net.q} seed={args.seed} "
           f"({args.distribution} cycles) -> {net_path}")
     print(f"plan     : {len(result.plan)} schedulings over T={args.horizon:g}, "

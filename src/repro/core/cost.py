@@ -4,7 +4,10 @@ The paper's objective is the *service cost*: the total distance the ``q``
 mobile chargers travel over the monitoring period. These helpers compute it
 (and useful decompositions) for any :class:`~repro.core.schedule.SchedulePlan`,
 with tour-set-level caching so Algorithm 3's block-repeating plans cost
-``O(2^K)`` tour costings rather than ``O(T / tau_1)``.
+``O(2^K)`` tour costings rather than ``O(T / tau_1)``. :func:`service_cost`
+also takes ``None`` in place of the distance matrix plus node ``coords=``,
+measuring tours from coordinates without building the matrix (the result
+is bit-identical).
 """
 
 from __future__ import annotations
@@ -17,23 +20,24 @@ from repro.tsp.tour import Tour
 __all__ = ["service_cost", "per_charger_cost", "cost_series"]
 
 
-def _tour_cost_cache(dist: np.ndarray):
+def _tour_cost_cache(dist: np.ndarray | None, coords: np.ndarray | None):
     """Memoised per-Tour cost function (tours are immutable and shared)."""
-    d = np.asarray(dist)
+    d = None if dist is None else np.asarray(dist)
     cache: dict[int, float] = {}
 
     def cost(t: Tour) -> float:
         key = id(t)
         if key not in cache:
-            cache[key] = t.cost(d)
+            cache[key] = t.cost(d, coords=coords)
         return cache[key]
 
     return cost
 
 
-def service_cost(dist: np.ndarray, plan: SchedulePlan) -> float:
+def service_cost(dist: np.ndarray | None, plan: SchedulePlan, *,
+                 coords: np.ndarray | None = None) -> float:
     """Total travel distance of all chargers over the whole plan."""
-    cost = _tour_cost_cache(dist)
+    cost = _tour_cost_cache(dist, coords)
     return float(sum(cost(t) for s in plan.schedulings for t in s.tours))
 
 
@@ -44,7 +48,7 @@ def per_charger_cost(dist: np.ndarray, plan: SchedulePlan) -> np.ndarray:
     belongs to charger ``l``); plans always dispatch all chargers, with
     stay-at-home tours contributing zero.
     """
-    cost = _tour_cost_cache(dist)
+    cost = _tour_cost_cache(dist, None)
     if not plan.schedulings:
         return np.zeros(0, dtype=np.float64)
     q = plan.schedulings[0].q
@@ -61,7 +65,7 @@ def cost_series(dist: np.ndarray, plan: SchedulePlan) -> tuple[np.ndarray, np.nd
     Useful for plotting cumulative service cost over time and for checking
     the block periodicity of Algorithm 3's plans.
     """
-    cost = _tour_cost_cache(dist)
+    cost = _tour_cost_cache(dist, None)
     times = plan.times
     costs = np.asarray(
         [sum(cost(t) for t in s.tours) for s in plan.schedulings], dtype=np.float64)

@@ -193,7 +193,8 @@ def min_total_distance(network: SensorNetwork, horizon: float,
         o.incr("plan.schedulings", len(schedulings))
         for k in range(quant.K + 1):  # class coverage of the quantisation
             o.observe("plan.class_size", int(quant.members(k).size))
-        level_costs = [tours_total_cost(network.dist, tours) for tours in levels]
+        level_costs = [tours_total_cost(None, tours, coords=network.coordinates)
+                       for tours in levels]
         for idx in range(len(schedulings)):  # per-scheduling tour-set length
             o.observe("plan.tour_length", level_costs[quant.level_of(idx + 1)])
     return MinTotalDistanceResult(plan=plan, quantization=quant, levels=levels)

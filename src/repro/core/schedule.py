@@ -66,10 +66,11 @@ class ChargingScheduling:
             nodes |= set(t.order)
         return frozenset(nodes - depots)
 
-    def cost(self, dist: np.ndarray) -> float:
-        """Total tour length of this scheduling."""
-        d = np.asarray(dist)
-        return float(sum(t.cost(d) for t in self.tours))
+    def cost(self, dist: np.ndarray | None = None, *,
+             coords: np.ndarray | None = None) -> float:
+        """Total tour length of this scheduling, under a distance matrix or
+        node ``coords=`` (see :meth:`~repro.tsp.tour.Tour.cost`)."""
+        return float(sum(t.cost(dist, coords=coords) for t in self.tours))
 
     def at_time(self, time: float) -> "ChargingScheduling":
         """The same tour set dispatched at a different time (cheap: tours
@@ -120,20 +121,22 @@ class SchedulePlan:
         return np.asarray([s.time for s in self.schedulings], dtype=np.float64)
 
     # ----------------------------------------------------------------- costs
-    def total_cost(self, dist: np.ndarray) -> float:
+    def total_cost(self, dist: np.ndarray | None = None, *,
+                   coords: np.ndarray | None = None) -> float:
         """The service cost: sum of all tour lengths over the plan.
 
-        Repeated tour sets are costed once and multiplied (Algorithm 3's
-        plans repeat one block, so this is typically ``2^K`` distinct
-        costings, not ``len(plan)``).
+        Tours are measured under the distance matrix ``dist`` or, with
+        ``coords=``, from node coordinates, bit-identically and without
+        building the matrix. Repeated tour sets are costed once and
+        multiplied (Algorithm 3's plans repeat one block, so this is
+        typically ``2^K`` distinct costings, not ``len(plan)``).
         """
-        d = np.asarray(dist)
         cache: dict[tuple[Tour, ...], float] = {}
         total = 0.0
         for s in self.schedulings:
             key = s.tours
             if key not in cache:
-                cache[key] = s.cost(d)
+                cache[key] = s.cost(dist, coords=coords)
             total += cache[key]
         return total
 

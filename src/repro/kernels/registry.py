@@ -12,10 +12,11 @@ Two backends ship built in:
 * ``reference`` — byte-for-byte the historical implementations
   (:func:`repro.graphs.mst.prim_mst`, :func:`repro.tsp.improve.two_opt`,
   :func:`repro.tsp.improve.or_opt`). The ground truth.
-* ``fast`` — engineered variants (compacted-frontier Prim, blocked 2-opt
-  scan with don't-look bits, vectorised Or-opt inner scan) that are
-  *move-for-move identical* to the reference under the deterministic
-  tie-breaks, just faster. ``exact=True``.
+* ``fast`` — engineered 2-opt (neighbour lists with don't-look bits) and
+  Or-opt (vectorised inner scan) that are *move-for-move identical* to the
+  reference under the deterministic tie-breaks, just faster. Its Prim is
+  the reference dense scan: every frontier-compaction variant measured
+  slower. ``exact=True``.
 
 Selection precedence (implemented by :func:`resolve`):
 

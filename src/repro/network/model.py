@@ -8,9 +8,13 @@ every algorithm in this library is:
 * indices ``0 .. n-1``   — sensors (``sensor.id`` equals its index),
 * indices ``n .. n+q-1`` — depots (depot ``l`` at index ``n + l``).
 
-The full ``(n+q, n+q)`` distance matrix is computed once and cached; all
-subproblems (induced subgraphs over to-be-charged sets) are expressed as
-index arrays into it, so no distances are ever recomputed.
+The full ``(n+q, n+q)`` distance matrix :attr:`SensorNetwork.dist` is built
+lazily, on first access, and then cached. Only the all-pairs solvers touch
+it (Prim, 2-opt and Or-opt, the baselines, the exact oracles), expressing
+each subproblem as an index array into it. Measuring a tour does not: tour
+lengths and service costs read the edges from :attr:`coordinates` (see
+:func:`repro.geometry.distance.closed_tour_length`), so a replan whose tours
+all come from the artifact cache, or a simulation, never builds the matrix.
 """
 
 from __future__ import annotations
@@ -131,7 +135,12 @@ class SensorNetwork:
 
     @cached_property
     def dist(self) -> np.ndarray:
-        """Cached dense ``(n+q, n+q)`` Euclidean distance matrix (read-only)."""
+        """Dense ``(n+q, n+q)`` Euclidean distance matrix (read-only).
+
+        Built on first access, ``O((n+q)^2)`` time and memory, then cached.
+        For the all-pairs solvers; to measure tours pass :attr:`coordinates`
+        as ``coords=`` instead, which gives bit-identical lengths.
+        """
         d = distance_matrix(self.coordinates)
         d.setflags(write=False)
         return d

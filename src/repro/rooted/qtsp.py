@@ -80,7 +80,11 @@ def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int]
     return tours
 
 
-def tours_total_cost(dist: np.ndarray, tours: Sequence[Tour]) -> float:
-    """Sum of closed-tour lengths — the service cost of one scheduling."""
-    d = np.asarray(dist)
-    return float(sum(t.cost(d) for t in tours))
+def tours_total_cost(dist: np.ndarray | None, tours: Sequence[Tour], *,
+                     coords: np.ndarray | None = None) -> float:
+    """Sum of closed-tour lengths — the service cost of one scheduling.
+
+    Measured under the matrix ``dist``, or pass ``None`` and node
+    ``coords=`` to read the edges from coordinates (bit-identical).
+    """
+    return float(sum(t.cost(dist, coords=coords) for t in tours))

@@ -190,7 +190,7 @@ def execute_plan(payload: dict[str, Any],
         "plan": plan_to_dict(result.plan),
         "K": int(result.quantization.K),
         "n_schedulings": len(result.plan),
-        "service_cost": float(result.plan.total_cost(net.dist)),
+        "service_cost": float(result.plan.total_cost(coords=net.coordinates)),
         "fingerprint": net.geometry_fingerprint,
     }
     return out, _strip_events(obs.snapshot())

@@ -394,7 +394,7 @@ class Simulator:
 
     def _execute(self, sched: ChargingScheduling, rt: SimRuntime) -> None:
         net = self.network
-        d = net.dist
+        coords = net.coordinates
         t = rt.now
         state = rt.state
         metrics = rt.metrics
@@ -403,7 +403,7 @@ class Simulator:
             total = 0.0
             active = 0
             for l, tour in enumerate(sched.tours):
-                c = tour.cost(d)
+                c = tour.cost(coords=coords)
                 total += c
                 if not tour.is_empty:
                     active += 1

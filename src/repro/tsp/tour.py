@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import TourError
-from repro.geometry.distance import path_length
+from repro.geometry.distance import closed_tour_length, path_length
 
 __all__ = ["Tour"]
 
@@ -81,8 +81,15 @@ class Tour:
         return self.order[1:]
 
     # ----------------------------------------------------------------- costs
-    def cost(self, dist: np.ndarray) -> float:
-        """Closed-tour length under distance matrix ``dist``."""
+    def cost(self, dist: np.ndarray | None = None, *,
+             coords: np.ndarray | None = None) -> float:
+        """Closed-tour length under distance matrix ``dist`` or, with
+        ``coords=``, measured straight from the ``(n, 2)`` node coordinates
+        (bit-identical, and no matrix needed). Pass exactly one."""
+        if (dist is None) == (coords is None):
+            raise TypeError("Tour.cost: pass exactly one of dist or coords=")
+        if coords is not None:
+            return closed_tour_length(coords, self.order)
         return path_length(np.asarray(dist), self.order, closed=True)
 
     def edges(self) -> list[tuple[int, int]]:

@@ -5,10 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.bbox import Rect
-from repro.geometry.distance import check_metric, distance_matrix, path_length
+from repro.geometry.distance import (
+    check_metric, closed_tour_length, distance_matrix, path_length)
 from repro.geometry.point import Point
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=32)
+big = st.floats(-1e7, 1e7, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def coords_with_repeats(draw, min_size=1, max_size=24):
+    """``(n, 2)`` coordinates up to 1e7 in magnitude, some coincident."""
+    pts = draw(st.lists(st.tuples(big, big), min_size=min_size, max_size=max_size))
+    dupes = draw(st.lists(st.tuples(st.integers(0, len(pts) - 1),
+                                    st.integers(0, len(pts) - 1)), max_size=4))
+    for src, dst in dupes:
+        pts[dst] = pts[src]
+    return np.asarray(pts, dtype=np.float64)
+
+
+def _einsum_distance_matrix(coords):
+    """The historical ``(n, n, 2)`` difference + einsum formulation."""
+    diff = coords[:, np.newaxis, :] - coords[np.newaxis, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(d, 0.0)
+    return d
 
 
 class TestPointProperties:
@@ -51,6 +72,31 @@ class TestDistanceMatrixProperties:
         fwd = path_length(d, order, closed=True)
         rev = path_length(d, order[::-1], closed=True)
         assert abs(fwd - rev) <= 1e-9 * (1 + fwd)
+
+    @given(coords_with_repeats(max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_in_place_build_equals_einsum_formula(self, coords):
+        assert np.array_equal(distance_matrix(coords), _einsum_distance_matrix(coords))
+
+
+class TestClosedTourLengthProperties:
+    @given(coords_with_repeats(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_matrix(self, coords, data):
+        order = data.draw(st.permutations(range(len(coords))))
+        order = order[:data.draw(st.integers(1, len(order)))]
+        want = path_length(distance_matrix(coords), order, closed=True)
+        assert closed_tour_length(coords, order) == want
+
+    @given(coords_with_repeats(min_size=1, max_size=1))
+    def test_one_node_tour_costs_zero(self, coords):
+        assert closed_tour_length(coords, [0]) == 0.0
+
+    @given(coords_with_repeats(min_size=2, max_size=2))
+    def test_two_node_tour_is_there_and_back(self, coords):
+        d = distance_matrix(coords)
+        assert closed_tour_length(coords, [1, 0]) == d[1, 0] + d[0, 1]
+        assert closed_tour_length(coords, [0, 1]) == path_length(d, [0, 1], closed=True)
 
 
 class TestRectProperties:

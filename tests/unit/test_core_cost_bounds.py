@@ -7,6 +7,7 @@ from repro.core.bounds import empirical_ratio, lemma3_lower_bound
 from repro.core.cost import cost_series, per_charger_cost, service_cost
 from repro.core.mintotal import min_total_distance
 from repro.errors import ScheduleError
+from repro.rooted.qtsp import tours_total_cost
 
 
 class TestServiceCost:
@@ -33,6 +34,22 @@ class TestServiceCost:
         res = min_total_distance(tiny_network, horizon=1.0)
         assert service_cost(tiny_network.dist, res.plan) == 0.0
         assert per_charger_cost(tiny_network.dist, res.plan).size == 0
+
+    def test_coords_costing_equals_matrix_costing_exactly(self, paper_network_small):
+        net = paper_network_small
+        res = min_total_distance(net, horizon=200.0)
+        d, c = net.dist, net.coordinates
+        assert res.plan.total_cost(coords=c) == res.plan.total_cost(d)
+        assert service_cost(None, res.plan, coords=c) == service_cost(d, res.plan)
+        for tours in res.levels:
+            assert tours_total_cost(None, tours, coords=c) == tours_total_cost(d, tours)
+
+    def test_exactly_one_of_dist_or_coords(self, tiny_network):
+        sched = min_total_distance(tiny_network, horizon=16.0).plan[0]
+        with pytest.raises(TypeError, match="exactly one"):
+            sched.cost()
+        with pytest.raises(TypeError, match="exactly one"):
+            sched.cost(tiny_network.dist, coords=tiny_network.coordinates)
 
 
 class TestLemma3Bound:
