@@ -1,29 +1,25 @@
-"""Micro-benchmarks for the kernel backends (:mod:`repro.kernels`).
+"""Micro-benchmarks for the planner's kernels against their oracles.
 
-Times the numeric hot paths through the ``reference`` and ``fast``
-backends at n in {500, 2000, 5000}, plus the incremental q-rooted MSF
-extension against a from-scratch Algorithm 1 rebuild. Every timed pair
-also cross-checks outputs: the fast backend and the incremental
-extension are *exact*, so speed never trades answers.
+Times the production 2-opt (:func:`repro.tsp.improve.two_opt`) against
+the full-matrix scan it must reproduce
+(:func:`repro.tsp.improve.two_opt_scan`) at n in {500, 2000, 5000}, plus
+the incremental q-rooted MSF extension against a from-scratch
+Algorithm 1 rebuild. Every timed pair also cross-checks outputs: both
+accelerations are *exact*, so speed never trades answers.
 
 The 2-opt sweep runs on the planner's *actual* inputs — MST-doubled
 tours from Algorithm 2 (:func:`repro.rooted.qtsp.q_rooted_tsp`) — not
 random permutations. That distinction is load-bearing: doubled-MST tours
 are locally mostly-good with sparse crossings, which is the regime the
-fast backend's neighbor lists and don't-look bits are engineered for
+pruned scan's neighbour lists and don't-look bits are engineered for
 (on adversarial random permutations, where nearly every exchange
-improves, the full-matrix reference scan wins instead).
+improves, the full-matrix scan wins instead).
 
 Measurements are emitted to ``BENCH_kernels.json`` in the working
-directory. Acceptance bars (the PR-level contracts):
+directory. Acceptance bars:
 
-* fast 2-opt >= 5x reference at n = 5000 (and already faster at 2000);
+* production 2-opt >= 5x the full-scan oracle at n = 5000;
 * incremental forest extension >= 3x the from-scratch rebuild.
-
-Dense Prim has no speedup bar: the fast backend delegates it to the
-reference implementation, whose contiguous full-row scan measured faster
-than every frontier-compaction variant tried (see
-:func:`repro.kernels.fast.prim_mst`). The sweep here records the parity.
 """
 
 import json
@@ -34,17 +30,17 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import distance_matrix
-from repro.kernels import get_backend
 from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp
+from repro.tsp.improve import two_opt, two_opt_scan
 
 _KERNELS_JSON = Path("BENCH_kernels.json")
 _measurements: dict = {}
 
-#: Tour sizes for the per-backend sweeps (the paper's largest instances
-#: sit near the low end; 5000 is the headroom point the fast backend is
-#: engineered for).
+#: Tour sizes for the 2-opt sweep (the paper's largest instances sit near
+#: the low end; 5000 is the headroom point the pruned scan is engineered
+#: for).
 _SIZES = (500, 2000, 5000)
 
 
@@ -73,40 +69,24 @@ def _best_of(fn, repeats):
     return best, out
 
 
-def test_prim_backends(kernels_json):
-    """Parity sweep: fast delegates to reference, so times track 1:1."""
-    ref, fast = get_backend("reference"), get_backend("fast")
-    for n in _SIZES:
-        dist = _instance(n)
-        repeats = 3 if n <= 2000 else 2
-        t_ref, e_ref = _best_of(lambda: ref.prim_mst(dist), repeats)
-        t_fast, e_fast = _best_of(lambda: fast.prim_mst(dist), repeats)
-        assert e_ref == e_fast  # exactness is part of the contract
-        kernels_json[f"prim_n{n}"] = {
-            "reference_s": t_ref, "fast_s": t_fast,
-            "speedup": t_ref / t_fast if t_fast > 0 else float("inf"),
-        }
-
-
-def test_two_opt_backends(kernels_json):
-    ref, fast = get_backend("reference"), get_backend("fast")
+def test_two_opt_vs_oracle(kernels_json):
     for n in _SIZES:
         # The planner's real 2-opt input: the MST-doubled tour Algorithm 2
         # builds over n sensors anchored at a single depot (index n).
         dist = _instance(n + 1)
         tour = q_rooted_tsp(dist, list(range(n)), [n])[0]
         repeats = 2 if n <= 2000 else 1
-        t_ref, r_ref = _best_of(lambda: ref.two_opt(dist, tour), repeats)
-        t_fast, r_fast = _best_of(lambda: fast.two_opt(dist, tour), repeats)
-        assert r_ref == r_fast
-        speedup = t_ref / t_fast if t_fast > 0 else float("inf")
+        t_scan, r_scan = _best_of(lambda: two_opt_scan(dist, tour), repeats)
+        t_prod, r_prod = _best_of(lambda: two_opt(dist, tour), repeats)
+        assert r_scan == r_prod
+        speedup = t_scan / t_prod if t_prod > 0 else float("inf")
         kernels_json[f"two_opt_n{n}"] = {
-            "reference_s": t_ref, "fast_s": t_fast, "speedup": speedup,
+            "oracle_s": t_scan, "production_s": t_prod, "speedup": speedup,
         }
         if n >= 5000:
             assert speedup >= 5.0, (
-                f"fast 2-opt speedup {speedup:.2f}x at n={n} is below the "
-                f"5x acceptance bar")
+                f"2-opt speedup {speedup:.2f}x over the full scan at n={n} "
+                f"is below the 5x acceptance bar")
 
 
 def test_incremental_replan(kernels_json):

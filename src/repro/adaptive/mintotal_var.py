@@ -32,7 +32,6 @@ from repro.adaptive.predictor import EwmaRatePredictor
 from repro.core.mintotal import min_total_distance
 from repro.core.schedule import ChargingScheduling
 from repro.errors import ConfigError
-from repro.kernels import KernelBackend, resolve
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
@@ -73,11 +72,6 @@ class MinTotalDistanceVarPolicy:
         grown schedulings by extending their cached base forest instead of
         rebuilding from scratch. Pure accelerator — tours are identical
         either way. On by default.
-    kernel_backend:
-        Kernel backend (:mod:`repro.kernels`) for all numeric hot paths of
-        the plan/patch pipeline; ``None`` resolves via the process default
-        / ``REPRO_KERNEL_BACKEND``. Resolved eagerly, so an unknown name
-        fails at construction time.
     cache:
         Plan-artifact reuse across re-plans. ``True`` (default) gives the
         policy a private :class:`~repro.plan.cache.PlanArtifactCache`,
@@ -107,7 +101,6 @@ class MinTotalDistanceVarPolicy:
                  refine: bool = False, patch_tie_break: str = "immediate",
                  patch_incremental: bool = True,
                  cache: PlanArtifactCache | bool = True,
-                 kernel_backend: "str | KernelBackend | None" = None,
                  instrumentation: Instrumentation | None = None) -> None:
         if patch_tie_break not in ("defer", "immediate"):
             raise ConfigError(
@@ -118,7 +111,6 @@ class MinTotalDistanceVarPolicy:
         self.refine = refine
         self.patch_tie_break = patch_tie_break
         self.patch_incremental = patch_incremental
-        self.kernel_backend = resolve(kernel_backend)
         self._cache_policy = cache
         self._cache: PlanArtifactCache | None = (
             cache if isinstance(cache, PlanArtifactCache) else None)
@@ -258,7 +250,6 @@ class MinTotalDistanceVarPolicy:
             result = min_total_distance(self._net, self._horizon, cycles=cycles,
                                         refine=self.refine, start_time=t,
                                         cache=self._cache,
-                                        kernel_backend=self.kernel_backend,
                                         obs=self._obs)
             quant = result.quantization
             queue: list[ChargingScheduling] = []
@@ -273,7 +264,6 @@ class MinTotalDistanceVarPolicy:
                                     tie_break=self.patch_tie_break,
                                     incremental=self.patch_incremental,
                                     cache=self._cache,
-                                    kernel_backend=self.kernel_backend,
                                     obs=self._obs)
                 patched_tours = patch.tours
                 if patch.tours[0] is not None:

@@ -35,11 +35,10 @@ import numpy as np
 
 from repro.core.quantize import Quantization
 from repro.errors import ScheduleError
-from repro.kernels import KernelBackend, resolve
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
-from repro.plan.pipeline import cache_fingerprint, plan_tours
+from repro.plan.pipeline import plan_tours
 from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import rooted_msf
 from repro.rooted.refine import refine_tours
@@ -86,7 +85,6 @@ def build_patch(network: SensorNetwork, quant: Quantization,
                 tie_break: str = "immediate",
                 cache: PlanArtifactCache | None = None,
                 incremental: bool = True,
-                kernel_backend: "str | KernelBackend | None" = None,
                 obs: Instrumentation | None = None) -> PatchResult:
     """Run the repair step against a freshly computed plan.
 
@@ -125,10 +123,6 @@ def build_patch(network: SensorNetwork, quant: Quantization,
         full pipeline otherwise, so tours are identical either way (the
         ``patch`` differential in :mod:`repro.check` holds it to that).
         Only applies when a ``cache`` holding the base forests is present.
-    kernel_backend:
-        Kernel backend (:mod:`repro.kernels`) for the MSF / refinement hot
-        paths; ``None`` resolves via the process default /
-        ``REPRO_KERNEL_BACKEND``.
     obs:
         Optional instrumentation context: ``patch`` span plus the
         ``patch.calls`` / ``patch.urgent`` / ``patch.immediate`` /
@@ -143,7 +137,6 @@ def build_patch(network: SensorNetwork, quant: Quantization,
     if tie_break not in ("defer", "immediate"):
         raise ScheduleError(f"build_patch: unknown tie_break {tie_break!r}")
     o = ensure(obs)
-    kb = resolve(kernel_backend)
     o.incr("patch.calls")
     l_hat = np.asarray(lifetimes, dtype=np.float64)
     if l_hat.shape != (network.n,):
@@ -211,7 +204,7 @@ def build_patch(network: SensorNetwork, quant: Quantization,
                 root_costs[:, col] = dist[np.ix_(
                     s_idx, np.asarray(anchor, dtype=np.intp))].min(axis=1)
             assignment = rooted_msf(dist[np.ix_(s_idx, s_idx)], root_costs,
-                                    backend=kb, obs=obs)
+                                    obs=obs)
             for local, owner in enumerate(assignment.owner):
                 sets[col_to_sched[int(owner)]].add(int(s_idx[local]))
 
@@ -220,7 +213,7 @@ def build_patch(network: SensorNetwork, quant: Quantization,
         # incrementally: extend the forest by edge swaps on the candidate
         # set instead of re-running the dense Algorithm 1; fall back to the
         # full pipeline whenever exactness cannot be certified.
-        fp = cache_fingerprint(network, kb) if cache is not None else ""
+        fp = network.geometry_fingerprint if cache is not None else ""
         tours: list[tuple[Tour, ...] | None] = []
         for j in range(n_sched):
             if j == 0 and not sets[0]:
@@ -240,12 +233,11 @@ def build_patch(network: SensorNetwork, quant: Quantization,
                         o.incr("patch.msf.incremental")
                         built = tuple(tours_from_forest(extended))
                         if refine:
-                            built = tuple(refine_tours(dist, built,
-                                                       backend=kb, obs=obs))
+                            built = tuple(refine_tours(dist, built, obs=obs))
             if built is None:
                 o.incr("patch.msf.full")
                 built = plan_tours(network, frozenset(sets[j]), refine=refine,
-                                   cache=cache, kernel_backend=kb, obs=obs)
+                                   cache=cache, obs=obs)
             tours.append(built)
         retoured = sum(1 for t in tours if t is not None)
         o.incr("patch.retoured", retoured)

@@ -37,11 +37,14 @@ each other on one :class:`~repro.check.scenario.Scenario`:
     (:mod:`repro.check.legacy_engine`) — the refactor's bit-compatibility
     proof, also run standalone by ``repro check sim``.
 ``kernels``
-    The ``fast`` kernel backend (:mod:`repro.kernels`) must be
-    move-for-move identical to ``reference``: whole plans built through
-    either backend (with and without refinement) must be tour-for-tour
-    equal, and the raw kernels (Prim, 2-opt, Or-opt) must agree edge-for-
-    edge / tour-for-tour on the scenario's own metric.
+    The production improvers (:mod:`repro.tsp.improve`) must be
+    move-for-move identical to their oracles: the refined plan must equal
+    the full-scan 2-opt (:func:`~repro.tsp.improve.two_opt_scan`) applied
+    to each tour of the unrefined plan, 2-opt and Or-opt
+    (:func:`~repro.check.oracles.or_opt_reference`) must agree on the
+    all-sensor tour, and 2-opt must agree on two seeded tours of 64-96
+    stops (past its 16-nearest neighbour lists) and on one of at least
+    384 stops (its blocked scan).
 ``patch``
     :func:`~repro.adaptive.patch.build_patch` with the incremental forest
     extension (``incremental=True`` over a warm cache) must produce
@@ -70,6 +73,7 @@ import numpy as np
 
 from repro.adaptive.patch import build_patch
 from repro.check.invariants import InvariantChecker
+from repro.check.oracles import or_opt_reference
 from repro.check.scenario import Scenario
 from repro.core.bounds import lemma3_lower_bound
 from repro.core.feasibility import check_feasibility
@@ -77,18 +81,19 @@ from repro.core.mintotal import MinTotalDistanceResult, min_total_distance
 from repro.errors import CheckError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_cell
+from repro.geometry.distance import distance_matrix
 from repro.io.network_json import network_to_dict
 from repro.io.plan_json import plan_to_dict
-from repro.kernels import get_backend
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.pipeline import distinct_coverage, plan_tours
 from repro.plan.store import PlanArtifactStore
 from repro.rooted.exact import exact_q_rooted_tsp
-from repro.rooted.qtsp import tours_total_cost
+from repro.rooted.qtsp import q_rooted_tsp, tours_total_cost
 from repro.sim.engine import SimulationResult, simulate
 from repro.sim.policies import PlannedPolicy
 from repro.sim.workload import FixedWorkload
+from repro.tsp.improve import or_opt, two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 __all__ = ["CheckFailure", "ScenarioChecker", "ALL_CHECKS", "plans_equal"]
@@ -140,6 +145,11 @@ def plans_equal(a: dict[str, Any], b: dict[str, Any]) -> bool:
 
 def _close(a: float, b: float, *, rel: float = _REL_TOL) -> bool:
     return math.isclose(a, b, rel_tol=rel, abs_tol=rel)
+
+
+def _tour(nodes: Iterable[int]) -> Tour:
+    order = tuple(int(v) for v in nodes)
+    return Tour(depot=order[0], order=order)
 
 
 class ScenarioChecker:
@@ -434,42 +444,54 @@ class ScenarioChecker:
     def _check_kernels(self, scenario: Scenario) -> list[CheckFailure]:
         failures: list[CheckFailure] = []
         net = scenario.build_network()
-        ref = get_backend("reference")
-        fast = get_backend("fast")
-
-        # Whole-pipeline differential: plans built through either backend
-        # must be tour-for-tour identical, both on the bare Algorithm 1+2
-        # path and with the 2-opt/Or-opt refinement pass engaged.
-        for refine in (False, True):
-            docs = {}
-            for kb in (ref, fast):
-                docs[kb.name] = plan_to_dict(min_total_distance(
-                    net, scenario.horizon, refine=refine,
-                    base=scenario.base, kernel_backend=kb).plan)
-            if not plans_equal(docs["reference"], docs["fast"]):
-                failures.append(CheckFailure(
-                    "kernels", f"plan built with the fast backend differs "
-                               f"from the reference plan (refine={refine}) — "
-                               f"the fast kernels are not move-for-move "
-                               f"exact"))
-
-        # Raw-kernel differential on the scenario's own metric: the MST of
-        # the full graph and the improvers over one tour through everything.
         dist = net.dist
+
+        # Whole pipeline: the refine pass is exactly the 2-opt oracle
+        # applied to every tour of the unrefined plan.
+        plain, refined = (min_total_distance(
+            net, scenario.horizon, refine=refine, base=scenario.base).plan
+            for refine in (False, True))
+        expected = [tuple(two_opt_scan(dist, t) for t in s.tours)
+                    for s in plain.schedulings]
+        if [s.tours for s in refined.schedulings] != expected:
+            failures.append(CheckFailure(
+                "kernels", "refined plan differs from the 2-opt oracle "
+                           "applied to the unrefined plan's tours"))
+
+        # Raw kernels on one tour through every sensor.
         depot = int(net.depot_indices[0])
-        if ref.prim_mst(dist, root=depot) != fast.prim_mst(dist, root=depot):
-            failures.append(CheckFailure(
-                "kernels", "fast prim_mst edge list differs from reference "
-                           "on the scenario's full distance matrix"))
         tour = Tour(depot=depot, order=(depot, *range(net.n)))
-        if ref.two_opt(dist, tour) != fast.two_opt(dist, tour):
+        if two_opt(dist, tour) != two_opt_scan(dist, tour):
             failures.append(CheckFailure(
-                "kernels", "fast two_opt tour differs from reference on the "
+                "kernels", "two_opt differs from the full-scan oracle on the "
                            "scenario's all-sensor tour"))
-        if ref.or_opt(dist, tour) != fast.or_opt(dist, tour):
+        if or_opt(dist, tour) != or_opt_reference(dist, tour):
             failures.append(CheckFailure(
-                "kernels", "fast or_opt tour differs from reference on the "
+                "kernels", "or_opt differs from the loop-form oracle on the "
                            "scenario's all-sensor tour"))
+
+        # Scenario tours are short enough for 2-opt's complete neighbour
+        # lists, so add tours seeded from the scenario: 64-96 stops over
+        # every node of a tie-heavy integer lattice and over a subset of a
+        # larger matrix, and an MST-doubled tour long enough for the
+        # blocked scan.
+        rng = np.random.default_rng(scenario.stable_digest())
+        m = int(rng.integers(64, 97))
+        cells = rng.choice(16 * 16, size=m, replace=False)
+        lattice = distance_matrix(
+            np.column_stack([cells // 16, cells % 16]).astype(np.float64))
+        uniform = distance_matrix(rng.uniform(0.0, 100.0, size=(m + 16, 2)))
+        long_n = int(rng.integers(384, 448))
+        long_d = distance_matrix(rng.uniform(0.0, 100.0, size=(long_n, 2)))
+        for label, d, big in (
+                ("lattice", lattice, _tour(rng.permutation(m))),
+                ("subset", uniform, _tour(rng.choice(m + 16, size=m, replace=False))),
+                ("MST-doubled", long_d,
+                 q_rooted_tsp(long_d, list(range(1, long_n)), [0])[0])):
+            if two_opt(d, big) != two_opt_scan(d, big):
+                failures.append(CheckFailure(
+                    "kernels", f"two_opt differs from the full-scan oracle on "
+                               f"a {len(big.order)}-stop {label} tour"))
         return failures
 
     def _check_patch(self, scenario: Scenario) -> list[CheckFailure]:

@@ -2,7 +2,7 @@
 
 A verification harness that silently stops detecting is worse than none —
 green runs breed false confidence. This module keeps the harness honest by
-injecting two known mutations and requiring a failure:
+injecting known mutations and requiring a failure:
 
 * **Coverage mutation** — :meth:`~repro.core.quantize.Quantization.coverage_sets`
   (the method the planner pipeline actually builds tours from) is
@@ -19,6 +19,11 @@ injecting two known mutations and requiring a failure:
   :class:`~repro.plan.store.PlanArtifactStore` entry. The store's
   integrity layer must quarantine it on the next read (never serve it),
   and the disk-warm re-plan must still equal the cold plan.
+* **Kernel tie-break mutation** — both pruned 2-opt scans
+  (``repro.tsp.improve._two_opt_walk`` and ``_two_opt_pruned``, one per
+  tour length) are swapped for a full scan that breaks equal-delta ties
+  toward the *highest* ``j``. Every move still improves the tour, so only
+  the ``kernels`` differential's exactness comparison can see it.
 
 The mutations are applied under ``try/finally`` so a crashing self-test
 cannot leak a mutated library into the process.
@@ -41,6 +46,8 @@ from repro.network.builder import NetworkBuilder
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
 from repro.plan.cache import PlanArtifactCache
+from repro.tsp import improve
+from repro.tsp.tour import Tour
 
 __all__ = ["run_selftest", "selftest_scenario"]
 
@@ -86,6 +93,33 @@ def _mutated_coverage_sets(self: Quantization) -> tuple[frozenset[int], ...]:
     return sets[:-1] + (sets[-2],)
 
 
+def _highest_j_two_opt(dist: np.ndarray, tour: Tour,
+                       max_rounds: int) -> tuple[list[int], int, int]:
+    """The planted kernel bug: 2-opt that breaks delta ties to the highest ``j``."""
+    k = len(tour.order)
+    d = np.asarray(dist)
+    p = np.asarray(tour.order, dtype=np.intp)
+    passes = moves = 0
+    for _ in range(max_rounds):
+        improved = False
+        passes += 1
+        for i in range(1, k - 1):
+            a, b = p[i - 1], p[i]
+            js = np.arange(i + 1, k)
+            cs = p[js]
+            ds = p[np.where(js + 1 < k, js + 1, 0)]
+            delta = (d[a, cs] + d[b, ds]) - (d[a, b] + d[cs, ds])
+            best = len(delta) - 1 - int(np.argmin(delta[::-1]))
+            if delta[best] < -1e-10:
+                j = int(js[best])
+                p[i:j + 1] = p[i:j + 1][::-1]
+                improved = True
+                moves += 1
+        if not improved:
+            break
+    return p.tolist(), passes, moves
+
+
 def _problem_if(condition: bool, message: str,
                 problems: list[str]) -> None:
     if condition:
@@ -126,6 +160,20 @@ def run_selftest(obs: Instrumentation | None = None) -> list[str]:
 
         # ---- 3. planted on-disk corruption must be quarantined, not served
         problems.extend(_corrupted_store_check(scenario))
+
+        # ---- 4. a 2-opt tie-break mutation must be caught by `kernels`
+        originals = improve._two_opt_walk, improve._two_opt_pruned
+        try:
+            improve._two_opt_walk = improve._two_opt_pruned = _highest_j_two_opt
+            caught = checker.check(scenario, checks=("kernels",))
+        finally:
+            improve._two_opt_walk, improve._two_opt_pruned = originals
+        _problem_if(not caught,
+                    "planted 2-opt mutation (highest-j tie-break in the "
+                    "pruned scans) was NOT caught — the kernels check is blind",
+                    problems)
+        if caught:
+            log.info("selftest: 2-opt tie-break mutation caught by kernels")
 
     if problems:
         o.incr("check.selftest.problems", len(problems))

@@ -10,8 +10,6 @@
     repro demo                         # 30-second end-to-end demo
     repro --profile demo               # ... plus the instrumentation table
     repro --profile --trace t.jsonl plan   # ... plus a JSONL trace file
-    repro --kernel-backend fast run fig1a  # vectorised hot-path kernels
-                                           # (identical output, less time)
     repro serve --port 7351 --workers 4    # long-lived planning service
     repro check fuzz --seed 4 --budget 50  # differential verification fuzzer
     repro check replay check_reproducer.json   # re-run a shrunk failure
@@ -121,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="write the instrumentation trace (JSONL) here; "
                              "implies --profile collection")
-    parser.add_argument("--kernel-backend", default=None, metavar="NAME",
-                        help="numeric kernel backend for the planner hot "
-                             "paths ('reference' or 'fast'; default: "
-                             "$REPRO_KERNEL_BACKEND or 'reference'). Exact "
-                             "backends are output-identical")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list", help="catalogue of reproducible figures/ablations")
@@ -750,8 +743,7 @@ def _cmd_serve(args: argparse.Namespace, obs: Instrumentation | None) -> int:
         host=args.host, port=args.port, workers=args.workers,
         executor=args.executor, queue_limit=args.queue_limit,
         default_deadline=(args.deadline if args.deadline > 0 else None),
-        drain_timeout=args.drain_timeout, cache_dir=args.cache_dir,
-        kernel_backend=args.kernel_backend)
+        drain_timeout=args.drain_timeout, cache_dir=args.cache_dir)
     return serve(config, obs=obs, port_file=args.port_file)
 
 
@@ -768,8 +760,7 @@ def _cmd_fleet(args: argparse.Namespace, obs: Instrumentation | None) -> int:
         shard_mode=args.shard_mode, workers=args.workers,
         executor=args.executor, queue_limit=args.queue_limit,
         default_deadline=(args.deadline if args.deadline > 0 else None),
-        retries=args.retries, cache_dir=args.cache_dir,
-        kernel_backend=args.kernel_backend)
+        retries=args.retries, cache_dir=args.cache_dir)
     return serve_fleet(config, obs=obs)
 
 
@@ -812,12 +803,6 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(args.verbose)
     obs = Instrumentation() if (args.profile or args.trace) else None
     try:
-        if args.kernel_backend is not None:
-            from repro.kernels import set_default_backend
-
-            # Validates eagerly: an unknown name dies here as a one-line
-            # usage error instead of deep inside the first plan.
-            set_default_backend(args.kernel_backend)
         if args.command == "list":
             return _cmd_list()
         if args.command == "run":

@@ -35,7 +35,6 @@ import numpy as np
 from repro.core.quantize import Quantization, quantize_cycles
 from repro.core.schedule import ChargingScheduling, SchedulePlan
 from repro.errors import ScheduleError
-from repro.kernels import KernelBackend
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
@@ -109,7 +108,6 @@ def min_total_distance(network: SensorNetwork, horizon: float,
                        base: int = 2,
                        cache: PlanArtifactCache | None = None,
                        store: "PlanArtifactStore | None" = None,
-                       kernel_backend: "str | KernelBackend | None" = None,
                        obs: Instrumentation | None = None) -> MinTotalDistanceResult:
     """Run Algorithm 3.
 
@@ -144,9 +142,6 @@ def min_total_distance(network: SensorNetwork, horizon: float,
         to it and artifacts persisted by *previous processes* are read back
         on in-memory misses, so a restarted planner replans warm. Also a
         pure accelerator: plans are tour-identical with or without it.
-    kernel_backend:
-        Kernel backend (:mod:`repro.kernels`) for the numeric hot paths;
-        ``None`` resolves via the process default / ``REPRO_KERNEL_BACKEND``.
     obs:
         Optional instrumentation context. Records the ``plan`` span, the
         class structure (``plan.K``, ``plan.class_size`` series), the
@@ -172,8 +167,7 @@ def min_total_distance(network: SensorNetwork, horizon: float,
     with o.span("plan", n=network.n, horizon=float(horizon)) as sp:
         quant = quantize_cycles(tau, base=base)
         levels = build_levels(network, quant, refine=refine, cache=cache,
-                              store=store, kernel_backend=kernel_backend,
-                              obs=obs)
+                              store=store, obs=obs)
 
         schedulings: list[ChargingScheduling] = []
         j = 1

@@ -159,7 +159,6 @@ class FleetConfig:
     default_deadline: float | None = 60.0
     cache_entries: int | None = 4096
     cache_dir: str | None = None
-    kernel_backend: str | None = None
     retries: int = 2
     retry_backoff: float = 0.05
     retry_cap: float = 1.0

@@ -64,8 +64,7 @@ class Fleet:
                     shard_id=shard_id, workers=cfg.workers,
                     executor=cfg.executor, queue_limit=cfg.queue_limit,
                     default_deadline=cfg.default_deadline,
-                    cache_entries=cfg.cache_entries, cache_dir=cfg.cache_dir,
-                    kernel_backend=cfg.kernel_backend))
+                    cache_entries=cfg.cache_entries, cache_dir=cfg.cache_dir))
                 address = handle.start()
                 self.shards[shard_id] = handle
                 self.router.register(shard_id, address)

@@ -62,7 +62,6 @@ class ShardSpec:
     default_deadline: float | None = 60.0
     cache_entries: int | None = 4096
     cache_dir: str | None = None
-    kernel_backend: str | None = None
 
 
 class ShardHandle(Protocol):
@@ -108,7 +107,7 @@ class ThreadShard:
             queue_limit=spec.queue_limit,
             default_deadline=spec.default_deadline,
             cache_entries=spec.cache_entries, cache_dir=spec.cache_dir,
-            kernel_backend=spec.kernel_backend, drain_timeout=5.0))
+            drain_timeout=5.0))
         return self._srv.start()
 
     def kill(self) -> None:
@@ -157,9 +156,6 @@ class ProcessShard:
                "--port-file", str(port_file)]
         if spec.cache_dir is not None:
             cmd += ["--cache-dir", spec.cache_dir]
-        if spec.kernel_backend is not None:
-            # Top-level flag: must precede the "serve" subcommand.
-            cmd = cmd[:3] + ["--kernel-backend", spec.kernel_backend] + cmd[3:]
         self._proc = subprocess.Popen(cmd)
         deadline = time.monotonic() + self.BOOT_TIMEOUT
         while time.monotonic() < deadline:

@@ -19,13 +19,15 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.unionfind import UnionFind
+from repro.obs.instrument import Instrumentation, ensure
 
 __all__ = ["prim_mst", "kruskal_mst", "mst_weight"]
 
 Edge = tuple[int, int]
 
 
-def prim_mst(dist: np.ndarray, *, root: int = 0) -> list[Edge]:
+def prim_mst(dist: np.ndarray, *, root: int = 0,
+             obs: Instrumentation | None = None) -> list[Edge]:
     """MST of a complete graph given by dense distance matrix ``dist``.
 
     Classic array-based Prim: maintain for every out-of-tree node its
@@ -41,6 +43,9 @@ def prim_mst(dist: np.ndarray, *, root: int = 0) -> list[Edge]:
     root:
         Node to grow the tree from (result is root-independent; the parameter
         exists so rooted callers get their preferred orientation for free).
+    obs:
+        Optional instrumentation context; records a ``kernel.prim`` span
+        and the ``kernel.prim.calls`` counter.
 
     Returns
     -------
@@ -56,31 +61,33 @@ def prim_mst(dist: np.ndarray, *, root: int = 0) -> list[Edge]:
         raise GraphError("prim_mst: empty graph")
     if not (0 <= root < n):
         raise GraphError(f"prim_mst: root {root} out of range for n={n}")
-    if n == 1:
-        return []
+    o = ensure(obs)
+    o.incr("kernel.prim.calls")
+    with o.span("kernel.prim", n=n):
+        if n == 1:
+            return []
+        in_tree = np.zeros(n, dtype=bool)
+        in_tree[root] = True
+        # best[v] = cheapest edge weight from v into the current tree;
+        # best_from[v] = the tree endpoint realising it.
+        best = d[root].copy()
+        best[root] = np.inf
+        best_from = np.full(n, root, dtype=np.intp)
 
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[root] = True
-    # best[v] = cheapest edge weight from v into the current tree;
-    # best_from[v] = the tree endpoint realising it.
-    best = d[root].copy()
-    best[root] = np.inf
-    best_from = np.full(n, root, dtype=np.intp)
-
-    edges: list[Edge] = []
-    for _ in range(n - 1):
-        v = int(np.argmin(best))
-        if not np.isfinite(best[v]):
-            raise GraphError("prim_mst: graph is disconnected (inf frontier)")
-        edges.append((int(best_from[v]), v))
-        in_tree[v] = True
-        best[v] = np.inf
-        # Relax: nodes for which v now offers a cheaper connection.
-        row = d[v]
-        better = (row < best) & ~in_tree
-        best[better] = row[better]
-        best_from[better] = v
-    return edges
+        edges: list[Edge] = []
+        for _ in range(n - 1):
+            v = int(np.argmin(best))
+            if not np.isfinite(best[v]):
+                raise GraphError("prim_mst: graph is disconnected (inf frontier)")
+            edges.append((int(best_from[v]), v))
+            in_tree[v] = True
+            best[v] = np.inf
+            # Relax: nodes for which v now offers a cheaper connection.
+            row = d[v]
+            better = (row < best) & ~in_tree
+            best[better] = row[better]
+            best_from[better] = v
+        return edges
 
 
 def kruskal_mst(n: int, edges: Iterable[tuple[int, int, float]]) -> list[Edge]:

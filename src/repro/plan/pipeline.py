@@ -42,7 +42,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.quantize import Quantization
-from repro.kernels import KernelBackend, resolve
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
@@ -55,22 +54,7 @@ from repro.tsp.tour import Tour
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.store import PlanArtifactStore
 
-__all__ = ["plan_tours", "build_levels", "build_block", "distinct_coverage",
-           "cache_fingerprint"]
-
-
-def cache_fingerprint(network: SensorNetwork,
-                      backend: KernelBackend) -> str:
-    """The artifact-cache fingerprint for plans built with ``backend``.
-
-    Exact backends are guaranteed output-identical to the reference, so
-    they *share* cache entries — switching ``--kernel-backend`` between
-    ``reference`` and ``fast`` neither misses nor pollutes. A non-exact
-    backend's outputs may legitimately differ, so its name is folded into
-    the fingerprint, giving it a private cache namespace.
-    """
-    fp = network.geometry_fingerprint
-    return fp if backend.exact else f"{fp}|kernel={backend.name}"
+__all__ = ["plan_tours", "build_levels", "build_block", "distinct_coverage"]
 
 
 def distinct_coverage(quant: Quantization) -> tuple[frozenset[int], ...]:
@@ -91,7 +75,6 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
                *, refine: bool = False,
                cache: PlanArtifactCache | None = None,
                store: "PlanArtifactStore | None" = None,
-               kernel_backend: "str | KernelBackend | None" = None,
                obs: Instrumentation | None = None) -> tuple[Tour, ...]:
     """Stages 3–5 for one coverage set, with artifact reuse.
 
@@ -115,11 +98,6 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         survive process restarts. Like the cache, a pure accelerator: plans
         are tour-identical with or without it (the ``store`` differential
         check in :mod:`repro.check` holds it to that).
-    kernel_backend:
-        Kernel backend (:mod:`repro.kernels`) for the numeric hot paths of
-        stages 3 and 5; ``None`` resolves via the process default /
-        ``REPRO_KERNEL_BACKEND``. Non-exact backends get a private cache
-        namespace (see :func:`cache_fingerprint`).
     obs:
         Optional instrumentation; the cached path records the
         ``plan.cache.*`` hit/miss counters documented in the module
@@ -132,13 +110,12 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         One tour per depot, jointly covering ``coverage``.
     """
     depots = [int(i) for i in network.depot_indices]
-    kb = resolve(kernel_backend)
     if cache is None and store is None:
         return tuple(q_rooted_tsp(network.dist, sorted(coverage), depots,
-                                  refine=refine, backend=kb, obs=obs))
+                                  refine=refine, obs=obs))
 
     o = ensure(obs)
-    fp = cache_fingerprint(network, kb)
+    fp = network.geometry_fingerprint
 
     def lookup_tours(want_refine: bool) -> tuple[Tour, ...] | None:
         """Tier-1 then tier-2 lookup; promotes disk hits into memory."""
@@ -179,7 +156,7 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         if forest is None:
             o.incr("plan.cache.forest.miss")
             forest = q_rooted_msf(network.dist, sorted(coverage), depots,
-                                  backend=kb, obs=obs)
+                                  obs=obs)
             if cache is not None:
                 cache.put_forest(fp, coverage, forest)
             if store is not None:
@@ -190,7 +167,7 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         save_tours(False, base)
         if not refine:
             return base
-    refined = tuple(refine_tours(network.dist, base, backend=kb, obs=obs))
+    refined = tuple(refine_tours(network.dist, base, obs=obs))
     save_tours(True, refined)
     return refined
 
@@ -199,7 +176,6 @@ def build_levels(network: SensorNetwork, quant: Quantization,
                  *, refine: bool = False,
                  cache: PlanArtifactCache | None = None,
                  store: "PlanArtifactStore | None" = None,
-                 kernel_backend: "str | KernelBackend | None" = None,
                  obs: Instrumentation | None = None) -> tuple[tuple[Tour, ...], ...]:
     """One tour set per coverage *level* (stages 2–5) — ``K + 1`` in total.
 
@@ -217,15 +193,13 @@ def build_levels(network: SensorNetwork, quant: Quantization,
     counters (cached runs only) reveal how cheap each resolution was.
     """
     o = ensure(obs)
-    kb = resolve(kernel_backend)
     resolved: dict[frozenset[int], tuple[Tour, ...]] = {}
     levels: list[tuple[Tour, ...]] = []
     with o.span("plan.block", levels=quant.K + 1):
         for cov in quant.coverage_sets():
             if cov not in resolved:
                 resolved[cov] = plan_tours(network, cov, refine=refine,
-                                           cache=cache, store=store,
-                                           kernel_backend=kb, obs=obs)
+                                           cache=cache, store=store, obs=obs)
                 o.incr("plan.block.solved")
             else:
                 o.incr("plan.block.reused")
@@ -237,7 +211,6 @@ def build_block(network: SensorNetwork, quant: Quantization,
                 *, refine: bool = False,
                 cache: PlanArtifactCache | None = None,
                 store: "PlanArtifactStore | None" = None,
-                kernel_backend: "str | KernelBackend | None" = None,
                 obs: Instrumentation | None = None) -> tuple[tuple[Tour, ...], ...]:
     """The ``b^K`` tour sets of one scheduling block (stages 2–5), expanded.
 
@@ -257,7 +230,6 @@ def build_block(network: SensorNetwork, quant: Quantization,
     planners should prefer :func:`build_levels`, which is O(K) always.
     """
     o = ensure(obs)
-    kb = resolve(kernel_backend)
     n = quant.enumerable_block_size()
     level_sets = quant.coverage_sets()
     resolved: dict[frozenset[int], tuple[Tour, ...]] = {}
@@ -267,8 +239,7 @@ def build_block(network: SensorNetwork, quant: Quantization,
             cov = level_sets[quant.level_of(j)]
             if cov not in resolved:
                 resolved[cov] = plan_tours(network, cov, refine=refine,
-                                           cache=cache, store=store,
-                                           kernel_backend=kb, obs=obs)
+                                           cache=cache, store=store, obs=obs)
                 o.incr("plan.block.solved")
             else:
                 o.incr("plan.block.reused")

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.forest import RootedForest
-from repro.kernels import KernelBackend, prim_mst
+from repro.graphs.mst import prim_mst
 from repro.obs.instrument import Instrumentation, ensure
 
 __all__ = ["MsfAssignment", "rooted_msf", "q_rooted_msf"]
@@ -71,8 +71,7 @@ class MsfAssignment:
 
 
 def rooted_msf(sensor_dist: np.ndarray, root_costs: np.ndarray,
-               *, backend: "str | KernelBackend | None" = None,
-               obs: Instrumentation | None = None) -> MsfAssignment:
+               *, obs: Instrumentation | None = None) -> MsfAssignment:
     """Exact rooted MSF via depot contraction.
 
     Parameters
@@ -83,9 +82,6 @@ def rooted_msf(sensor_dist: np.ndarray, root_costs: np.ndarray,
         ``(m, R)`` cost of attaching each sensor directly to each of the
         ``R`` roots (``inf`` allowed to forbid an attachment, as long as
         every sensor can reach some root).
-    backend:
-        Kernel backend for the MST step (:mod:`repro.kernels`); ``None``
-        resolves via the process default / ``REPRO_KERNEL_BACKEND``.
     obs:
         Optional instrumentation context; records an ``msf`` span plus the
         ``msf.calls`` / ``msf.mst_rounds`` counters.
@@ -134,7 +130,7 @@ def rooted_msf(sensor_dist: np.ndarray, root_costs: np.ndarray,
         contracted[m, m] = 0.0
 
         # MST rooted at the super-root so bridging edges appear as (m, v).
-        edges = prim_mst(contracted, root=m, backend=backend, obs=obs)
+        edges = prim_mst(contracted, root=m, obs=obs)
 
         sensor_edges: list[tuple[int, int]] = []
         root_links: list[tuple[int, int]] = []
@@ -180,8 +176,7 @@ def rooted_msf(sensor_dist: np.ndarray, root_costs: np.ndarray,
 
 def q_rooted_msf(dist: np.ndarray, sensors: Sequence[int],
                  depots: Sequence[int],
-                 *, backend: "str | KernelBackend | None" = None,
-                 obs: Instrumentation | None = None) -> RootedForest:
+                 *, obs: Instrumentation | None = None) -> RootedForest:
     """Algorithm 1 over graph indices: span ``sensors`` with one tree per
     depot in ``depots``.
 
@@ -195,8 +190,6 @@ def q_rooted_msf(dist: np.ndarray, sensors: Sequence[int],
         the result is then ``q`` isolated roots).
     depots:
         Graph indices of the ``q`` depots; these become the forest's roots.
-    backend:
-        Kernel backend for the MST step (:mod:`repro.kernels`).
 
     Returns
     -------
@@ -216,7 +209,7 @@ def q_rooted_msf(dist: np.ndarray, sensors: Sequence[int],
                             trees=tuple(() for _ in r_idx))
 
     assignment = rooted_msf(d[np.ix_(s_idx, s_idx)], d[np.ix_(s_idx, r_idx)],
-                            backend=backend, obs=obs)
+                            obs=obs)
     trees: list[list[tuple[int, int]]] = [[] for _ in range(r_idx.size)]
     for root, sensor in assignment.root_links:
         trees[root].append((int(r_idx[root]), int(s_idx[sensor])))

@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.kernels import KernelBackend
 from repro.obs.instrument import Instrumentation, ensure
 from repro.rooted.msf import q_rooted_msf
 from repro.rooted.refine import refine_tours
@@ -32,7 +31,6 @@ __all__ = ["q_rooted_tsp", "tours_from_forest", "tours_total_cost"]
 
 def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int],
                  *, refine: bool = False,
-                 backend: "str | KernelBackend | None" = None,
                  obs: Instrumentation | None = None) -> list[Tour]:
     """Solve the q-rooted TSP 2-approximately (Algorithm 2).
 
@@ -50,10 +48,6 @@ def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int]
         Apply the 2-opt/Or-opt post-pass. Off by default — the paper's
         algorithm does not include it; the ``abl-refine`` bench measures
         what it buys.
-    backend:
-        Kernel backend (:mod:`repro.kernels`) for the MST and refinement
-        hot paths; ``None`` resolves via the process default /
-        ``REPRO_KERNEL_BACKEND``.
     obs:
         Optional instrumentation context; records a ``qtsp`` span, the
         ``qtsp.calls`` counter and the ``qtsp.shortcut_saving`` value
@@ -69,10 +63,10 @@ def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int]
     o.incr("qtsp.calls")
     sensors = list(sensors)
     with o.span("qtsp", sensors=len(sensors)):
-        forest = q_rooted_msf(dist, sensors, depots, backend=backend, obs=obs)
+        forest = q_rooted_msf(dist, sensors, depots, obs=obs)
         tours = tours_from_forest(forest)
         if refine:
-            tours = refine_tours(dist, tours, backend=backend, obs=obs)
+            tours = refine_tours(dist, tours, obs=obs)
     if o.enabled:
         d = np.asarray(dist)
         o.observe("qtsp.shortcut_saving",

@@ -12,8 +12,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.kernels import KernelBackend, or_opt, two_opt
 from repro.obs.instrument import Instrumentation
+from repro.tsp.improve import or_opt, two_opt
 from repro.tsp.tour import Tour
 
 __all__ = ["refine_tours"]
@@ -21,7 +21,6 @@ __all__ = ["refine_tours"]
 
 def refine_tours(dist: np.ndarray, tours: Sequence[Tour],
                  *, method: str = "2opt",
-                 backend: "str | KernelBackend | None" = None,
                  obs: Instrumentation | None = None) -> list[Tour]:
     """Improve each tour independently with local search.
 
@@ -34,9 +33,6 @@ def refine_tours(dist: np.ndarray, tours: Sequence[Tour],
         structure, i.e. which charger serves which sensors, is preserved).
     method:
         ``"2opt"`` (default) or ``"2opt+oropt"`` for the heavier pipeline.
-    backend:
-        Kernel backend for the improvers (:mod:`repro.kernels`); ``None``
-        resolves via the process default / ``REPRO_KERNEL_BACKEND``.
     obs:
         Optional instrumentation context, forwarded to the improvers
         (``two_opt.passes`` / ``two_opt.moves`` counters and friends).
@@ -51,9 +47,9 @@ def refine_tours(dist: np.ndarray, tours: Sequence[Tour],
     d = np.asarray(dist)
     out: list[Tour] = []
     for t in tours:
-        improved = two_opt(d, t, backend=backend, obs=obs)
+        improved = two_opt(d, t, obs=obs)
         if method == "2opt+oropt":
-            improved = or_opt(d, improved, backend=backend, obs=obs)
-            improved = two_opt(d, improved, backend=backend, obs=obs)
+            improved = or_opt(d, improved, obs=obs)
+            improved = two_opt(d, improved, obs=obs)
         out.append(improved)
     return out

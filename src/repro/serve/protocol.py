@@ -40,6 +40,12 @@ The ``network`` and ``plan`` payloads are exactly the documents produced by
 the repo's archival format, so a saved ``network.json`` body can be pasted
 into a ``plan`` request unchanged.
 
+A ``plan`` request may still carry the ``kernel_backend`` field that
+older clients sent to pick between output-identical planner kernels.
+For this protocol version the field is ignored, whatever its value: the
+request plans, coalesces and hits the response cache exactly as it would
+without it.
+
 This module is pure (no sockets): framing, validation and the
 request/response constructors, shared by server and client and unit-tested
 without any I/O.

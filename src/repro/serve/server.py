@@ -59,7 +59,6 @@ import numpy as np
 from repro.errors import ConfigError, ReproError, ServeError
 from repro.io.files import unwrap_envelope
 from repro.io.network_json import network_from_dict
-from repro.kernels import get_backend
 from repro.obs.instrument import Instrumentation, trim_trace
 from repro.obs.live import DeltaEmitter, quantile_table
 from repro.obs.log import get_logger
@@ -137,13 +136,6 @@ class ServeConfig:
         Capacity of the parent-side LRU of completed ``plan`` response
         documents (exact-repeat hits without touching a worker). ``0``
         disables it.
-    kernel_backend:
-        Default numeric kernel backend (:mod:`repro.kernels`) for the
-        workers; a request naming ``kernel_backend`` in its payload
-        overrides it per call. ``None`` keeps the library default
-        (``REPRO_KERNEL_BACKEND`` or ``reference``). Validated eagerly —
-        an unknown name fails construction with a
-        :class:`~repro.errors.ConfigError`.
     max_trace_events:
         The server trims its own trace to this many events so a long-lived
         process does not grow memory with request count.
@@ -161,7 +153,6 @@ class ServeConfig:
     cache_dir: str | None = None
     plan_responses: int = 256
     max_trace_events: int = 10_000
-    kernel_backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -174,8 +165,6 @@ class ServeConfig:
         if self.plan_responses < 0:
             raise ConfigError(
                 f"serve: plan_responses must be >= 0, got {self.plan_responses}")
-        if self.kernel_backend is not None:
-            get_backend(self.kernel_backend)  # unknown name -> ConfigError now
 
 
 def plan_key(params: dict[str, Any]) -> tuple:
@@ -186,16 +175,14 @@ def plan_key(params: dict[str, Any]) -> tuple:
     planning them would do identical work: the fingerprint pins the metric
     geometry and the cycles digest pins the quantisation (hence every
     coverage set) built on top of it. The load-testing ``delay`` knob is
-    deliberately excluded. A ``kernel_backend`` selection joins the key
-    only when that backend is *not* output-exact — exact backends produce
-    byte-identical plans, so coalescing across them is correct and free.
+    deliberately excluded, and so is the ignored legacy kernel-selection
+    field (see :mod:`repro.serve.protocol`).
 
     Raises
     ------
     ServeError
-        (``bad_request``) when the envelope around the network is invalid
-        or the named kernel backend is unknown; ``ReproError`` propagates
-        from a malformed network document.
+        (``bad_request``) when the envelope around the network is invalid;
+        ``ReproError`` propagates from a malformed network document.
     """
     net = network_from_dict(unwrap_envelope(params.get("network"), "sensor-network"))
     try:
@@ -206,18 +193,9 @@ def plan_key(params: dict[str, Any]) -> tuple:
         raise ServeError(
             f"plan request needs a numeric 'horizon' (and optional 'refine'/'base'): {exc}",
             code=BAD_REQUEST) from exc
-    backend = params.get("kernel_backend")
-    kernel = ""
-    if backend is not None:
-        try:
-            kb = get_backend(str(backend))
-        except ConfigError as exc:
-            raise ServeError(str(exc), code=BAD_REQUEST) from exc
-        if not kb.exact:
-            kernel = kb.name
     cycles = hashlib.sha256(
         np.ascontiguousarray(net.cycles, dtype=np.float64).tobytes()).hexdigest()
-    return (net.geometry_fingerprint, cycles, horizon, refine, base, kernel)
+    return (net.geometry_fingerprint, cycles, horizon, refine, base)
 
 
 class _Flight:
@@ -279,7 +257,7 @@ class PlanningServer:
         if cfg.executor == "process":
             self._executor = ProcessPoolExecutor(
                 max_workers=cfg.workers, initializer=init_worker,
-                initargs=(cfg.cache_entries, cfg.cache_dir, cfg.kernel_backend))
+                initargs=(cfg.cache_entries, cfg.cache_dir))
         else:
             self._shared_cache = PlanArtifactCache(cfg.cache_entries)
             if cfg.cache_dir is not None:
@@ -609,8 +587,7 @@ class PlanningServer:
         if self._shared_cache is not None:  # thread mode: pass the shared tiers
             return loop.run_in_executor(
                 self._executor, partial(fn, params, cache=self._shared_cache,
-                                        store=self._shared_store,
-                                        kernel_backend=self.config.kernel_backend))
+                                        store=self._shared_store))
         return loop.run_in_executor(self._executor, fn, params)
 
     async def _run_job(self, fn: Callable, params: dict[str, Any]) -> dict[str, Any]:
@@ -650,7 +627,7 @@ class PlanningServer:
         if cfg.executor == "process":
             self._executor = ProcessPoolExecutor(
                 max_workers=cfg.workers, initializer=init_worker,
-                initargs=(cfg.cache_entries, cfg.cache_dir, cfg.kernel_backend))
+                initargs=(cfg.cache_entries, cfg.cache_dir))
         else:  # pragma: no cover - thread pools break only via initializer
             self._executor = ThreadPoolExecutor(
                 max_workers=cfg.workers, thread_name_prefix="repro-serve")

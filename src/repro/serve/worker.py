@@ -44,13 +44,11 @@ __all__ = ["init_worker", "execute_plan", "execute_simulate",
 
 _CACHE: PlanArtifactCache | None = None
 _STORE: PlanArtifactStore | None = None
-_KERNEL: str | None = None
 _CACHE_GUARD = threading.Lock()
 
 
 def init_worker(max_entries: int | None = 4096,
-                cache_dir: str | None = None,
-                kernel_backend: str | None = None) -> None:
+                cache_dir: str | None = None) -> None:
     """Create the worker process's resident plan-artifact cache.
 
     Passed as the :class:`~concurrent.futures.ProcessPoolExecutor`
@@ -65,22 +63,14 @@ def init_worker(max_entries: int | None = 4096,
     the cache from it, so a freshly booted pool serves repeat geometries
     without recomputing anything a previous run already solved; every
     request then reads through / writes through the store.
-
-    ``kernel_backend`` pins the process's default numeric kernel backend
-    (:mod:`repro.kernels`) for every request that does not name one in its
-    payload; ``None`` keeps the library default (``REPRO_KERNEL_BACKEND``
-    or ``reference``). Passed through ``initargs`` so it survives any pool
-    start method (fork or spawn).
     """
-    global _CACHE, _STORE, _KERNEL
+    global _CACHE, _STORE
     with _CACHE_GUARD:
         if _CACHE is None:
             _CACHE = PlanArtifactCache(max_entries)
         if cache_dir is not None and _STORE is None:
             _STORE = PlanArtifactStore(cache_dir)
             _STORE.warm(_CACHE)
-        if kernel_backend is not None:
-            _KERNEL = kernel_backend
 
 
 def worker_cache_info() -> dict[str, int] | None:
@@ -150,17 +140,13 @@ def _inject_fault(payload: dict[str, Any]) -> None:
 def execute_plan(payload: dict[str, Any],
                  cache: PlanArtifactCache | None = None,
                  store: PlanArtifactStore | None = None,
-                 kernel_backend: str | None = None,
                  ) -> tuple[dict[str, Any], StatsSnapshot]:
     """Run one ``plan`` command: network document → plan document.
 
     ``payload`` carries ``network`` (a
     :func:`~repro.io.network_json.network_to_dict` document, bare or inside
     the ``save_network`` file envelope), ``horizon``, and optional
-    ``refine``/``base``/``kernel_backend``/``delay``. The effective kernel
-    backend is the payload's, else the ``kernel_backend`` argument (the
-    thread-mode server passes its config here), else the process default
-    set by :func:`init_worker`. Planning goes through
+    ``refine``/``base``/``delay``. Planning goes through
     Algorithm 3 (:func:`~repro.core.mintotal.min_total_distance`, i.e. the
     staged :func:`~repro.plan.pipeline.build_block` pipeline) against the
     worker's resident cache (``cache`` overrides the process-global one —
@@ -176,16 +162,13 @@ def execute_plan(payload: dict[str, Any],
     _inject_fault(payload)
     net = network_from_dict(unwrap_envelope(payload["network"], "sensor-network"))
     horizon = float(payload["horizon"])
-    kb = payload.get("kernel_backend")
-    if kb is None:
-        kb = kernel_backend if kernel_backend is not None else _KERNEL
     result = min_total_distance(
         net, horizon,
         refine=bool(payload.get("refine", False)),
         base=int(payload.get("base", 2)),
         cache=cache if cache is not None else _CACHE,
         store=store if store is not None else _STORE,
-        kernel_backend=kb, obs=obs)
+        obs=obs)
     out = {
         "plan": plan_to_dict(result.plan),
         "K": int(result.quantization.K),
@@ -199,15 +182,13 @@ def execute_plan(payload: dict[str, Any],
 def execute_simulate(payload: dict[str, Any],
                      cache: PlanArtifactCache | None = None,
                      store: PlanArtifactStore | None = None,
-                     kernel_backend: str | None = None,
                      ) -> tuple[dict[str, Any], StatsSnapshot]:
     """Run one ``simulate`` command: (network, plan) documents → metrics.
 
-    ``cache``/``store``/``kernel_backend`` are accepted for submission-path
-    uniformity and unused — simulation replays a finished plan, so it has
-    no plan artifacts to reuse and no planner hot paths to select. Replays the plan with the
-    planned policy under the network's nominal
-    fixed workload over the plan's own horizon;
+    ``cache``/``store`` are accepted for submission-path uniformity and
+    unused — simulation replays a finished plan, so it has no plan
+    artifacts to reuse. Replays the plan with the planned policy under the
+    network's nominal fixed workload over the plan's own horizon;
     :meth:`~repro.core.schedule.SchedulePlan.validate_for` rejects a
     plan/network mismatch before any simulation work happens.
 

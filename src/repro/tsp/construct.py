@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.errors import TourError
+from repro.graphs.mst import prim_mst
 from repro.graphs.traversal import adjacency_from_edges, preorder
-from repro.kernels import KernelBackend, prim_mst
 from repro.obs.instrument import Instrumentation
 from repro.tsp.tour import Tour
 
@@ -65,22 +65,19 @@ def _prepare(dist: np.ndarray, depot: int, nodes: Sequence[int]) -> tuple[np.nda
 
 
 def mst_doubling_tour(dist: np.ndarray, depot: int, nodes: Sequence[int],
-                      *, backend: "str | KernelBackend | None" = None,
-                      obs: Instrumentation | None = None) -> Tour:
+                      *, obs: Instrumentation | None = None) -> Tour:
     """2-approximate tour over ``{depot} ∪ nodes``: MST + preorder walk.
 
     This is exactly Algorithm 2's per-tree step. The MST is computed on the
     induced complete subgraph; walking it in DFS preorder and closing back to
     the depot costs at most twice the MST weight, which in turn lower-bounds
-    the optimal tour. The MST goes through the :mod:`repro.kernels`
-    registry; ``backend`` selects the implementation (``None`` resolves via
-    the process default / ``REPRO_KERNEL_BACKEND``).
+    the optimal tour.
     """
     d, members = _prepare(dist, depot, nodes)
     if len(members) == 1:
         return Tour.empty(depot)
     sub = d[np.ix_(members, members)]
-    edges = prim_mst(sub, root=0, backend=backend, obs=obs)
+    edges = prim_mst(sub, root=0, obs=obs)
     adj = adjacency_from_edges(edges, nodes=range(len(members)))
     order_local = preorder(adj, 0)
     return Tour(depot=depot, order=tuple(members[i] for i in order_local))

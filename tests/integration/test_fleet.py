@@ -88,6 +88,16 @@ class TestRoutingAndAggregation:
                 assert counters["fleet.requests.plan"] == 2
                 assert counters["fleet.routed"] >= 3
 
+    def test_legacy_kernel_backend_field_is_ignored(self, net):
+        with Fleet(_config()) as fleet:
+            with ServeClient(*fleet.router.address) as c:
+                base = c.plan(net, 300.0)
+                for name in ("fast", "warp-drive"):
+                    legacy = c.request("plan", network=net, horizon=300.0,
+                                       kernel_backend=name)
+                    assert legacy["plan"] == base["plan"]
+                    assert legacy.get("cached") is True
+
     def test_health_aggregates_all_shards(self, net):
         with Fleet(_config()) as fleet:
             with ServeClient(*fleet.router.address) as c:

@@ -119,29 +119,17 @@ class TestCommands:
             assert data["error"]["code"] == BAD_REQUEST
 
     def test_kernel_backend_payload(self, net):
+        # The legacy kernel_backend field is ignored, not rejected, for one
+        # protocol version: whatever it names, the request returns the
+        # plain request's plan bytes from the same response-cache entry.
         with ServerThread(_config()) as srv:
             with ServeClient(*srv.address) as c:
                 base = c.plan(net, 300.0)
-                # Exact backend: identical plan, and the request coalesces
-                # onto the same response-cache entry as the default.
-                fast = c.request("plan", network=net, horizon=300.0,
-                                 kernel_backend="fast")
-                assert fast["plan"] == base["plan"]
-                assert fast.get("cached") is True
-                # Unknown backend: structured bad_request, not a crash.
-                with pytest.raises(ServeError) as exc:
-                    c.request("plan", network=net, horizon=300.0,
-                              kernel_backend="warp-drive")
-                assert exc.value.code == BAD_REQUEST
-
-    def test_server_wide_kernel_backend_config(self, net):
-        # A server pinned to the fast backend serves byte-identical plans.
-        with ServerThread(_config()) as srv:
-            with ServeClient(*srv.address) as c:
-                reference_plan = c.plan(net, 300.0)["plan"]
-        with ServerThread(_config(kernel_backend="fast")) as srv:
-            with ServeClient(*srv.address) as c:
-                assert c.plan(net, 300.0)["plan"] == reference_plan
+                for name in ("reference", "fast", "warp-drive"):
+                    legacy = c.request("plan", network=net, horizon=300.0,
+                                       kernel_backend=name)
+                    assert legacy["plan"] == base["plan"]
+                    assert legacy.get("cached") is True
 
     def test_mismatched_simulate_rejected(self, net, other_net):
         with ServerThread(_config()) as srv:

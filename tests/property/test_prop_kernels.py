@@ -6,9 +6,12 @@ Two families:
   are independent MST algorithms; on the same metric their trees must
   weigh exactly the same (the tree itself may differ under ties, the
   weight cannot).
-* **Cross-backend**: the ``fast`` kernel backend must be *move-for-move*
-  identical to ``reference`` — same MST edge lists in the same order,
-  same refined tours — and the incremental forest extension must either
+* **Production vs oracle**: the 2-opt and Or-opt in
+  :mod:`repro.tsp.improve` must be *move-for-move* identical to their
+  oracles (the full-matrix scan and :mod:`repro.check.oracles`) on tours
+  drawn across the 2-opt's neighbour-list width, over matrices exactly the
+  tour's size and over subsets of larger ones, on uniform and tie-heavy
+  integer-lattice points. The incremental forest extension must either
   reproduce the from-scratch forest exactly or refuse (return ``None``).
 """
 
@@ -20,9 +23,10 @@ from hypothesis import strategies as st
 
 from repro.geometry.distance import distance_matrix
 from repro.graphs.mst import kruskal_mst, mst_weight, prim_mst
-from repro.kernels import get_backend
+from repro.check.oracles import or_opt_reference
 from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import q_rooted_msf
+from repro.tsp.improve import or_opt, two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 
@@ -38,11 +42,26 @@ def point_metrics(draw, min_n=2, max_n=20):
 
 
 @st.composite
-def tour_instances(draw, min_stops=0, max_stops=12):
-    n_stops = draw(st.integers(min_stops, max_stops))
-    dist = draw(point_metrics(min_n=n_stops + 1, max_n=n_stops + 1))
-    stops = draw(st.permutations(list(range(1, n_stops + 1))))
-    return dist, Tour(depot=0, order=(0, *stops))
+def tour_instances(draw, min_stops=3, max_stops=95):
+    """A tour of ``k = stops + 1`` nodes and a matrix it indexes into.
+
+    The matrix is either exactly the tour's nodes or a larger one the tour
+    visits a subset of (the pruned 2-opt's two indexing branches), over
+    uniform points or integer-lattice points, whose many equal distances
+    exercise the tie-breaks.
+    """
+    k = draw(st.integers(min_stops, max_stops)) + 1
+    extra = draw(st.sampled_from([0, 0, 1, 9]))
+    lattice = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = k + extra
+    if lattice:
+        pts = rng.integers(0, 12, size=(n, 2)).astype(np.float64)
+    else:
+        pts = rng.uniform(0, 500, size=(n, 2))
+    nodes = rng.choice(n, size=k, replace=False) if extra else rng.permutation(n)
+    order = tuple(int(v) for v in nodes)
+    return distance_matrix(pts), Tour(depot=order[0], order=order)
 
 
 @st.composite
@@ -75,27 +94,17 @@ class TestPrimVsKruskal:
 
 
 class TestFastBackendExact:
-    @given(point_metrics(), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_prim_identical(self, dist, data):
-        root = data.draw(st.integers(0, dist.shape[0] - 1))
-        ref = get_backend("reference").prim_mst(dist, root=root)
-        fast = get_backend("fast").prim_mst(dist, root=root)
-        assert ref == fast
-
     @given(tour_instances())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_two_opt_identical(self, instance):
         dist, tour = instance
-        assert (get_backend("reference").two_opt(dist, tour)
-                == get_backend("fast").two_opt(dist, tour))
+        assert two_opt(dist, tour) == two_opt_scan(dist, tour)
 
-    @given(tour_instances(max_stops=10))
-    @settings(max_examples=60, deadline=None)
+    @given(tour_instances(max_stops=47))
+    @settings(max_examples=40, deadline=None)
     def test_or_opt_identical(self, instance):
         dist, tour = instance
-        assert (get_backend("reference").or_opt(dist, tour)
-                == get_backend("fast").or_opt(dist, tour))
+        assert or_opt(dist, tour) == or_opt_reference(dist, tour)
 
 
 class TestIncrementalMsfExact:

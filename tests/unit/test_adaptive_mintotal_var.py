@@ -50,21 +50,6 @@ class TestPlanLifecycle:
         pol.reset(tiny_network, horizon=8.0)
         assert pol.next_dispatch_time(0.0) is None  # no plan until observe
 
-    def test_unknown_kernel_backend_rejected_at_construction(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            MinTotalDistanceVarPolicy(kernel_backend="warp-drive")
-
-    def test_fast_backend_replays_identically(self, tiny_network):
-        results = {}
-        for name in (None, "fast"):
-            pol = MinTotalDistanceVarPolicy(kernel_backend=name)
-            out = simulate(tiny_network, pol,
-                           FixedWorkload.from_network(tiny_network), 16.0)
-            results[name] = out.metrics.service_cost
-        assert results["fast"] == results[None]
-
 
 class TestReplanTriggers:
     def _warm_policy(self, net, horizon=32.0):

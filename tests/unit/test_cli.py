@@ -50,32 +50,6 @@ class TestMain:
             assert issubclass(exc, errors.ReproError) or exc is errors.ReproError
 
 
-class TestKernelBackendFlag:
-    def test_parsed_at_top_level(self):
-        args = build_parser().parse_args(["--kernel-backend", "fast", "list"])
-        assert args.kernel_backend == "fast"
-        assert build_parser().parse_args(["list"]).kernel_backend is None
-
-    def test_unknown_backend_is_a_clean_usage_error(self, capsys):
-        from repro.kernels import default_backend_name
-
-        assert main(["--kernel-backend", "warp-drive", "list"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown kernel backend 'warp-drive'" in err
-        assert "Traceback" not in err
-        # The bad name must not have been installed as the default.
-        assert default_backend_name() != "warp-drive"
-
-    def test_valid_backend_sets_the_process_default(self, capsys):
-        from repro.kernels import default_backend_name, set_default_backend
-
-        try:
-            assert main(["--kernel-backend", "fast", "list"]) == 0
-            assert default_backend_name() == "fast"
-        finally:
-            set_default_backend(None)
-
-
 class TestJobsValidation:
     """`--jobs 0` used to die deep in the executor; now it is a clean
     one-line usage error (no traceback) before any work starts."""

@@ -1,149 +1,98 @@
-"""Unit tests for :mod:`repro.kernels`: the registry, the dispatch
-wrappers, fast-vs-reference exactness, and the incremental MSF extension.
+"""Unit tests for the planner's kernels: the exact 2-opt / Or-opt against
+their oracles, the kernel spans and counters, and the incremental MSF
+extension.
 
-The exactness tests here are seeded spot checks; the property-based
-sweeps live in ``tests/property/test_prop_kernels.py`` and the
-whole-pipeline differential in :mod:`repro.check` (``kernels`` /
-``patch`` checks).
+The exactness tests here are seeded spot checks around the 2-opt's
+neighbour-list width and its blocked-scan cutoff; the property-based
+sweeps live in
+``tests/property/test_prop_kernels.py`` and the whole-pipeline
+differential in :mod:`repro.check` (``kernels`` / ``patch`` checks).
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, GraphError
+from repro.check.oracles import or_opt_reference
+from repro.core.mintotal import min_total_distance
+from repro.errors import GraphError
 from repro.geometry.distance import distance_matrix
-from repro.kernels import (
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    KernelBackend,
-    available_backends,
-    default_backend_name,
-    get_backend,
-    or_opt,
-    prim_mst,
-    register_backend,
-    resolve,
-    set_default_backend,
-    two_opt,
-)
 from repro.obs.instrument import Instrumentation
 from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import q_rooted_msf
+from repro.rooted.qtsp import q_rooted_tsp
+from repro.rooted.refine import refine_tours
+from repro.tsp.improve import _LARGE_K, or_opt, two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 
-@pytest.fixture(autouse=True)
-def _clean_default():
-    """Never leak a process default (or the env var) across tests."""
-    set_default_backend(None)
-    yield
-    set_default_backend(None)
+#: Tour sizes on both sides of the walk's complete neighbour lists
+#: (``k <= _M_WALK + 1``), and the sizes around 32.
+_SIZES = (17, 18, 31, 32, 33, 100)
 
 
 def _random_instance(rng, n):
     return distance_matrix(rng.uniform(0, 100, size=(n, 2)))
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = available_backends()
-        assert "reference" in names and "fast" in names
-
-    def test_builtin_backends_are_exact(self):
-        assert get_backend("reference").exact
-        assert get_backend("fast").exact
-
-    def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError) as exc:
-            get_backend("warp-drive")
-        assert "warp-drive" in str(exc.value)
-        assert "reference" in str(exc.value)  # names the alternatives
-
-    def test_resolve_passes_backend_instances_through(self):
-        kb = get_backend("fast")
-        assert resolve(kb) is kb
-
-    def test_resolve_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_backend_name() == DEFAULT_BACKEND
-        assert resolve(None).name == "reference"
-
-    def test_resolve_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fast")
-        assert resolve(None).name == "fast"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "fast")
-        set_default_backend("reference")
-        assert resolve(None).name == "reference"
-        # Explicit argument beats both.
-        assert resolve("fast").name == "fast"
-
-    def test_set_default_validates_eagerly(self):
-        before = default_backend_name()  # env-dependent, e.g. in fast-backend CI
-        with pytest.raises(ConfigError):
-            set_default_backend("nope")
-        assert default_backend_name() == before  # unchanged
-
-    def test_register_refuses_silent_shadowing(self):
-        ref = get_backend("reference")
-        clone = KernelBackend(name="reference", prim_mst=ref.prim_mst,
-                              two_opt=ref.two_opt, or_opt=ref.or_opt)
-        with pytest.raises(ConfigError):
-            register_backend(clone)
-        register_backend(clone, replace=True)  # explicit replace is allowed
-        register_backend(ref, replace=True)    # restore the builtin
-
-
-class TestDispatchWrappers:
-    def test_prim_dispatch_matches_direct_and_counts(self, rng):
-        from repro.graphs.mst import prim_mst as direct
-
-        d = _random_instance(rng, 20)
-        obs = Instrumentation()
-        assert prim_mst(d, root=3, backend="fast", obs=obs) == direct(d, root=3)
-        counters = obs.snapshot().counters
-        assert counters["kernel.prim.calls"] == 1
-
-    def test_improver_dispatch_matches_direct_and_counts(self, rng):
-        from repro.tsp.improve import or_opt as direct_or
-        from repro.tsp.improve import two_opt as direct_two
-
-        d = _random_instance(rng, 12)
-        tour = Tour(depot=0, order=(0, *range(1, 12)))
-        obs = Instrumentation()
-        assert two_opt(d, tour, backend="fast", obs=obs) == direct_two(d, tour)
-        assert or_opt(d, tour, backend="fast", obs=obs) == direct_or(d, tour)
-        counters = obs.snapshot().counters
-        assert counters["kernel.two_opt.calls"] == 1
-        assert counters["kernel.or_opt.calls"] == 1
+def _random_tour(rng, nodes):
+    order = [int(v) for v in rng.permutation(nodes)]
+    return Tour(depot=order[0], order=tuple(order))
 
 
 class TestFastMatchesReference:
-    """Seeded spot checks that ``fast`` is move-for-move exact."""
-
-    def test_prim_identical_edge_lists(self, rng):
-        ref, fast = get_backend("reference"), get_backend("fast")
-        for n in (2, 3, 10, 40):
-            d = _random_instance(rng, n)
-            root = int(rng.integers(n))
-            assert ref.prim_mst(d, root=root) == fast.prim_mst(d, root=root)
+    """Seeded spot checks that the production improvers are move-for-move
+    exact against their oracles on both sides of each size cutoff."""
 
     def test_two_opt_identical_tours(self, rng):
-        ref, fast = get_backend("reference"), get_backend("fast")
-        for n in (4, 9, 25):
-            d = _random_instance(rng, n)
-            stops = list(rng.permutation(np.arange(1, n)))
-            tour = Tour(depot=0, order=(0, *(int(s) for s in stops)))
-            assert ref.two_opt(d, tour) == fast.two_opt(d, tour)
+        for k in _SIZES:
+            d = _random_instance(rng, k)
+            tour = _random_tour(rng, k)
+            assert two_opt(d, tour) == two_opt_scan(d, tour), k
+            # Same tour size over a subset of a larger matrix.
+            d = _random_instance(rng, k + 7)
+            tour = _random_tour(rng, rng.choice(k + 7, size=k, replace=False))
+            assert two_opt(d, tour) == two_opt_scan(d, tour), k
+
+    def test_two_opt_identical_across_the_blocked_cutoff(self, rng):
+        # MST-doubled tours (the planner's input; random permutations of
+        # this length would take the oracle too long), uniform and
+        # tie-heavy lattice points, exact-size and larger matrices.
+        for k in (_LARGE_K - 1, _LARGE_K, _LARGE_K + 40):
+            for pts in (rng.uniform(0, 1000, size=(k + 5, 2)),
+                        rng.integers(0, 40, size=(k + 5, 2)).astype(np.float64)):
+                for d in (distance_matrix(pts), distance_matrix(pts[:k])):
+                    tour = q_rooted_tsp(d, list(range(1, k)), [0])[0]
+                    assert len(tour.order) == k
+                    assert two_opt(d, tour) == two_opt_scan(d, tour), k
 
     def test_or_opt_identical_tours(self, rng):
-        ref, fast = get_backend("reference"), get_backend("fast")
-        for n in (3, 8, 20):
-            d = _random_instance(rng, n)
-            stops = list(rng.permutation(np.arange(1, n)))
-            tour = Tour(depot=0, order=(0, *(int(s) for s in stops)))
-            assert ref.or_opt(d, tour) == fast.or_opt(d, tour)
+        for k in _SIZES:
+            d = _random_instance(rng, k)
+            tour = _random_tour(rng, k)
+            assert or_opt(d, tour) == or_opt_reference(d, tour), k
+
+    def test_two_opt_counters_match_the_scan(self, rng):
+        d = _random_instance(rng, 60)
+        tour = _random_tour(rng, 60)
+        fast, scan = Instrumentation(), Instrumentation()
+        two_opt(d, tour, obs=fast)
+        two_opt_scan(d, tour, obs=scan)
+        for name in ("two_opt.passes", "two_opt.moves"):
+            assert fast.snapshot().counters[name] == scan.snapshot().counters[name]
+
+
+class TestKernelObservability:
+    def test_refine_plan_records_kernel_spans_and_counters(self, paper_network_small):
+        obs = Instrumentation()
+        result = min_total_distance(paper_network_small, 200.0, refine=True, obs=obs)
+        tours = result.plan.schedulings[0].tours
+        refine_tours(paper_network_small.dist, tours, method="2opt+oropt", obs=obs)
+        counters = obs.snapshot().counters
+        for kernel in ("prim", "two_opt", "or_opt"):
+            assert counters[f"kernel.{kernel}.calls"] >= 1
+            spans = obs.spans(f"kernel.{kernel}")
+            assert len(spans) == counters[f"kernel.{kernel}.calls"]
+            assert "backend" not in spans[0].attrs
 
 
 class TestExtendQRootedMsf:

@@ -154,45 +154,16 @@ class TestServeConfig:
         with pytest.raises(ConfigError):
             ServeConfig(**kwargs)
 
-    def test_kernel_backend_validated_eagerly(self):
-        assert ServeConfig(kernel_backend="fast").kernel_backend == "fast"
-        with pytest.raises(ConfigError):
-            ServeConfig(kernel_backend="warp-drive")
-
 
 class TestPlanKeyKernelBackend:
-    def test_unknown_backend_is_bad_request(self):
-        net = network_to_dict(build_paper_network(seed=5))
-        with pytest.raises(ServeError) as exc:
-            plan_key({"network": net, "horizon": 100.0,
-                      "kernel_backend": "warp-drive"})
-        assert exc.value.code == "bad_request"
-
     def test_exact_backends_share_the_key(self):
-        # reference and fast are move-for-move identical, so requests
-        # naming either (or neither) must coalesce to one computation.
+        # The legacy kernel_backend field is ignored for one protocol
+        # version: whatever it names, the request keeps its key.
         net = network_to_dict(build_paper_network(seed=5))
         base = plan_key({"network": net, "horizon": 100.0})
-        for name in ("reference", "fast"):
+        for name in ("reference", "fast", "warp-drive", None, 7):
             assert plan_key({"network": net, "horizon": 100.0,
                              "kernel_backend": name}) == base
-
-    def test_non_exact_backend_splits_the_key(self):
-        from repro.kernels import KernelBackend, get_backend, register_backend
-        from repro.kernels import registry as _registry
-
-        ref = get_backend("reference")
-        name = "approx-test-keysplit"
-        register_backend(KernelBackend(
-            name=name, prim_mst=ref.prim_mst, two_opt=ref.two_opt,
-            or_opt=ref.or_opt, exact=False))
-        try:
-            net = network_to_dict(build_paper_network(seed=5))
-            base = plan_key({"network": net, "horizon": 100.0})
-            assert plan_key({"network": net, "horizon": 100.0,
-                             "kernel_backend": name}) != base
-        finally:
-            _registry._REGISTRY.pop(name, None)
 
 
 class TestPercentile:

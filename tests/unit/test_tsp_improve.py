@@ -107,8 +107,8 @@ class TestOrOpt:
         # un-flipped orientation first) must pick the LOWEST j, so node 1
         # lands right after node 2 — a regressed scan order would yield
         # (0, 2, 3, 1, 4) instead. Pinning this keeps refined tours
-        # bit-reproducible and is the contract exact kernel backends
-        # (repro.kernels) must reproduce.
+        # bit-reproducible and is the contract the vectorised scan shares
+        # with its loop-form oracle (repro.check.oracles).
         d = np.zeros((5, 5))
 
         def sym(i, j, w):
@@ -127,11 +127,11 @@ class TestOrOpt:
 
         improved = or_opt(d, tour, segment_lengths=(1,))
         assert improved.order == (0, 2, 1, 3, 4)
-        # The full default pass converges to the same tour, and the fast
-        # kernel backend reproduces the choice move for move.
+        # The full default pass converges to the same tour, and the
+        # loop-form oracle makes the same choice.
         assert or_opt(d, tour).order == (0, 2, 1, 3, 4)
-        from repro.kernels import get_backend
-        assert get_backend("fast").or_opt(d, tour).order == (0, 2, 1, 3, 4)
+        from repro.check.oracles import or_opt_reference
+        assert or_opt_reference(d, tour).order == (0, 2, 1, 3, 4)
 
 
 class TestPipelines:
