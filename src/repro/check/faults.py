@@ -1,9 +1,10 @@
 """Fault injection for the serve stack.
 
-Drives a real :class:`~repro.serve.server.PlanningServer` through its
-failure paths with *actual* faults — raw corrupted frames on the socket,
-workers that raise or hard-exit mid-request, clients that vanish — and
-asserts the contract the protocol promises:
+Drives a real :class:`~repro.serve.server.PlanningServer`, or a fleet
+router in front of such servers, through its failure paths with *actual*
+faults — raw corrupted frames on the socket, workers that raise or
+hard-exit mid-request, clients that vanish — and asserts the contract the
+protocol promises:
 
 * every answered failure carries a code from the closed
   :data:`~repro.serve.protocol.ERROR_CODES` set (never a traceback dump),
@@ -98,28 +99,40 @@ def _expect_error(response: dict[str, Any] | None, code: str,
             "faults", f"{what}: expected code {code!r}, got {got!r}"))
 
 
-def run_fault_suite(obs: Instrumentation | None = None) -> list[CheckFailure]:
+def run_fault_suite(obs: Instrumentation | None = None, *,
+                    endpoint: str = "serve") -> list[CheckFailure]:
     """Run the in-process (thread-executor) fault suite; returns failures.
 
-    Process-pool faults (killed workers) need a real
-    ``ProcessPoolExecutor`` and live in the integration tests — this suite
-    covers every fault injectable against the cheap thread server.
+    ``endpoint`` picks what the faults hit: ``"serve"`` a single node,
+    ``"fleet"`` the router of a thread-mode 2-shard fleet. Both share one
+    front end, so both must answer every fault identically. Process-pool
+    faults (killed workers) need a real ``ProcessPoolExecutor`` and live
+    in the integration tests — this suite covers every fault injectable
+    against the cheap thread server.
     """
+    from repro.fleet import Fleet, FleetConfig
     from repro.serve.client import ServeClient
     from repro.serve.server import ServeConfig, ServerThread
 
     failures: list[CheckFailure] = []
     net_doc = network_to_dict(build_paper_network(n=8, q=2, seed=7, side=100.0))
-    config = ServeConfig(executor="thread", workers=2, queue_limit=8,
-                        default_deadline=60.0, drain_timeout=5.0,
-                        max_line_bytes=64 * 1024)
+    max_line_bytes = 64 * 1024
+    if endpoint == "fleet":
+        host = Fleet(FleetConfig(shards=2, shard_mode="thread", workers=2,
+                                 executor="thread", default_deadline=60.0,
+                                 max_line_bytes=max_line_bytes,
+                                 supervisor_poll=30.0, seed=0), obs=obs)
+    else:
+        host = ServerThread(ServeConfig(
+            executor="thread", workers=2, queue_limit=8, default_deadline=60.0,
+            drain_timeout=5.0, max_line_bytes=max_line_bytes), obs=obs)
 
-    with ServerThread(config, obs=obs) as srv:
-        assert srv.address is not None
-        address = srv.address
+    with host:
+        assert host.address is not None
+        address = host.address
 
         # ---- oversized frame: larger than max_line_bytes
-        big = b'{"type": "health", "pad": "' + b"x" * (2 * config.max_line_bytes) + b'"}\n'
+        big = b'{"type": "health", "pad": "' + b"x" * (2 * max_line_bytes) + b'"}\n'
         _expect_error(raw_exchange(address, big), BAD_REQUEST,
                       "oversized line", failures)
 

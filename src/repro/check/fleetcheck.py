@@ -15,12 +15,18 @@ everything else, byte for byte.
 The sequence revisits the killed shard's geometry after the kill, so at
 least one fail-over is *guaranteed* to be exercised — and asserted: a
 differential that silently stopped covering the fail-over path would rot.
+
+A last leg stops the fleet with one slow ``plan`` still in flight at the
+router: the drain must deliver it, and its envelope must equal the single
+node's answer to the same request.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
+import time
 from typing import Any
 
 from repro.obs.instrument import Instrumentation, ensure
@@ -30,6 +36,10 @@ from repro.serve.protocol import encode
 __all__ = ["run_fleet_check", "canonical_response"]
 
 log = get_logger(__name__)
+
+#: Seconds the drain leg's plan sleeps on its shard, so it is still in
+#: flight at the router when the fleet is told to stop.
+_DRAIN_DELAY = 0.5
 
 #: Result keys that legitimately differ between serving paths: they say
 #: which cache tier/flight answered, not what the answer is.
@@ -66,6 +76,28 @@ def _exchange(host: str, port: int,
                 raise ConnectionError("server closed the connection mid-exchange")
             responses.append(json.loads(line))
         return responses
+
+
+def _stop_in_flight(fleet: Any, message: dict[str, Any]) -> dict[str, Any] | None:
+    """Stop ``fleet`` once its router forwards ``message``; return the
+    response the drain delivered (``None``: the connection closed first)."""
+    counters = fleet.router.obs.counters
+    routed = counters.get("fleet.routed", 0)
+
+    def stop_when_forwarded() -> None:
+        deadline = time.monotonic() + 60.0
+        while counters.get("fleet.routed", 0) <= routed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        fleet.stop()
+
+    stopper = threading.Thread(target=stop_when_forwarded, daemon=True)
+    stopper.start()
+    try:
+        return _exchange(*fleet.router.address, [message])[0]
+    except ConnectionError:
+        return None
+    finally:
+        stopper.join(timeout=120.0)
 
 
 def _build_messages(seed: int) -> list[dict[str, Any]]:
@@ -122,6 +154,10 @@ def run_fleet_check(*, seed: int = 0, shards: int = 2,
                     "network": plan_messages[i]["network"],
                     "plan": response["result"]["plan"]})
             single_sim = _exchange(host, port, sim_messages)
+            drain_message = {"type": "plan", "id": 2000,
+                             "network": plan_messages[1]["network"],
+                             "horizon": 975.0}
+            single_drain = _exchange(host, port, [drain_message])[0]
         messages = plan_messages + sim_messages
         single_responses = single_plan + single_sim
 
@@ -141,6 +177,8 @@ def run_fleet_check(*, seed: int = 0, shards: int = 2,
             fleet_responses = _exchange(host, port, messages[:half])
             fleet.kill_shard(victim)
             fleet_responses += _exchange(host, port, messages[half:])
+            fleet_drain = _stop_in_flight(
+                fleet, dict(drain_message, delay=_DRAIN_DELAY))
             counters = dict(fleet.router.obs.counters)
 
         # ------------------------------------------------------- comparison
@@ -155,6 +193,16 @@ def run_fleet_check(*, seed: int = 0, shards: int = 2,
                     f"id={message['id']}: single-node "
                     f"{json.dumps(a, sort_keys=True)[:400]} != fleet "
                     f"{json.dumps(b, sort_keys=True)[:400]}")
+        o.incr("check.fleet.drain.requests")
+        if fleet_drain is None or (canonical_response(fleet_drain)
+                                   != canonical_response(single_drain)):
+            o.incr("check.fleet.mismatches")
+            problems.append(
+                f"router drain did not deliver the in-flight plan intact: "
+                f"single-node {json.dumps(single_drain, sort_keys=True)[:400]}"
+                f" != fleet {json.dumps(fleet_drain, sort_keys=True)[:400]}")
+        else:
+            o.incr("check.fleet.drain.delivered")
         if counters.get("fleet.failover", 0) < 1:
             problems.append(
                 f"differential did not exercise fail-over: shard {victim} "
@@ -162,7 +210,8 @@ def run_fleet_check(*, seed: int = 0, shards: int = 2,
                 f"{ {k: v for k, v in counters.items() if k.startswith('fleet')} })")
         if problems:
             o.incr("check.fleet.failed")
-        log.info("fleet check: %d request(s), %d shard(s), victim %s, "
-                 "%d fail-over(s), %d problem(s)", len(messages), shards,
-                 victim, int(counters.get("fleet.failover", 0)), len(problems))
+        log.info("fleet check: %d request(s) + 1 drained, %d shard(s), "
+                 "victim %s, %d fail-over(s), %d problem(s)", len(messages),
+                 shards, victim, int(counters.get("fleet.failover", 0)),
+                 len(problems))
     return problems

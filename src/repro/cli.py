@@ -594,7 +594,8 @@ def _cmd_check(args: argparse.Namespace, obs: Instrumentation | None) -> int:
                 print(f"  - {p}")
             return 1
         print(f"fleet check (seed {args.seed}): fleet responses identical to "
-              f"single-node across {args.shards} shards, fail-over invisible")
+              f"single-node across {args.shards} shards, fail-over invisible, "
+              f"drain delivers in-flight work")
         return 0
     # selftest
     problems = run_selftest(obs=obs)

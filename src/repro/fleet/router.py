@@ -37,14 +37,13 @@ import asyncio
 import hashlib
 import json
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from random import Random
 from typing import Any
 
 import numpy as np
 
-from repro.errors import ConfigError, ReproError, ServeError
+from repro.errors import ConfigError, ReproError
 from repro.io.files import unwrap_envelope
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import (
@@ -59,13 +58,12 @@ from repro.obs.live import (
     quantile_table,
 )
 from repro.obs.log import get_logger
+from repro.serve.frontend import FrontEnd
 from repro.serve.protocol import (
-    BAD_REQUEST,
     PROTOCOL_VERSION,
     SHARD_UNAVAILABLE,
     SHUTTING_DOWN,
-    WatchUpgrade,
-    decode_request,
+    Request,
     encode,
     error_response,
     ok_response,
@@ -76,10 +74,6 @@ from repro.fleet.hashring import HashRing
 __all__ = ["FleetConfig", "FleetRouter", "routing_key"]
 
 log = get_logger(__name__)
-
-#: Ids remembered per client connection for duplicate rejection
-#: (mirrors the single-node server so fleet behaviour is identical).
-_SEEN_IDS_LIMIT = 4096
 
 #: Request types that are sharded (everything else fans out).
 _SHARDED_TYPES = frozenset({"plan", "simulate"})
@@ -302,7 +296,8 @@ class _WatchSession:
         events, self._events = self._events, []
         return self.aggregator.frame(source="fleet", events=events)
 
-    async def close(self) -> None:
+    async def aclose(self) -> None:
+        self._router._watchers.discard(self)
         tasks = [t for t in self._pumps.values() if not t.done()]
         self._pumps.clear()
         for task in tasks:
@@ -311,32 +306,29 @@ class _WatchSession:
             await asyncio.gather(*tasks, return_exceptions=True)
 
 
-class FleetRouter:
+class FleetRouter(FrontEnd):
     """The asyncio front-end process of a planning fleet.
 
     Construct, :meth:`register` every shard, then ``await start()``. Shard
     membership changes arrive through :meth:`mark_down` /
     :meth:`mark_up` — both safe to call from other threads (the
-    supervisor's monitor), scheduled onto the router loop.
+    supervisor's monitor), scheduled onto the router loop. Framing, id
+    hygiene, drain and the ``watch`` upgrade come from
+    :class:`~repro.serve.frontend.FrontEnd`, exactly as on a single node.
     """
+
+    prefix = "fleet"
 
     def __init__(self, config: FleetConfig | None = None,
                  obs: Instrumentation | None = None) -> None:
-        self.config = config if config is not None else FleetConfig()
-        self.obs = obs if obs is not None else Instrumentation()
+        super().__init__(config if config is not None else FleetConfig(), obs)
         self._ring = HashRing(vnodes=self.config.vnodes)
         self._addresses: dict[str, tuple[str, int]] = {}
         self._live: set[str] = set()
         self._pools: dict[str, list[_BackendConn]] = {}
         self._inflight: dict[str, int] = {}
         self._rng = Random(self.config.seed)
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._conns: set[asyncio.Task] = set()
         self._watchers: set[_WatchSession] = set()
-        self._stopped = asyncio.Event()
-        self._stopping = False
-        self._t0 = time.monotonic()
 
     # ------------------------------------------------------------- membership
     def register(self, shard_id: str, address: tuple[str, int]) -> None:
@@ -396,159 +388,37 @@ class FleetRouter:
         return frozenset(self._live)
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> tuple[str, int]:
-        if self._server is None or not self._server.sockets:
-            raise ServeError("fleet router is not started")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return str(host), int(port)
-
-    async def start(self) -> None:
-        if self._server is not None:
-            raise ServeError("fleet router already started")
-        self._loop = asyncio.get_running_loop()
-        self._t0 = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port,
-            limit=self.config.max_line_bytes)
-
-    async def shutdown(self) -> None:
-        """Stop accepting clients, drop backend connections (idempotent)."""
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for task in list(self._conns):
-            task.cancel()
-        if self._conns:
-            await asyncio.gather(*self._conns, return_exceptions=True)
+    async def _close(self) -> None:
+        """Drop every pooled backend connection."""
         for pool in self._pools.values():
             for conn in pool:
                 conn.close()
         self._pools.clear()
-        self._stopped.set()
 
-    async def wait_stopped(self) -> None:
-        await self._stopped.wait()
+    # --------------------------------------------------------------- requests
+    async def _dispatch(self, req: Request) -> dict[str, Any]:
+        message = {"type": req.type, "id": req.id, **req.params}
+        if req.deadline is not None:
+            message["deadline"] = req.deadline
+        if req.type in _SHARDED_TYPES:
+            return await self._route(req.params, message)
+        return await self._fan_out(req.type, message)
 
-    # ------------------------------------------------------------ connections
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conns.add(task)
-        seen_ids: OrderedDict[str, None] = OrderedDict()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # line exceeded max_line_bytes
-                    writer.write(encode(error_response(
-                        None, BAD_REQUEST,
-                        f"request line exceeds {self.config.max_line_bytes} bytes")))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                response = await self._handle_line(line, seen_ids)
-                if isinstance(response, WatchUpgrade):
-                    await self._watch(response.req, reader, writer)
-                    break
-                writer.write(encode(response))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._conns.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
-
-    async def _handle_line(self, line: bytes,
-                           seen_ids: OrderedDict[str, None],
-                           ) -> "dict[str, Any] | WatchUpgrade":
-        o = self.obs
-        o.incr("fleet.requests")
-        try:
-            req = decode_request(line)
-        except ServeError as exc:
-            o.incr("fleet.failed.bad_request")
-            return error_response(None, exc.code, str(exc))
-        if req.id is not None:
-            # Same duplicate-id policy as a single node, enforced at the
-            # edge (backends only ever see router-assigned unique ids).
-            id_key = json.dumps(req.id, sort_keys=True, default=str)
-            if id_key in seen_ids:
-                o.incr("fleet.failed.bad_request")
-                return error_response(
-                    req.id, BAD_REQUEST,
-                    f"duplicate request id {req.id!r} on this connection")
-            seen_ids[id_key] = None
-            while len(seen_ids) > _SEEN_IDS_LIMIT:
-                seen_ids.popitem(last=False)
-        o.incr(f"fleet.requests.{req.type}")
-        if req.type == "watch":
-            try:
-                float(req.params.get("interval", 1.0))
-            except (TypeError, ValueError):
-                o.incr("fleet.failed.bad_request")
-                return error_response(
-                    req.id, BAD_REQUEST,
-                    f"watch interval must be a number of seconds, "
-                    f"got {req.params.get('interval')!r}")
-            return WatchUpgrade(req)
-        message = json.loads(line)
-        with o.span("fleet.request", type=req.type):
-            if req.type in _SHARDED_TYPES:
-                return await self._route(message)
-            return await self._fan_out(req.type, message)
-
-    # ------------------------------------------------------------ watch stream
-    async def _watch(self, req, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Fleet-wide server-push subscription (see :class:`_WatchSession`).
+    def _watch_session(self, req: Request, interval: float
+                       ) -> tuple[dict[str, Any], "_WatchSession"]:
+        """Fleet-wide subscription (see :class:`_WatchSession`).
 
         Emits one ``kind="aggregate"`` frame per interval: counters summed
         across router + shards, gauges per-shard + max, quantiles merged
         from sketches, shard up/down states, and any supervisor membership
         events since the previous frame.
         """
-        interval = max(0.05, float(req.params.get("interval", 1.0)))
         session = _WatchSession(self, interval)
         self._watchers.add(session)
-        self.obs.incr("fleet.watch.subscribed")
         for shard_id in sorted(self._live):
             session.subscribe(shard_id)
-        writer.write(encode(ok_response(req.id, {
-            "stream": "watch", "role": "fleet-router", "source": "fleet",
-            "interval": interval, "protocol": PROTOCOL_VERSION,
-            "shards": sorted(self._live)})))
-        await writer.drain()
-        eof = asyncio.ensure_future(reader.read())
-        try:
-            while True:
-                done, _ = await asyncio.wait({eof}, timeout=interval)
-                if done or writer.is_closing() or self._stopping:
-                    break
-                writer.write(encode(session.frame().to_dict()))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            eof.cancel()
-            self._watchers.discard(session)
-            await session.close()
-            self.obs.incr("fleet.watch.closed")
+        return ({"role": "fleet-router", "source": "fleet",
+                 "shards": sorted(self._live)}, session)
 
     # ----------------------------------------------------------- forwarding
     async def _acquire(self, shard_id: str) -> _BackendConn:
@@ -589,10 +459,9 @@ class FleetRouter:
         finally:
             self._inflight[shard_id] -= 1
 
-    async def _route(self, message: dict[str, Any]) -> dict[str, Any]:
+    async def _route(self, params: dict[str, Any],
+                     message: dict[str, Any]) -> dict[str, Any]:
         """Shard-routed path (``plan``/``simulate``) with bounded fail-over."""
-        params = {k: v for k, v in message.items()
-                  if k not in ("type", "id", "deadline")}
         key = routing_key(params)
         preference = [s for s in self._ring.route(key) if s in self._live]
         request_id = message.get("id")
@@ -697,7 +566,7 @@ class FleetRouter:
             "role": "fleet-router",
             "uptime": time.monotonic() - self._t0,
             "pending": sum(d["pending"] for d in per_shard.values()),
-            "draining": False,
+            "draining": self._draining,
             # Top-level summed "counters" lets an unmodified LoadGenerator
             # pointed at the router read fleet-wide coalescing/cache deltas
             # exactly as it would from a single node.

@@ -3,7 +3,8 @@
 :class:`Fleet` is the blocking embedding shape (the fleet counterpart of
 :class:`~repro.serve.server.ServerThread`): it boots N shards, wires a
 :class:`~repro.fleet.supervisor.ShardSupervisor` to a
-:class:`~repro.fleet.router.FleetRouter` running on a daemon thread, and
+:class:`~repro.fleet.router.FleetRouter` hosted on a daemon thread
+(:class:`~repro.serve.frontend.FrontEndThread`), and
 hands back the router's ``(host, port)``. Integration tests, the CI
 smoke, the fleet differential and the benchmarks all drive fleets through
 it; :func:`serve_fleet` wraps it for the ``repro fleet`` CLI command.
@@ -11,13 +12,12 @@ it; :func:`serve_fleet` wraps it for the ``repro fleet`` CLI command.
 
 from __future__ import annotations
 
-import asyncio
 import signal
 import threading
 
-from repro.errors import ServeError
 from repro.obs.instrument import Instrumentation
 from repro.obs.log import get_logger
+from repro.serve.frontend import FrontEndThread
 from repro.fleet.router import FleetConfig, FleetRouter
 from repro.fleet.supervisor import (
     ProcessShard,
@@ -32,15 +32,16 @@ __all__ = ["Fleet", "serve_fleet"]
 log = get_logger(__name__)
 
 
-class Fleet:
-    """One running fleet; usable as a context manager.
+class Fleet(FrontEndThread):
+    """One running fleet: the router's thread host plus its shards.
 
-    ``start()`` boots every shard first (so the router never opens with an
-    empty ring), then the router thread, then the supervisor — teardown is
-    the exact reverse. :meth:`kill_shard` is the fault-injection hook: it
-    kills the shard *without telling the router*, exactly like a real
-    crash, so the fail-over path (transport error → ring successor) and
-    the supervisor (detect → restart → rejoin) are both exercised.
+    Usable as a context manager. ``start()`` boots every shard first (so
+    the router never opens with an empty ring), then the router thread,
+    then the supervisor — teardown is the exact reverse.
+    :meth:`kill_shard` is the fault-injection hook: it kills the shard
+    *without telling the router*, exactly like a real crash, so the
+    fail-over path (transport error → ring successor) and the supervisor
+    (detect → restart → rejoin) are both exercised.
     """
 
     def __init__(self, config: FleetConfig | None = None,
@@ -50,8 +51,7 @@ class Fleet:
         self.router = FleetRouter(self.config, obs=self.obs)
         self.shards: dict[str, ShardHandle] = {}
         self.supervisor: ShardSupervisor | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
+        super().__init__(self.router, name="repro-fleet-router")
 
     # -------------------------------------------------------------- lifecycle
     def start(self) -> tuple[str, int]:
@@ -68,7 +68,7 @@ class Fleet:
                 address = handle.start()
                 self.shards[shard_id] = handle
                 self.router.register(shard_id, address)
-            self._start_router_thread()
+            host, port = super().start()
         except BaseException:
             self.stop()
             raise
@@ -77,60 +77,22 @@ class Fleet:
             on_up=self.router.mark_up, max_restarts=cfg.max_restarts,
             poll_interval=cfg.supervisor_poll, seed=cfg.seed, obs=self.obs)
         self.supervisor.start()
-        host, port = self.router.address
         log.info("fleet: %d %s shard(s) behind %s:%d (shared store: %s)",
                  cfg.shards, cfg.shard_mode, host, port,
                  cfg.cache_dir or "none")
         return host, port
 
-    def _start_router_thread(self) -> None:
-        ready = threading.Event()
-        boot_error: list[BaseException] = []
+    def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
+        """Supervisor first (no resurrections), then router, then shards.
 
-        def main() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def run() -> None:
-                try:
-                    await self.router.start()
-                except BaseException as exc:  # noqa: BLE001 - reported to caller
-                    boot_error.append(exc)
-                    ready.set()
-                    return
-                ready.set()
-                await self.router.wait_stopped()
-
-            try:
-                loop.run_until_complete(run())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(target=main, name="repro-fleet-router",
-                                        daemon=True)
-        self._thread.start()
-        if not ready.wait(timeout=30):
-            raise ServeError("fleet router thread did not start within 30s")
-        if boot_error:
-            raise boot_error[0]
-
-    def stop(self) -> None:
-        """Supervisor first (no resurrections), then router, then shards."""
+        The router drains: requests it is forwarding finish against the
+        still-running shards and reach their clients; new work meanwhile
+        is answered ``shutting_down``.
+        """
         if self.supervisor is not None:
             self.supervisor.stop()
             self.supervisor = None
-        if self._loop is not None and self._thread is not None:
-            if self._thread.is_alive():
-                fut = asyncio.run_coroutine_threadsafe(
-                    self.router.shutdown(), self._loop)
-                try:
-                    fut.result(timeout=30)
-                except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                    pass
-            self._thread.join(timeout=30)
-            self._thread = None
-            self._loop = None
+        super().stop(drain=drain, timeout=timeout)
         for handle in self.shards.values():
             try:
                 handle.stop()
@@ -143,13 +105,6 @@ class Fleet:
     def kill_shard(self, shard_id: str) -> None:
         """Crash one shard abruptly (the router finds out the hard way)."""
         self.shards[shard_id].kill()
-
-    def __enter__(self) -> "Fleet":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
 
 
 def serve_fleet(config: FleetConfig | None = None,

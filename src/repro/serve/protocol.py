@@ -70,7 +70,6 @@ __all__ = [
     "SHARD_UNAVAILABLE",
     "INTERNAL",
     "Request",
-    "WatchUpgrade",
     "decode_request",
     "decode_response",
     "encode",
@@ -125,22 +124,6 @@ class Request:
     id: Any = None
     deadline: float | None = None
     params: dict[str, Any] = field(default_factory=dict)
-
-
-class WatchUpgrade:
-    """Marker wrapping a validated ``watch`` request.
-
-    Returned by a server's line handler instead of a response dict: the
-    connection is about to be upgraded to a server-push subscription, so
-    the connection loop must hand it to the push loop (outside any
-    busy/in-flight accounting — a subscription is idle observation and
-    must not hold up graceful drain).
-    """
-
-    __slots__ = ("req",)
-
-    def __init__(self, req: Request) -> None:
-        self.req = req
 
 
 def decode_request(line: str | bytes) -> Request:

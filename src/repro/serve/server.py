@@ -7,8 +7,11 @@ one-shot CLI's cold start per query. The shape mirrors an inference
 server:
 
 * **Transport** — newline-delimited JSON over TCP
-  (:mod:`repro.serve.protocol`); one request line in, one response line
-  out, per-connection order preserved, concurrency across connections.
+  (:mod:`repro.serve.protocol`) through the shared
+  :class:`~repro.serve.frontend.FrontEnd`: framing, id hygiene, the
+  ``watch`` upgrade and the graceful drain (SIGTERM/SIGINT: in-flight
+  requests finish within ``drain_timeout``, new work gets
+  ``shutting_down``, then the executor is torn down).
 * **Offload** — CPU-bound commands run on a bounded executor
   (``process`` mode: a :class:`~concurrent.futures.ProcessPoolExecutor`
   with a per-process warm artifact cache; ``thread`` mode: a
@@ -29,9 +32,6 @@ server:
   server default); on expiry the waiter receives ``deadline_exceeded``
   and a job nobody is waiting for any more is cancelled (best effort — a
   job already running on a process worker finishes and is discarded).
-* **Graceful drain** — SIGTERM/SIGINT stop the listener, let in-flight
-  requests finish (up to ``drain_timeout``), answer anything new with
-  ``shutting_down``, then tear the executor down.
 
 Everything is stdlib; observability goes through :mod:`repro.obs`
 (``serve.*`` counters, the ``serve.request`` span, the
@@ -42,10 +42,8 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import os
 import signal
-import threading
 import time
 from pathlib import Path
 from collections import OrderedDict
@@ -59,11 +57,13 @@ import numpy as np
 from repro.errors import ConfigError, ReproError, ServeError
 from repro.io.files import unwrap_envelope
 from repro.io.network_json import network_from_dict
-from repro.obs.instrument import Instrumentation, trim_trace
+from repro.obs.instrument import Instrumentation
 from repro.obs.live import DeltaEmitter, quantile_table
 from repro.obs.log import get_logger
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.store import PlanArtifactStore
+from repro.serve.frontend import (DRAIN_TIMEOUT, MAX_TRACE_EVENTS, FrontEnd,
+                                  FrontEndThread)
 from repro.serve.protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
@@ -72,9 +72,6 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     SHUTTING_DOWN,
     Request,
-    WatchUpgrade,
-    decode_request,
-    encode,
     error_response,
     ok_response,
 )
@@ -86,12 +83,6 @@ __all__ = ["ServeConfig", "PlanningServer", "ServerThread", "serve", "plan_key"]
 log = get_logger(__name__)
 
 _EXECUTORS = ("process", "thread")
-
-#: Per-connection bound on remembered request ids (duplicate detection).
-#: Requests on one connection are answered in order, so a well-behaved
-#: client reusing ids after this many requests is indistinguishable from a
-#: fresh id — the window only needs to catch accidental immediate reuse.
-_SEEN_IDS_LIMIT = 1024
 
 
 @dataclass
@@ -147,12 +138,12 @@ class ServeConfig:
     executor: str = "process"
     queue_limit: int = 32
     default_deadline: float | None = 30.0
-    drain_timeout: float = 10.0
+    drain_timeout: float = DRAIN_TIMEOUT
     max_line_bytes: int = 8 * 1024 * 1024
     cache_entries: int | None = 4096
     cache_dir: str | None = None
     plan_responses: int = 256
-    max_trace_events: int = 10_000
+    max_trace_events: int = MAX_TRACE_EVENTS
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -208,7 +199,7 @@ class _Flight:
         self.waiters = 0
 
 
-class PlanningServer:
+class PlanningServer(FrontEnd):
     """The asyncio TCP planning service (see the module docstring).
 
     Construct, then ``await start()`` inside a running event loop; the
@@ -216,60 +207,46 @@ class PlanningServer:
     :meth:`wait_stopped` / :meth:`shutdown` (or
     :meth:`install_signal_handlers` for SIGTERM/SIGINT). ``obs`` is the
     live instrumentation served by ``stats``; pass your own to share it
-    with the embedding process.
+    with the embedding process. Framing, id hygiene, drain and the
+    ``watch`` upgrade come from :class:`~repro.serve.frontend.FrontEnd`.
     """
+
+    prefix = "serve"
 
     def __init__(self, config: ServeConfig | None = None,
                  obs: Instrumentation | None = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        self.obs = obs if obs is not None else Instrumentation()
-        self._server: asyncio.base_events.Server | None = None
+        super().__init__(config if config is not None else ServeConfig(), obs)
+        self.drain_timeout = self.config.drain_timeout
+        self.max_trace_events = self.config.max_trace_events
         self._executor: ProcessPoolExecutor | ThreadPoolExecutor | None = None
         self._shared_cache: PlanArtifactCache | None = None
         self._shared_store: PlanArtifactStore | None = None
         self._flights: dict[tuple, _Flight] = {}
         self._responses: OrderedDict[tuple, dict[str, Any]] = OrderedDict()
         self._jobs: set[asyncio.Task] = set()
-        self._conns: set[asyncio.Task] = set()
         self._pending = 0
-        self._busy = 0
-        self._draining = False
-        self._stopping = False
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._stopped = asyncio.Event()
-        self._t0 = time.monotonic()
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> tuple[str, int]:
-        """The bound ``(host, port)`` (resolves ``port=0`` to the real one)."""
-        if self._server is None or not self._server.sockets:
-            raise ServeError("server is not started", code=INTERNAL)
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return str(host), int(port)
-
-    async def start(self) -> None:
-        """Create the executor and start listening."""
-        if self._server is not None:
-            raise ServeError("server already started", code=INTERNAL)
+    async def _open(self) -> None:
+        """Create the executor (and, in thread mode, the shared tiers)."""
         cfg = self.config
-        if cfg.executor == "process":
-            self._executor = ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=init_worker,
-                initargs=(cfg.cache_entries, cfg.cache_dir))
-        else:
+        if cfg.executor == "thread":
             self._shared_cache = PlanArtifactCache(cfg.cache_entries)
             if cfg.cache_dir is not None:
                 self._shared_store = PlanArtifactStore(cfg.cache_dir)
                 loaded = self._shared_store.warm(self._shared_cache, obs=self.obs)
                 log.info("repro serve: warm-started %d artifact(s) from %s",
                          loaded, cfg.cache_dir)
-            self._executor = ThreadPoolExecutor(
-                max_workers=cfg.workers, thread_name_prefix="repro-serve")
-        self._t0 = time.monotonic()
-        self._server = await asyncio.start_server(
-            self._handle_conn, cfg.host, cfg.port, limit=cfg.max_line_bytes)
+        self._executor = self._new_executor()
+
+    def _new_executor(self) -> ProcessPoolExecutor | ThreadPoolExecutor:
+        cfg = self.config
+        if cfg.executor == "process":
+            return ProcessPoolExecutor(
+                max_workers=cfg.workers, initializer=init_worker,
+                initargs=(cfg.cache_entries, cfg.cache_dir))
+        return ThreadPoolExecutor(max_workers=cfg.workers,
+                                  thread_name_prefix="repro-serve")
 
     def install_signal_handlers(self) -> None:
         """Drain gracefully on SIGTERM/SIGINT (no-op where unsupported)."""
@@ -285,39 +262,15 @@ class PlanningServer:
         log.info("repro serve: received signal %s, draining ...", sig)
         await self.shutdown()
 
-    async def wait_stopped(self) -> None:
-        """Block until :meth:`shutdown` completes."""
-        await self._stopped.wait()
-
-    async def shutdown(self, *, drain: bool = True) -> None:
-        """Stop accepting work, optionally drain in-flight requests, stop.
-
-        Idempotent. With ``drain`` (the default) in-flight requests get up
-        to ``drain_timeout`` seconds to complete and write their responses;
-        requests arriving while draining are answered ``shutting_down``.
-        """
-        if self._stopping:
-            await self._stopped.wait()
-            return
-        self._stopping = True
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if drain and not self._idle.is_set():
-            try:
-                await asyncio.wait_for(self._idle.wait(), self.config.drain_timeout)
-            except asyncio.TimeoutError:
-                log.warning("repro serve: drain timed out with %d request(s) busy",
-                            self._busy)
-        for task in list(self._jobs) + list(self._conns):
+    async def _close(self) -> None:
+        """Cancel leftover jobs, persist warm caches, stop the executor."""
+        for task in list(self._jobs):
             task.cancel()
-        if self._jobs or self._conns:
-            await asyncio.gather(*self._jobs, *self._conns, return_exceptions=True)
+        if self._jobs:
+            await asyncio.gather(*self._jobs, return_exceptions=True)
         self._flush_stores()
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
-        self._stopped.set()
 
     def _flush_stores(self) -> None:
         """Best-effort persist of warm caches on drain (``cache_dir`` only).
@@ -340,142 +293,21 @@ class PlanningServer:
             except Exception:  # pragma: no cover - broken pool at shutdown
                 log.warning("repro serve: worker cache flush skipped (pool down)")
 
-    # ------------------------------------------------------------ connections
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conns.add(task)
-        seen_ids: OrderedDict[str, None] = OrderedDict()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:  # request line exceeded max_line_bytes
-                    writer.write(encode(error_response(
-                        None, BAD_REQUEST,
-                        f"request line exceeds {self.config.max_line_bytes} bytes")))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                self._busy += 1
-                self._idle.clear()
-                try:
-                    response = await self._handle_line(line, seen_ids)
-                    if not isinstance(response, WatchUpgrade):
-                        writer.write(encode(response))
-                        await writer.drain()
-                finally:
-                    self._busy -= 1
-                    if self._busy == 0:
-                        self._idle.set()
-                if isinstance(response, WatchUpgrade):
-                    await self._watch(response.req, reader, writer)
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels idle connection tasks; ending cleanly keeps
-            # asyncio's stream machinery from logging the cancellation.
-            pass
-        finally:
-            if task is not None:
-                self._conns.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-                pass
+    # --------------------------------------------------------------- requests
+    async def _dispatch(self, req: Request) -> dict[str, Any]:
+        if req.type == "health":
+            return ok_response(req.id, self._health())
+        if req.type == "stats":
+            return ok_response(req.id, self._stats())
+        if req.type == "plan":
+            return await self._plan(req)
+        return await self._simulate(req)
 
-    async def _handle_line(self, line: bytes,
-                           seen_ids: "OrderedDict[str, None] | None" = None,
-                           ) -> "dict[str, Any] | WatchUpgrade":
-        o = self.obs
-        o.incr("serve.requests")
-        try:
-            req = decode_request(line)
-        except ServeError as exc:
-            o.incr("serve.failed")
-            o.incr(f"serve.failed.{exc.code}")
-            return error_response(None, exc.code, str(exc))
-        if seen_ids is not None and req.id is not None:
-            # Ids are free-form JSON; canonicalise to a hashable key.
-            id_key = json.dumps(req.id, sort_keys=True, default=str)
-            if id_key in seen_ids:
-                o.incr("serve.duplicate_id")
-                o.incr("serve.failed")
-                o.incr(f"serve.failed.{BAD_REQUEST}")
-                return error_response(
-                    req.id, BAD_REQUEST,
-                    f"duplicate request id {req.id!r} on this connection")
-            seen_ids[id_key] = None
-            while len(seen_ids) > _SEEN_IDS_LIMIT:
-                seen_ids.popitem(last=False)
-        o.incr(f"serve.requests.{req.type}")
-        if req.type == "watch":
-            # Validated here; the connection handler runs the push loop
-            # outside the busy/idle accounting (see WatchUpgrade).
-            try:
-                float(req.params.get("interval", 1.0))
-            except (TypeError, ValueError):
-                o.incr("serve.failed")
-                o.incr(f"serve.failed.{BAD_REQUEST}")
-                return error_response(
-                    req.id, BAD_REQUEST,
-                    f"watch interval must be a number of seconds, "
-                    f"got {req.params.get('interval')!r}")
-            return WatchUpgrade(req)
-        with o.span("serve.request", _mark=True, type=req.type):
-            if req.type == "health":
-                response = ok_response(req.id, self._health())
-            elif req.type == "stats":
-                response = ok_response(req.id, self._stats())
-            elif req.type == "plan":
-                response = await self._plan(req)
-            else:
-                response = await self._simulate(req)
-        if not response["ok"]:
-            o.incr("serve.failed")
-            o.incr(f"serve.failed.{response['error']['code']}")
-        trim_trace(o, self.config.max_trace_events)
-        return response
-
-    # ------------------------------------------------------------ watch stream
-    async def _watch(self, req: Request, reader: asyncio.StreamReader,
-                     writer: asyncio.StreamWriter) -> None:
-        """Server-push subscription: one metric-delta frame per interval.
-
-        Strictly opt-in: the :class:`~repro.obs.live.DeltaEmitter` exists
-        only for the lifetime of a subscription, so a server nobody watches
-        does no extra per-request work. The loop ends when the client
-        closes its end (EOF) or the server starts draining.
-        """
-        interval = max(0.05, float(req.params.get("interval", 1.0)))
+    def _watch_session(self, req: Request, interval: float
+                       ) -> tuple[dict[str, Any], DeltaEmitter]:
         source = str(req.params.get("source") or "serve")
-        emitter = DeltaEmitter(self.obs, source=source)
-        self.obs.incr("serve.watch.subscribed")
-        writer.write(encode(ok_response(req.id, {
-            "stream": "watch", "role": "serve", "source": source,
-            "interval": interval, "protocol": PROTOCOL_VERSION})))
-        await writer.drain()
-        eof = asyncio.ensure_future(reader.read())
-        try:
-            while True:
-                done, _ = await asyncio.wait({eof}, timeout=interval)
-                closed = bool(done) or writer.is_closing()
-                if closed or self._stopping:
-                    break
-                writer.write(encode(emitter.frame().to_dict()))
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            eof.cancel()
-            self.obs.incr("serve.watch.closed")
-
+        return ({"role": "serve", "source": source},
+                DeltaEmitter(self.obs, source=source))
     # ---------------------------------------------------------------- queries
     def _health(self) -> dict[str, Any]:
         return {
@@ -519,8 +351,6 @@ class PlanningServer:
 
     # --------------------------------------------------------------- commands
     async def _plan(self, req: Request) -> dict[str, Any]:
-        if self._draining:
-            return error_response(req.id, SHUTTING_DOWN, "server is draining")
         try:
             key = plan_key(req.params)
         except ServeError as exc:
@@ -555,8 +385,6 @@ class PlanningServer:
         return ok_response(req.id, result)
 
     async def _simulate(self, req: Request) -> dict[str, Any]:
-        if self._draining:
-            return error_response(req.id, SHUTTING_DOWN, "server is draining")
         rejected = self._admit(req)
         if rejected is not None:
             return rejected
@@ -618,19 +446,12 @@ class PlanningServer:
         concurrent jobs that died with the same pool all call this, and the
         identity guard makes sure only the first rebuilds.
         """
-        if self._stopping or self._executor is not broken:
+        if self._draining or self._executor is not broken:
             return
         self.obs.incr("serve.executor_rebuilt")
         log.warning("repro serve: executor broke; rebuilding the %s pool",
                     self.config.executor)
-        cfg = self.config
-        if cfg.executor == "process":
-            self._executor = ProcessPoolExecutor(
-                max_workers=cfg.workers, initializer=init_worker,
-                initargs=(cfg.cache_entries, cfg.cache_dir))
-        else:  # pragma: no cover - thread pools break only via initializer
-            self._executor = ThreadPoolExecutor(
-                max_workers=cfg.workers, thread_name_prefix="repro-serve")
+        self._executor = self._new_executor()
         broken.shutdown(wait=False, cancel_futures=True)
 
     async def _run_plan(self, key: tuple, params: dict[str, Any]) -> dict[str, Any]:
@@ -687,7 +508,7 @@ class PlanningServer:
             self._responses.popitem(last=False)
 
 
-class ServerThread:
+class ServerThread(FrontEndThread):
     """A :class:`PlanningServer` on a daemon thread with its own loop.
 
     The embedding shape used by the integration tests, the load-generator
@@ -704,63 +525,7 @@ class ServerThread:
         self.config = config if config is not None else ServeConfig(executor="thread",
                                                                     workers=2)
         self.server = PlanningServer(self.config, obs=obs)
-        self.address: tuple[str, int] | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> tuple[str, int]:
-        """Start the server; returns the bound ``(host, port)``."""
-        ready = threading.Event()
-        boot_error: list[BaseException] = []
-
-        def main() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            self._loop = loop
-
-            async def boot() -> None:
-                try:
-                    await self.server.start()
-                    self.address = self.server.address
-                except BaseException as exc:  # noqa: BLE001 - reported to starter
-                    boot_error.append(exc)
-                finally:
-                    ready.set()
-
-            loop.run_until_complete(boot())
-            if not boot_error:
-                loop.run_until_complete(self.server.wait_stopped())
-            loop.close()
-
-        self._thread = threading.Thread(target=main, name="repro-serve", daemon=True)
-        self._thread.start()
-        if not ready.wait(timeout=30):
-            raise ServeError("server thread did not start within 30s")
-        if boot_error:
-            raise boot_error[0]
-        assert self.address is not None
-        return self.address
-
-    def stop(self, *, drain: bool = True, timeout: float = 30.0) -> None:
-        """Drain and stop the server, then join its thread."""
-        if self._loop is None or self._thread is None:
-            return
-        if self._thread.is_alive():
-            fut = asyncio.run_coroutine_threadsafe(
-                self.server.shutdown(drain=drain), self._loop)
-            try:
-                fut.result(timeout=timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                pass
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ServerThread":
-        self.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
-
+        super().__init__(self.server, name="repro-serve")
 
 def serve(config: ServeConfig | None = None,
           obs: Instrumentation | None = None,

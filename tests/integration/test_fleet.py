@@ -26,17 +26,20 @@ behavioural contracts so the suite stays fast.
 
 import json
 import socket
+import threading
 import time
 
 import pytest
 
+from repro.check.fleetcheck import canonical_response
 from repro.errors import ServeError
 from repro.fleet import Fleet, FleetConfig
 from repro.fleet.router import routing_key
 from repro.io.network_json import network_to_dict
 from repro.network.builder import build_paper_network
-from repro.serve import ServeClient
-from repro.serve.protocol import BAD_REQUEST, SHARD_UNAVAILABLE
+from repro.obs import Instrumentation
+from repro.serve import ServeClient, ServeConfig, ServerThread, frontend
+from repro.serve.protocol import BAD_REQUEST, SHARD_UNAVAILABLE, SHUTTING_DOWN, encode
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +60,29 @@ def _config(**overrides):
                     seed=0)
     defaults.update(overrides)
     return FleetConfig(**defaults)
+
+
+def _wait(predicate, timeout=20.0, step=0.02):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(step)
+    return predicate()
+
+
+def _send(sock, message):
+    """Send one request frame on a raw socket."""
+    sock.sendall(encode(message))
+
+
+def _accepts(address):
+    """Whether a listener still accepts connections at ``address``."""
+    try:
+        socket.create_connection(address, timeout=1.0).close()
+    except OSError:
+        return False
+    return True
 
 
 def _owner(fleet, network):
@@ -137,6 +163,11 @@ class TestRoutingAndAggregation:
             assert second["ok"] is False
             assert second["error"]["code"] == BAD_REQUEST
             assert "duplicate" in second["error"]["message"]
+            # Counted like a node: one duplicate, one failed bad_request.
+            counters = fleet.obs.counters
+            assert counters["fleet.duplicate_id"] == 1
+            assert counters["fleet.failed"] == 1
+            assert counters["fleet.failed.bad_request"] == 1
 
     def test_bad_requests_get_structured_errors(self, net):
         with Fleet(_config()) as fleet:
@@ -176,7 +207,11 @@ class TestFailover:
                 with pytest.raises(ServeError) as exc:
                     c.plan(net, 300.0)
                 assert exc.value.code == SHARD_UNAVAILABLE
-            assert fleet.obs.counters.get("fleet.shard_unavailable", 0) >= 1
+            counters = fleet.obs.counters
+            assert counters.get("fleet.shard_unavailable", 0) >= 1
+            assert (counters.get("fleet.failed.shard_unavailable", 0)
+                    == counters["fleet.shard_unavailable"])
+            assert counters["fleet.failed"] >= counters["fleet.shard_unavailable"]
 
     def test_supervisor_restarts_and_shard_rejoins(self, net):
         cfg = _config(supervisor_poll=0.1, max_restarts=3)
@@ -200,3 +235,65 @@ class TestFailover:
                 assert c.plan(net, 300.0)["n_schedulings"] >= 0
             assert fleet.obs.counters.get("fleet.shard.restarts", 0) >= 1
             assert fleet.obs.counters.get("fleet.rejoined", 0) >= 1
+
+
+class TestRouterDrain:
+    """The router drains on stop, exactly like a single node."""
+
+    def test_stop_finishes_in_flight_forward_and_sheds_new_work(self, net):
+        message = {"type": "plan", "id": 1, "network": net, "horizon": 300.0}
+        with ServerThread(ServeConfig(executor="thread", workers=2)) as single:
+            with socket.create_connection(single.address, timeout=30) as sock:
+                _send(sock, message)
+                reference = json.loads(sock.makefile("rb").readline())
+        assert reference["ok"] is True
+
+        fleet = Fleet(_config())
+        fleet.start()
+        stopper = threading.Thread(target=fleet.stop)
+        try:
+            address = fleet.router.address
+            with socket.create_connection(address, timeout=30) as busy, \
+                    socket.create_connection(address, timeout=30) as late:
+                busy_lines, late_lines = busy.makefile("rb"), late.makefile("rb")
+                _send(late, {"type": "health", "id": 0})  # open and idle
+                assert json.loads(late_lines.readline())["ok"] is True
+                _send(busy, dict(message, delay=1.0))
+                assert _wait(lambda: fleet.obs.counters.get("fleet.routed", 0) >= 1)
+                stopper.start()
+                assert _wait(lambda: not _accepts(address), timeout=5.0)
+                _send(late, dict(message, id=2))
+                shed = late_lines.readline()
+                drained = busy_lines.readline()
+            stopper.join(timeout=60)
+        finally:
+            fleet.stop()
+        assert drained, "the router dropped the in-flight forward on stop"
+        assert canonical_response(json.loads(drained)) == canonical_response(reference)
+        assert shed, "the router closed a connection instead of answering"
+        shed = json.loads(shed)
+        assert shed["ok"] is False
+        assert shed["error"]["code"] == SHUTTING_DOWN
+        assert fleet.obs.counters["fleet.failed.shutting_down"] == 1
+
+
+class TestRouterTraceBound:
+    def test_router_trims_its_trace_and_serve_keeps_its_config(self, monkeypatch):
+        monkeypatch.setattr(frontend, "MAX_TRACE_EVENTS", 8)
+        obs = Instrumentation()
+        with Fleet(_config(), obs=obs) as fleet:
+            with ServeClient(*fleet.router.address) as c:
+                for _ in range(20):
+                    c.health()
+            assert len(fleet.router.obs.events) <= 8
+            assert fleet.router.obs.counters["trace.truncated"] > 0
+
+        # A node's own max_trace_events still governs its trace, not the
+        # front end's default.
+        with ServerThread(ServeConfig(executor="thread", workers=1,
+                                      max_trace_events=12)) as srv:
+            with ServeClient(*srv.address) as c:
+                for _ in range(20):
+                    c.health()
+            assert 8 < len(srv.server.obs.events) <= 12
+            assert srv.server.obs.counters["trace.truncated"] > 0

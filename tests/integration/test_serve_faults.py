@@ -104,8 +104,18 @@ class TestEdgeFrames:
 
 class TestInjectedWorkerFaults:
     def test_full_thread_fault_suite_clean(self):
-        failures = run_fault_suite()
-        assert failures == [], "\n".join(str(f) for f in failures)
+        # One harness, both endpoints: a node and a fleet router share the
+        # front end, so every fault must land identically on each.
+        for endpoint in ("serve", "fleet"):
+            obs = Instrumentation()
+            failures = run_fault_suite(obs, endpoint=endpoint)
+            assert failures == [], "\n".join(str(f) for f in failures)
+            # oversized line, truncated frame (its partial line is decoded
+            # at EOF), binary garbage, unknown type and duplicate id are
+            # each rejected and counted by the endpoint's own front end
+            assert obs.counters[f"{endpoint}.failed.{BAD_REQUEST}"] == 5
+            assert obs.counters[f"{endpoint}.duplicate_id"] == 1
+            assert obs.counters[f"{endpoint}.failed.{INTERNAL}"] == 1
 
     def test_mid_request_disconnect_keeps_serving(self, net):
         with ServerThread(_config()) as srv:
