@@ -2,10 +2,12 @@
 
 Times the production 2-opt (:func:`repro.tsp.improve.two_opt`) against
 the full-matrix scan it must reproduce
-(:func:`repro.tsp.improve.two_opt_scan`) at n in {500, 2000, 5000}, plus
-the incremental q-rooted MSF extension against a from-scratch
-Algorithm 1 rebuild. Every timed pair also cross-checks outputs: both
-accelerations are *exact*, so speed never trades answers.
+(:func:`repro.tsp.improve.two_opt_scan`) at n in {500, 2000, 5000}, the
+incremental q-rooted MSF extension against a from-scratch Algorithm 1
+rebuild, and Algorithm 1 from coordinates (the Delaunay candidate graph)
+against dense Prim over the full matrix. Every timed pair also
+cross-checks outputs: the accelerations are *exact*, so speed never
+trades answers.
 
 The 2-opt sweep runs on the planner's *actual* inputs — MST-doubled
 tours from Algorithm 2 (:func:`repro.rooted.qtsp.q_rooted_tsp`) — not
@@ -20,6 +22,8 @@ directory. Acceptance bars:
 
 * production 2-opt >= 5x the full-scan oracle at n = 5000;
 * incremental forest extension >= 3x the from-scratch rebuild.
+
+The Delaunay-vs-dense pair only records its speedup; it has no bar.
 """
 
 import json
@@ -31,7 +35,7 @@ import pytest
 
 from repro.geometry.distance import distance_matrix
 from repro.rooted.incremental import extend_q_rooted_msf
-from repro.rooted.msf import q_rooted_msf
+from repro.rooted.msf import DELAUNAY_MIN_SENSORS, q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp
 from repro.tsp.improve import two_opt, two_opt_scan
 
@@ -75,7 +79,7 @@ def test_two_opt_vs_oracle(kernels_json):
         # builds over n sensors anchored at a single depot (index n).
         dist = _instance(n + 1)
         tour = q_rooted_tsp(dist, list(range(n)), [n])[0]
-        repeats = 2 if n <= 2000 else 1
+        repeats = 2 if n <= 2000 else 3
         t_scan, r_scan = _best_of(lambda: two_opt_scan(dist, tour), repeats)
         t_prod, r_prod = _best_of(lambda: two_opt(dist, tour), repeats)
         assert r_scan == r_prod
@@ -112,3 +116,24 @@ def test_incremental_replan(kernels_json):
     assert speedup >= 3.0, (
         f"incremental replan speedup {speedup:.2f}x is below the 3x "
         f"acceptance bar")
+
+
+def test_delaunay_msf_vs_dense(kernels_json):
+    """Algorithm 1 from coordinates vs dense Prim over the full matrix (the
+    matrix build itself is excluded from the dense time)."""
+    n, q = 5000, 5
+    rng = np.random.default_rng(42)
+    coords = rng.uniform(0, 1000, size=(n + q, 2))
+    dist = distance_matrix(coords)
+    sensors, depots = list(range(n)), list(range(n, n + q))
+    q_rooted_msf(None, sensors[:DELAUNAY_MIN_SENSORS], depots,
+                 coords=coords)  # load scipy outside the timed runs
+
+    t_dense, dense = _best_of(lambda: q_rooted_msf(dist, sensors, depots), 3)
+    t_coords, sparse = _best_of(
+        lambda: q_rooted_msf(None, sensors, depots, coords=coords), 3)
+    assert sparse == dense
+    kernels_json[f"delaunay_msf_n{n}"] = {
+        "dense_s": t_dense, "delaunay_s": t_coords,
+        "speedup": t_dense / t_coords if t_coords > 0 else float("inf"),
+    }

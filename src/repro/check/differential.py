@@ -45,6 +45,13 @@ each other on one :class:`~repro.check.scenario.Scenario`:
     all-sensor tour, and 2-opt must agree on two seeded tours of 64-96
     stops (past its 16-nearest neighbour lists) and on one of at least
     384 stops (its blocked scan).
+``msf``
+    :func:`~repro.rooted.msf.q_rooted_msf` from coordinates must return
+    the dense full-matrix forest edge for edge, in the same discovery
+    order and orientation, at every coverage level of the scenario and of
+    three seeded paper topologies (uniform, clustered, grid) just above
+    :data:`~repro.rooted.msf.DELAUNAY_MIN_SENSORS` sensors, whose full
+    levels take the Delaunay path.
 ``patch``
     :func:`~repro.adaptive.patch.build_patch` with the incremental forest
     extension (``incremental=True`` over a warm cache) must produce
@@ -78,17 +85,20 @@ from repro.check.scenario import Scenario
 from repro.core.bounds import lemma3_lower_bound
 from repro.core.feasibility import check_feasibility
 from repro.core.mintotal import MinTotalDistanceResult, min_total_distance
+from repro.core.quantize import quantize_cycles
 from repro.errors import CheckError, ReproError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_cell
 from repro.geometry.distance import distance_matrix
 from repro.io.network_json import network_to_dict
 from repro.io.plan_json import plan_to_dict
+from repro.network.builder import build_paper_network
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.pipeline import distinct_coverage, plan_tours
 from repro.plan.store import PlanArtifactStore
 from repro.rooted.exact import exact_q_rooted_tsp
+from repro.rooted.msf import DELAUNAY_MIN_SENSORS, q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp, tours_total_cost
 from repro.sim.engine import SimulationResult, simulate
 from repro.sim.policies import PlannedPolicy
@@ -101,7 +111,7 @@ __all__ = ["CheckFailure", "ScenarioChecker", "ALL_CHECKS", "plans_equal"]
 #: Check names in execution order. ``serve`` and ``executor`` are the
 #: expensive ones — the fuzzer runs them on a cadence.
 ALL_CHECKS = ("oracle", "engine", "cache", "store", "exact", "bound",
-              "kernels", "patch", "serve", "executor")
+              "kernels", "msf", "patch", "serve", "executor")
 
 #: Per-coverage-set sensor cap for the exact oracle: ``q^m`` assignments,
 #: kept below the library's own cap so fuzz iterations stay sub-second.
@@ -492,6 +502,29 @@ class ScenarioChecker:
                 failures.append(CheckFailure(
                     "kernels", f"two_opt differs from the full-scan oracle on "
                                f"a {len(big.order)}-stop {label} tour"))
+        return failures
+
+    def _check_msf(self, scenario: Scenario) -> list[CheckFailure]:
+        failures: list[CheckFailure] = []
+        # Scenario sets sit below the Delaunay floor (they exercise the
+        # local-matrix path), so add seeded topologies whose full level
+        # reaches it.
+        seed = scenario.stable_digest()
+        size = DELAUNAY_MIN_SENSORS + seed % 64
+        networks = [("scenario", scenario.build_network(), scenario.base)]
+        networks += [(deployment, build_paper_network(
+            n=size, q=scenario.n_depots, seed=seed, deployment=deployment), 2)
+            for deployment in ("uniform", "clustered", "grid")]
+        for label, net, base in networks:
+            depots = [int(i) for i in net.depot_indices]
+            for coverage in distinct_coverage(quantize_cycles(net.cycles, base=base)):
+                sensors = sorted(coverage)
+                if (q_rooted_msf(None, sensors, depots, coords=net.coordinates)
+                        != q_rooted_msf(net.dist, sensors, depots)):
+                    failures.append(CheckFailure(
+                        "msf", f"{label} topology: the forest from coordinates "
+                               f"over {len(sensors)} sensors differs from the "
+                               f"dense full-matrix forest"))
         return failures
 
     def _check_patch(self, scenario: Scenario) -> list[CheckFailure]:

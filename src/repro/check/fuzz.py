@@ -212,7 +212,7 @@ def _write_reproducer(path: Path, scenario: Scenario,
 def _checks_for(iteration: int, *, serve_every: int,
                 executor_every: int) -> tuple[str, ...]:
     checks = ["oracle", "engine", "cache", "store", "exact", "bound",
-              "kernels", "patch"]
+              "kernels", "msf", "patch"]
     if serve_every > 0 and iteration % serve_every == 0:
         checks.append("serve")
     if executor_every > 0 and iteration % executor_every == 0:

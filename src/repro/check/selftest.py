@@ -24,6 +24,11 @@ injecting known mutations and requiring a failure:
   tour length) are swapped for a full scan that breaks equal-delta ties
   toward the *highest* ``j``. Every move still improves the tour, so only
   the ``kernels`` differential's exactness comparison can see it.
+* **Forest-order mutation** — the sparse Prim behind the Delaunay path of
+  :func:`~repro.rooted.msf.q_rooted_msf` returns its edges in reverse
+  discovery order. The forest keeps its edges and its weight, but tours
+  walk it in insertion order, so only the ``msf`` differential's
+  edge-for-edge comparison can see it.
 
 The mutations are applied under ``try/finally`` so a crashing self-test
 cannot leak a mutated library into the process.
@@ -46,6 +51,7 @@ from repro.network.builder import NetworkBuilder
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
 from repro.plan.cache import PlanArtifactCache
+from repro.rooted import msf
 from repro.tsp import improve
 from repro.tsp.tour import Tour
 
@@ -78,6 +84,7 @@ def selftest_scenario() -> Scenario:
 
 
 _original_coverage_sets = Quantization.coverage_sets
+_original_sparse_prim = msf._sparse_prim
 
 
 def _mutated_coverage_sets(self: Quantization) -> tuple[frozenset[int], ...]:
@@ -120,6 +127,12 @@ def _highest_j_two_opt(dist: np.ndarray, tour: Tour,
     return p.tolist(), passes, moves
 
 
+def _reversed_sparse_prim(*args):
+    """:func:`repro.rooted.msf._sparse_prim` with its discovery order reversed."""
+    found = _original_sparse_prim(*args)
+    return None if found is None else (found[0][::-1], found[1][::-1])
+
+
 def _problem_if(condition: bool, message: str,
                 problems: list[str]) -> None:
     if condition:
@@ -132,7 +145,7 @@ def run_selftest(obs: Instrumentation | None = None) -> list[str]:
     problems: list[str] = []
     scenario = selftest_scenario()
     base_checks = ("oracle", "engine", "cache", "store", "exact", "bound",
-                   "kernels", "patch")
+                   "kernels", "msf", "patch")
 
     with ScenarioChecker(obs=obs) as checker:
         # ---- 0. baseline: the unmutated library must pass clean
@@ -174,6 +187,18 @@ def run_selftest(obs: Instrumentation | None = None) -> list[str]:
                     problems)
         if caught:
             log.info("selftest: 2-opt tie-break mutation caught by kernels")
+
+        # ---- 5. a reordered sparse-Prim forest must be caught by `msf`
+        try:
+            msf._sparse_prim = _reversed_sparse_prim
+            caught = checker.check(scenario, checks=("msf",))
+        finally:
+            msf._sparse_prim = _original_sparse_prim
+        _problem_if(not caught,
+                    "planted sparse-Prim mutation (edges in reverse discovery "
+                    "order) was NOT caught — the msf check is blind", problems)
+        if caught:
+            log.info("selftest: forest-order mutation caught by msf")
 
     if problems:
         o.incr("check.selftest.problems", len(problems))

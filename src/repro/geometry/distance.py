@@ -2,10 +2,11 @@
 
 The paper works on complete metric graphs, and its all-pairs solvers (Prim,
 2-opt, Or-opt, the exact oracles) index a dense ``(n, n)`` float64 matrix.
-Measuring a tour needs only its own edges, though:
-:func:`closed_tour_length` reads them straight from the coordinates with the
-same per-pair arithmetic as :func:`distance_matrix`, so the two agree bit for
-bit and a caller that only measures never pays the ``O(n^2)`` build.
+Measuring a tour or a forest needs only its own edges, though:
+:func:`edge_lengths` and :func:`closed_tour_length` read them straight from
+the coordinates with the same per-pair arithmetic as :func:`distance_matrix`,
+so the two agree bit for bit and a caller that only measures never pays the
+``O(n^2)`` build.
 All routines here are vectorised; no Python-level loops over node pairs.
 """
 
@@ -24,6 +25,7 @@ __all__ = [
     "distance_matrix",
     "pairwise_from_points",
     "path_length",
+    "edge_lengths",
     "closed_tour_length",
     "check_metric",
 ]
@@ -97,15 +99,30 @@ def path_length(dist: np.ndarray, order: Sequence[int], *, closed: bool = False)
     return total
 
 
+def edge_lengths(coords: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Lengths of the edges ``(u[i], v[i])``, read from node coordinates.
+
+    Each is ``sqrt(dx*dx + dy*dy)`` as in :func:`distance_matrix` (negating
+    a difference does not change its square), so ``edge_lengths(coords, u,
+    v)[i] == distance_matrix(coords)[u[i], v[i]]`` bit for bit, at ``O(1)``
+    per edge.
+    """
+    c = np.asarray(coords, dtype=np.float64)
+    sq = c[u] - c[v]
+    sq *= sq
+    return np.sqrt(sq[:, 0] + sq[:, 1])
+
+
 def closed_tour_length(coords: np.ndarray, order: Sequence[int]) -> float:
     """Closed-tour length of ``order``, measured from node coordinates.
 
     Bit-identical to ``path_length(distance_matrix(coords), order,
     closed=True)``: every edge is ``sqrt(dx*dx + dy*dy)`` as in
-    :func:`distance_matrix` (negating a difference does not change its
-    square), the open walk is summed as one array, and the closing edge is
-    added last. Costs ``O(m)`` for ``m`` stops instead of the
-    matrix's ``O(n^2)``. Fewer than two nodes gives length 0.
+    :func:`edge_lengths` (inlined over one gathered walk, since the
+    simulator calls this once per dispatch), the open walk is summed as one
+    array, and the closing edge is added last. Costs ``O(m)`` for ``m``
+    stops instead of the matrix's ``O(n^2)``. Fewer than two nodes gives
+    length 0.
     """
     if len(order) < 2:
         return 0.0

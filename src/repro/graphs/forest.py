@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import GraphError
+from repro.geometry.distance import edge_lengths
 from repro.graphs.traversal import adjacency_from_edges, preorder
 
 __all__ = ["RootedForest", "forest_from_parent"]
@@ -80,12 +81,20 @@ class RootedForest:
         """Concatenation of the trees' edge lists."""
         return [e for tree in self.trees for e in tree]
 
-    def weight(self, dist: np.ndarray) -> float:
-        """Total edge weight of the forest under ``dist``."""
+    def weight(self, dist: np.ndarray | None = None, *,
+               coords: np.ndarray | None = None) -> float:
+        """Total edge weight of the forest under distance matrix ``dist``
+        or, with ``coords=``, measured from the ``(n, 2)`` node
+        coordinates (bit-identical, and no matrix needed). Pass exactly
+        one."""
+        if (dist is None) == (coords is None):
+            raise TypeError("RootedForest.weight: pass exactly one of dist or coords=")
         edges = self.all_edges()
         if not edges:
             return 0.0
         idx = np.asarray(edges, dtype=np.intp)
+        if coords is not None:
+            return float(edge_lengths(coords, idx[:, 0], idx[:, 1]).sum())
         return float(np.asarray(dist)[idx[:, 0], idx[:, 1]].sum())
 
     def tree_weight(self, l: int, dist: np.ndarray) -> float:

@@ -9,12 +9,14 @@ every algorithm in this library is:
 * indices ``n .. n+q-1`` — depots (depot ``l`` at index ``n + l``).
 
 The full ``(n+q, n+q)`` distance matrix :attr:`SensorNetwork.dist` is built
-lazily, on first access, and then cached. Only the all-pairs solvers touch
-it (Prim, 2-opt and Or-opt, the baselines, the exact oracles), expressing
-each subproblem as an index array into it. Measuring a tour does not: tour
-lengths and service costs read the edges from :attr:`coordinates` (see
-:func:`repro.geometry.distance.closed_tour_length`), so a replan whose tours
-all come from the artifact cache, or a simulation, never builds the matrix.
+lazily, on first access, and then cached. Planning does not touch it: the
+staged planner (:func:`repro.plan.pipeline.plan_tours`) solves each q-rooted
+MSF from :attr:`coordinates` (a Delaunay candidate graph, or a matrix over
+the coverage set's own nodes) and refines each tour over a matrix of its own
+nodes; tour lengths and service costs read the edges from the coordinates
+too (see :func:`repro.geometry.distance.closed_tour_length`). So a plan,
+cold or warm, and a simulation never build the matrix. See
+:attr:`SensorNetwork.dist` for the callers that still do.
 """
 
 from __future__ import annotations
@@ -138,8 +140,14 @@ class SensorNetwork:
         """Dense ``(n+q, n+q)`` Euclidean distance matrix (read-only).
 
         Built on first access, ``O((n+q)^2)`` time and memory, then cached.
-        For the all-pairs solvers; to measure tours pass :attr:`coordinates`
-        as ``coords=`` instead, which gives bit-identical lengths.
+        The remaining users are the adaptive patch step
+        (:mod:`repro.adaptive.patch`), the baselines
+        (:mod:`repro.baselines`), the Lemma-3 bound (:mod:`repro.core.bounds`),
+        the routing energy model (:mod:`repro.network.routing`), the
+        timescale analysis behind ``repro simulate --speed``
+        (:mod:`repro.analysis.timescale`) and the ``repro check`` oracles.
+        Planning and measuring pass :attr:`coordinates` as ``coords=``
+        instead, which gives bit-identical forests, tours and lengths.
         """
         d = distance_matrix(self.coordinates)
         d.setflags(write=False)

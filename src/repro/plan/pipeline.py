@@ -108,11 +108,15 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
     -------
     tuple[Tour, ...]
         One tour per depot, jointly covering ``coverage``.
+
+    Every stage reads the geometry from ``network.coordinates``, so a plan,
+    cold or warm, with or without refine, never builds ``network.dist``.
     """
     depots = [int(i) for i in network.depot_indices]
+    coords = network.coordinates
     if cache is None and store is None:
-        return tuple(q_rooted_tsp(network.dist, sorted(coverage), depots,
-                                  refine=refine, obs=obs))
+        return tuple(q_rooted_tsp(None, sorted(coverage), depots,
+                                  refine=refine, coords=coords, obs=obs))
 
     o = ensure(obs)
     fp = network.geometry_fingerprint
@@ -155,8 +159,8 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
                 cache.put_forest(fp, coverage, forest)
         if forest is None:
             o.incr("plan.cache.forest.miss")
-            forest = q_rooted_msf(network.dist, sorted(coverage), depots,
-                                  obs=obs)
+            forest = q_rooted_msf(None, sorted(coverage), depots,
+                                  coords=coords, obs=obs)
             if cache is not None:
                 cache.put_forest(fp, coverage, forest)
             if store is not None:
@@ -167,7 +171,7 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         save_tours(False, base)
         if not refine:
             return base
-    refined = tuple(refine_tours(network.dist, base, obs=obs))
+    refined = tuple(refine_tours(None, base, coords=coords, obs=obs))
     save_tours(True, refined)
     return refined
 

@@ -26,14 +26,16 @@ different-but-equally-light forest would change tours downstream.
 Identity holds because Prim's selection at every round is the minimum
 edge crossing the ``(tree, rest)`` cut, which under distinct edge
 weights is always an MST edge and hence always in the candidate set; the
-sparse frontier therefore picks the same node with the same parent every
-round as the dense frontier does. Ties void the argument, so the
-function *tie-gates*: if any two candidate weights are exactly equal it
-refuses (returns ``None``) rather than risk a divergent-but-valid
-forest. (A tie between a candidate and a never-inspected non-candidate
-edge remains theoretically possible; on float coordinates it has
-measure zero, and the differential check in :mod:`repro.check` fuzzes
-exactly this equivalence.)
+sparse Prim (:func:`repro.rooted.msf._sparse_prim`, shared with the
+Delaunay path of :func:`~repro.rooted.msf.q_rooted_msf`) therefore picks
+the same node with the same parent every round as the dense frontier
+does. Ties void the argument, so the function *tie-gates*: if any two
+candidate weights are exactly equal (or one is zero) it refuses
+(returns ``None``) rather than risk a divergent-but-valid forest. (A
+tie between a candidate and a never-inspected non-candidate edge remains
+theoretically possible; on float coordinates it has measure zero, and
+the differential check in :mod:`repro.check` fuzzes exactly this
+equivalence.)
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.forest import RootedForest
 from repro.obs.instrument import Instrumentation, ensure
+from repro.rooted.msf import _graph_forest, _sparse_prim, _uncontract
 
 __all__ = ["extend_q_rooted_msf"]
 
@@ -79,8 +82,8 @@ def extend_q_rooted_msf(dist: np.ndarray, base_sensors: Sequence[int],
     RootedForest | None
         The forest :func:`~repro.rooted.msf.q_rooted_msf` would build
         from scratch over the union set — or ``None`` when exact
-        reconstruction cannot be certified (tied candidate weights,
-        non-finite attachment costs). ``None`` is not an error; it means
+        reconstruction cannot be certified (tied, zero or non-finite
+        candidate weights). ``None`` is not an error; it means
         "use the from-scratch path".
     """
     d = np.asarray(dist, dtype=np.float64)
@@ -137,84 +140,19 @@ def extend_q_rooted_msf(dist: np.ndarray, base_sensors: Sequence[int],
         # Dedupe (an added-added pair is generated from both endpoints).
         _, uniq = np.unique(cu * m + cv, return_index=True)
         cu, cv = cu[uniq], cv[uniq]
-        w_ss = d[g[cu], g[cv]]
         # Super-root candidates: previously linked sensors + all added.
         sr_nodes = np.unique(np.concatenate([
             np.asarray(old_linked, dtype=np.intp), add_loc]))
         rc = d[np.ix_(g[sr_nodes], roots)]
-        w_sr = rc.min(axis=1)
-        sr_root = rc.argmin(axis=1)
-        if not (np.all(np.isfinite(w_ss)) and np.all(np.isfinite(w_sr))):
+        best_root = np.full(m, -1, dtype=np.intp)
+        best_root[sr_nodes] = rc.argmin(axis=1)
+
+        # Sparse Prim over the candidate graph, super-root first; it
+        # refuses (None) unless the candidate weights are distinct and positive.
+        found = _sparse_prim(
+            m + 1, m, np.concatenate([cu, sr_nodes]),
+            np.concatenate([cv, np.full(sr_nodes.size, m, dtype=np.intp)]),
+            np.concatenate([d[g[cu], g[cv]], rc.min(axis=1)]))
+        if found is None:
             return None
-        # Tie-gate: exact reconstruction is only certified under distinct
-        # candidate weights.
-        all_w = np.concatenate([w_ss, w_sr])
-        if np.unique(all_w).size < all_w.size:
-            return None
-
-        # --- Sparse Prim over the candidate graph, super-root first. ---
-        # CSR over both edge directions, so each node's frontier relax
-        # touches only its candidate neighbours.
-        src = np.concatenate([cu, cv, sr_nodes,
-                              np.full(sr_nodes.size, m, dtype=np.intp)])
-        dst = np.concatenate([cv, cu,
-                              np.full(sr_nodes.size, m, dtype=np.intp), sr_nodes])
-        wts = np.concatenate([w_ss, w_ss, w_sr, w_sr])
-        order = np.argsort(src, kind="stable")
-        dst = dst[order]
-        wts = wts[order]
-        starts = np.searchsorted(src[order], np.arange(m + 2))
-
-        in_tree = np.zeros(m + 1, dtype=bool)
-        in_tree[m] = True
-        best = np.full(m + 1, np.inf)
-        best_from = np.full(m + 1, m, dtype=np.intp)
-        nb = dst[starts[m]:starts[m + 1]]
-        best[nb] = wts[starts[m]:starts[m + 1]]
-
-        sensor_edges: list[tuple[int, int]] = []
-        linked: list[int] = []  # discovery-ordered super-root bridges
-        sr_root_of = dict(zip(sr_nodes.tolist(), sr_root.tolist()))
-        for _ in range(m):
-            v = int(np.argmin(best))
-            if not np.isfinite(best[v]):
-                return None  # candidate graph disconnected — cannot certify
-            u = int(best_from[v])
-            if u == m:
-                linked.append(v)
-            else:
-                sensor_edges.append((u, v))
-            in_tree[v] = True
-            best[v] = np.inf
-            nb = dst[starts[v]:starts[v + 1]]
-            nw = wts[starts[v]:starts[v + 1]]
-            better = (nw < best[nb]) & ~in_tree[nb]
-            best[nb[better]] = nw[better]
-            best_from[nb[better]] = v
-
-        # --- Un-contract + ownership, mirroring rooted_msf exactly. ---
-        root_links = [(int(sr_root_of[v]), v) for v in linked]
-        adj: list[list[int]] = [[] for _ in range(m)]
-        for u, v in sensor_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        owner = np.full(m, -1, dtype=np.intp)
-        for root, start in root_links:
-            stack = [start]
-            owner[start] = root
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if owner[y] == -1:
-                        owner[y] = root
-                        stack.append(y)
-        if np.any(owner == -1):
-            return None  # pragma: no cover - unreachable after a full Prim run
-
-        trees: list[list[tuple[int, int]]] = [[] for _ in range(roots.size)]
-        for root, sensor in root_links:
-            trees[root].append((int(roots[root]), int(g[sensor])))
-        for u, v in sensor_edges:
-            trees[int(owner[u])].append((int(g[u]), int(g[v])))
-    return RootedForest(roots=tuple(int(r) for r in roots),
-                        trees=tuple(tuple(t) for t in trees))
+        return _graph_forest(_uncontract(*found, best_root, roots.size), g, roots)

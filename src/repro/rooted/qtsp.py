@@ -29,15 +29,17 @@ from repro.tsp.tour import Tour
 __all__ = ["q_rooted_tsp", "tours_from_forest", "tours_total_cost"]
 
 
-def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int],
-                 *, refine: bool = False,
+def q_rooted_tsp(dist: np.ndarray | None, sensors: Sequence[int],
+                 depots: Sequence[int], *, refine: bool = False,
+                 coords: np.ndarray | None = None,
                  obs: Instrumentation | None = None) -> list[Tour]:
     """Solve the q-rooted TSP 2-approximately (Algorithm 2).
 
     Parameters
     ----------
     dist:
-        Full distance matrix.
+        Full distance matrix, or ``None`` with ``coords=``. Pass exactly
+        one.
     sensors:
         Graph indices of the to-be-charged sensors (may be empty).
     depots:
@@ -53,6 +55,10 @@ def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int]
         ``qtsp.calls`` counter and the ``qtsp.shortcut_saving`` value
         series (doubled-forest walk length minus the realised tour cost —
         what the Euler short-cutting step saves).
+    coords:
+        ``(N, 2)`` node coordinates: solve and measure from them instead
+        of a matrix (the tours are identical; see
+        :func:`~repro.rooted.msf.q_rooted_msf`).
 
     Returns
     -------
@@ -63,14 +69,14 @@ def q_rooted_tsp(dist: np.ndarray, sensors: Sequence[int], depots: Sequence[int]
     o.incr("qtsp.calls")
     sensors = list(sensors)
     with o.span("qtsp", sensors=len(sensors)):
-        forest = q_rooted_msf(dist, sensors, depots, obs=obs)
+        forest = q_rooted_msf(dist, sensors, depots, coords=coords, obs=obs)
         tours = tours_from_forest(forest)
         if refine:
-            tours = refine_tours(dist, tours, obs=obs)
+            tours = refine_tours(dist, tours, coords=coords, obs=obs)
     if o.enabled:
-        d = np.asarray(dist)
         o.observe("qtsp.shortcut_saving",
-                  2.0 * forest.weight(d) - tours_total_cost(d, tours))
+                  2.0 * forest.weight(dist, coords=coords)
+                  - tours_total_cost(dist, tours, coords=coords))
     return tours
 
 

@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.geometry.distance import distance_matrix
 from repro.obs.instrument import Instrumentation
 from repro.tsp.improve import or_opt, two_opt
 from repro.tsp.tour import Tour
@@ -19,20 +20,25 @@ from repro.tsp.tour import Tour
 __all__ = ["refine_tours"]
 
 
-def refine_tours(dist: np.ndarray, tours: Sequence[Tour],
-                 *, method: str = "2opt",
+def refine_tours(dist: np.ndarray | None, tours: Sequence[Tour],
+                 *, method: str = "2opt", coords: np.ndarray | None = None,
                  obs: Instrumentation | None = None) -> list[Tour]:
     """Improve each tour independently with local search.
 
     Parameters
     ----------
     dist:
-        Full distance matrix.
+        Full distance matrix, or ``None`` with ``coords=``. Pass exactly
+        one.
     tours:
         Tours to improve (depot assignments are never changed — the q-rooted
         structure, i.e. which charger serves which sensors, is preserved).
     method:
         ``"2opt"`` (default) or ``"2opt+oropt"`` for the heavier pipeline.
+    coords:
+        ``(N, 2)`` node coordinates. Each tour's ``k x k`` matrix over its
+        own nodes is then built from them instead of sliced out of
+        ``dist``; the entries, hence the refined tours, are identical.
     obs:
         Optional instrumentation context, forwarded to the improvers
         (``two_opt.passes`` / ``two_opt.moves`` counters and friends).
@@ -44,12 +50,17 @@ def refine_tours(dist: np.ndarray, tours: Sequence[Tour],
     """
     if method not in ("2opt", "2opt+oropt"):
         raise ConfigError(f"refine_tours: unknown method {method!r}")
-    d = np.asarray(dist)
+    if (dist is None) == (coords is None):
+        raise TypeError("refine_tours: pass exactly one of dist or coords=")
     out: list[Tour] = []
     for t in tours:
-        improved = two_opt(d, t, obs=obs)
+        # Relabel the tour to 0..k-1 over a matrix of its own nodes.
+        nodes = np.asarray(t.order, dtype=np.intp)
+        d = (np.asarray(dist)[np.ix_(nodes, nodes)] if coords is None
+             else distance_matrix(np.asarray(coords)[nodes]))
+        improved = two_opt(d, Tour(depot=0, order=tuple(range(nodes.size))), obs=obs)
         if method == "2opt+oropt":
             improved = or_opt(d, improved, obs=obs)
             improved = two_opt(d, improved, obs=obs)
-        out.append(improved)
+        out.append(t.with_order(nodes[list(improved.order)].tolist()))
     return out

@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import GraphError
 from repro.geometry.distance import distance_matrix
-from repro.rooted.msf import q_rooted_msf, rooted_msf
+from repro.obs.instrument import Instrumentation
+from repro.rooted.msf import DELAUNAY_MIN_SENSORS, q_rooted_msf, rooted_msf
 
 
 def brute_force_msf(dist: np.ndarray, sensors: list[int], depots: list[int]) -> float:
@@ -113,3 +114,93 @@ class TestQRootedMsf:
         w2 = q_rooted_msf(instance, list(range(8)), [8, 9]).weight(instance)
         w1 = q_rooted_msf(instance, list(range(8)), [8]).weight(instance)
         assert w2 <= w1 + 1e-9
+
+
+def _coords_vs_dense(coords, sensors, depots):
+    """The coords-path forest, the dense forest, and the coords path's counters."""
+    obs = Instrumentation()
+    got = q_rooted_msf(None, sensors, depots, coords=coords, obs=obs)
+    return got, q_rooted_msf(distance_matrix(coords), sensors, depots), obs.counters
+
+
+class TestCoordsPath:
+    """``q_rooted_msf(None, ..., coords=)``: the Delaunay path and the
+    planted inputs that must fall back to dense Prim and still agree."""
+
+    M = DELAUNAY_MIN_SENSORS + 40
+
+    def _with_depots(self, sensor_pts, rng, q=3):
+        depots = rng.uniform(0.0, 100.0, size=(q, 2)) + 0.3
+        coords = np.vstack([sensor_pts, depots])
+        m = len(sensor_pts)
+        return coords, list(range(m)), list(range(m, m + q))
+
+    def test_float_points_take_the_delaunay_path(self, rng):
+        coords, sensors, depots = self._with_depots(
+            rng.uniform(0.0, 100.0, size=(self.M, 2)), rng)
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert "msf.delaunay.fallbacks" not in counters
+        assert "kernel.prim.calls" not in counters
+        assert counters["msf.calls"] == 1
+        assert counters["msf.mst_rounds"] == self.M
+
+    def test_subset_in_graph_indices(self, rng):
+        # Sensors interleaved with depots and unsorted: the local labelling
+        # must map back to the caller's graph indices.
+        coords = rng.uniform(0.0, 100.0, size=(2 * self.M, 2))
+        order = rng.permutation(2 * self.M)
+        depots = [int(i) for i in order[:4]]
+        sensors = [int(i) for i in order[4:4 + self.M]]
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert "msf.delaunay.fallbacks" not in counters
+
+    def test_exact_lattice_falls_back_on_ties(self, rng):
+        side = int(np.ceil(np.sqrt(self.M)))
+        xs, ys = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()])
+        coords, sensors, depots = self._with_depots(lattice, rng)
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert counters["msf.delaunay.fallbacks"] == 1
+
+    def test_duplicated_point_falls_back(self, rng):
+        pts = rng.uniform(0.0, 100.0, size=(self.M, 2))
+        pts[-1] = pts[7]
+        coords, sensors, depots = self._with_depots(pts, rng)
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert counters["msf.delaunay.fallbacks"] == 1
+
+    def test_collinear_set_falls_back(self, rng):
+        t = np.sort(rng.uniform(0.0, 100.0, size=self.M))
+        coords, sensors, depots = self._with_depots(
+            np.column_stack([t, 0.5 * t + 3.0]), rng)
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert counters["msf.delaunay.fallbacks"] == 1
+
+    def test_sensor_on_a_depot_falls_back(self, rng):
+        # A zero-length super-root edge: the sparse MST cannot carry it.
+        coords, sensors, depots = self._with_depots(
+            rng.uniform(0.0, 100.0, size=(self.M, 2)), rng)
+        coords[depots[1]] = coords[sensors[5]]
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert counters["msf.delaunay.fallbacks"] == 1
+
+    def test_set_below_the_floor_runs_dense(self, rng):
+        coords, sensors, depots = self._with_depots(
+            rng.uniform(0.0, 100.0, size=(DELAUNAY_MIN_SENSORS - 1, 2)), rng)
+        got, dense, counters = _coords_vs_dense(coords, sensors, depots)
+        assert got == dense
+        assert counters["kernel.prim.calls"] == 1
+        assert "msf.delaunay.fallbacks" not in counters
+
+    def test_exactly_one_geometry_source(self, instance, rng):
+        coords = rng.uniform(0, 100, size=(10, 2))
+        with pytest.raises(TypeError, match="exactly one"):
+            q_rooted_msf(instance, [0, 1], [8], coords=coords)
+        with pytest.raises(TypeError, match="exactly one"):
+            q_rooted_msf(None, [0, 1], [8])
