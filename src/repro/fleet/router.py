@@ -24,11 +24,11 @@ filter the ring at route time: the ring itself is static over all shard
 ids, so a dead shard's keys fall deterministically to the next preferred
 shard and fall *back* when it returns — no rehashing storms.
 
-The router never parses network geometry into a full
-:class:`~repro.network.model.SensorNetwork`; it recomputes the geometry
-fingerprint directly from the JSON document (same bytes, same hash), so
-routing stays O(payload) with no O(n^2) distance-matrix work on the
-front end.
+The router keys on the same :attr:`SensorNetwork.geometry_fingerprint`
+the shards compute: it decodes the request's network document with the
+shards' own columnar decoder (:func:`~repro.serve.server.request_network`)
+and hashes its coordinates, so routing stays O(payload) with no O(n^2)
+distance-matrix work on the front end.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
-import numpy as np
-
 from repro.errors import ConfigError, ReproError
-from repro.io.files import unwrap_envelope
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import (
     DeltaEmitter,
@@ -68,6 +65,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
+from repro.serve.server import request_network
 
 from repro.fleet.hashring import HashRing
 
@@ -82,26 +80,15 @@ _SHARDED_TYPES = frozenset({"plan", "simulate"})
 def routing_key(params: dict[str, Any]) -> str:
     """The consistent-hash key of one ``plan``/``simulate`` request.
 
-    Recomputes ``SensorNetwork.geometry_fingerprint`` straight from the
-    request's network document (sensors-then-depots float64 coordinates,
-    the same bytes the model hashes) without building the network. A
-    request whose network is malformed still routes — by the sha256 of
-    its canonical JSON — so the owning shard's validation produces the
-    same ``bad_request`` a single node would.
+    The ``SensorNetwork.geometry_fingerprint`` of the request's network,
+    decoded exactly as a shard decodes it. A request whose network is
+    malformed still routes — by the sha256 of its canonical JSON — so the
+    owning shard's validation produces the same ``bad_request`` a single
+    node would.
     """
     try:
-        doc = unwrap_envelope(params.get("network"), "sensor-network")
-        sensors = doc["sensors"]
-        depots = doc["depots"]
-        coords = np.asarray(
-            [[float(s["x"]), float(s["y"])] for s in sensors]
-            + [[float(x), float(y)] for x, y in depots],
-            dtype=np.float64).reshape(-1, 2)
-        h = hashlib.sha256()
-        h.update(f"geom|n={len(sensors)}|q={len(depots)}|".encode())
-        h.update(np.ascontiguousarray(coords).tobytes())
-        return h.hexdigest()
-    except (ReproError, KeyError, TypeError, ValueError):
+        return request_network(params).geometry_fingerprint
+    except ReproError:
         return hashlib.sha256(
             json.dumps(params, sort_keys=True, default=str).encode("utf-8")
         ).hexdigest()

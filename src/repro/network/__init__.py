@@ -5,8 +5,9 @@ This package is the paper's Section III ("Preliminaries") made concrete:
 * :class:`~repro.network.sensor.Sensor` / :class:`~repro.network.depot.Depot`
   / :class:`~repro.network.depot.BaseStation` — the node types.
 * :class:`~repro.network.model.SensorNetwork` — an immutable network
-  instance exposing the complete metric graph ``G = (V ∪ R, E; w)`` as a
-  dense distance matrix with the convention *sensors first, depots after*.
+  instance stored as columns (coordinates, cycles, batteries) with the
+  convention *sensors first, depots after*; the complete metric graph
+  ``G = (V ∪ R, E; w)`` is its lazily built dense distance matrix.
 * :mod:`~repro.network.deployment` — uniform random deployment in the
   1000 m x 1000 m area, one depot co-located with the central base station.
 * :mod:`~repro.network.cycles` — the two charging-cycle distributions of

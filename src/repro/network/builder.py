@@ -19,7 +19,6 @@ from repro.network.deployment import (
 )
 from repro.network.depot import BaseStation, Depot
 from repro.network.model import SensorNetwork
-from repro.network.sensor import Sensor
 
 __all__ = ["NetworkBuilder", "build_paper_network"]
 
@@ -136,14 +135,12 @@ class NetworkBuilder:
         if self._cycles.shape != (n,):
             raise NetworkModelError(
                 f"NetworkBuilder: {self._cycles.shape[0]} cycles for {n} sensors")
-        batteries = np.broadcast_to(np.asarray(self._batteries, dtype=np.float64), (n,))
-        sensors = tuple(
-            Sensor(id=i, position=p, cycle=float(c), battery=float(b))
-            for i, (p, c, b) in enumerate(
-                zip(self._sensor_positions, self._cycles, batteries))
-        )
-        return SensorNetwork(sensors=sensors, depots=tuple(self._depots),
-                             base_station=self._base, area=self.area)
+        positions = self._sensor_positions + [d.position for d in self._depots]
+        return SensorNetwork(
+            coordinates=points_to_array(positions), cycles=self._cycles,
+            batteries=np.broadcast_to(
+                np.asarray(self._batteries, dtype=np.float64), (n,)),
+            base_station=self._base, area=self.area)
 
 
 def build_paper_network(n: int = 200, q: int = 5,

@@ -61,14 +61,6 @@ class Sensor:
         """Nominal energy-consumption rate ``rho_i = B_i / tau_i``."""
         return self.battery / self.cycle
 
-    def with_cycle(self, cycle: float) -> "Sensor":
-        """Copy of this sensor with a different maximum charging cycle.
-
-        Used by variable-cycle workloads, which redraw cycles per time slot.
-        """
-        return Sensor(id=self.id, position=self.position, cycle=cycle,
-                      battery=self.battery)
-
     def lifetime_from(self, energy: float) -> float:
         """Residual lifetime when holding ``energy`` units and draining at
         the nominal rate."""

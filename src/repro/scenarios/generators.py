@@ -30,7 +30,6 @@ Sizes are deliberately small (24–48 sensors): the suite is a regression
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -103,20 +102,16 @@ def _heterogeneous_batteries(network: SensorNetwork, topo_seed: int,
                              battery_range: tuple[float, float]) -> SensorNetwork:
     """Replace unit batteries with capacities drawn from ``battery_range``.
 
-    Geometry, depots and cycles are untouched — only ``Sensor.battery``
-    changes, so the geometry fingerprint (and every cached tour) is shared
-    with the homogeneous twin. The draw is seeded from the topology's
-    child seed under a dedicated spawn key, independent of the builder's
-    own substreams.
+    Geometry, depots and cycles are untouched — only the batteries column
+    changes, so the copy shares the homogeneous twin's coordinate array
+    and geometry fingerprint (and so every cached tour). The draw is
+    seeded from the topology's child seed under a dedicated spawn key,
+    independent of the builder's own substreams.
     """
     lo, hi = battery_range
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=topo_seed, spawn_key=_BATTERY_SPAWN_KEY))
-    batteries = rng.uniform(lo, hi, size=network.n)
-    sensors = tuple(dataclasses.replace(s, battery=float(b))
-                    for s, b in zip(network.sensors, batteries))
-    return SensorNetwork(sensors=sensors, depots=network.depots,
-                         base_station=network.base_station, area=network.area)
+    return network.with_batteries(rng.uniform(lo, hi, size=network.n))
 
 
 def build_instance(spec: ScenarioSpec, topology: int = 0) -> ScenarioInstance:

@@ -57,6 +57,7 @@ import numpy as np
 from repro.errors import ConfigError, ReproError, ServeError
 from repro.io.files import unwrap_envelope
 from repro.io.network_json import network_from_dict
+from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation
 from repro.obs.live import DeltaEmitter, quantile_table
 from repro.obs.log import get_logger
@@ -78,7 +79,8 @@ from repro.serve.protocol import (
 from repro.serve.worker import (execute_plan, execute_simulate,
                                 flush_worker_cache, init_worker)
 
-__all__ = ["ServeConfig", "PlanningServer", "ServerThread", "serve", "plan_key"]
+__all__ = ["ServeConfig", "PlanningServer", "ServerThread", "serve", "plan_key",
+           "request_network"]
 
 log = get_logger(__name__)
 
@@ -158,7 +160,23 @@ class ServeConfig:
                 f"serve: plan_responses must be >= 0, got {self.plan_responses}")
 
 
-def plan_key(params: dict[str, Any]) -> tuple:
+def request_network(params: dict[str, Any]) -> SensorNetwork:
+    """Decode the network a ``plan``/``simulate`` request carries.
+
+    The document is a :func:`~repro.io.network_json.network_to_dict`
+    output, bare or inside the ``save_network`` file envelope. The server
+    decodes it once, in the parent, and hands the decoded network to the
+    executor job; workers never see the document.
+
+    Raises
+    ------
+    ReproError
+        On a wrong envelope or a malformed network document.
+    """
+    return network_from_dict(unwrap_envelope(params.get("network"), "sensor-network"))
+
+
+def plan_key(params: dict[str, Any], network: SensorNetwork | None = None) -> tuple:
     """The single-flight / response-cache key of one ``plan`` request.
 
     ``(geometry fingerprint, cycles digest, horizon, refine, base)`` — the
@@ -167,15 +185,16 @@ def plan_key(params: dict[str, Any]) -> tuple:
     geometry and the cycles digest pins the quantisation (hence every
     coverage set) built on top of it. The load-testing ``delay`` knob is
     deliberately excluded, and so is the ignored legacy kernel-selection
-    field (see :mod:`repro.serve.protocol`).
+    field (see :mod:`repro.serve.protocol`). ``network`` is the request's
+    already decoded network; without it the document is decoded here.
 
     Raises
     ------
     ServeError
-        (``bad_request``) when the envelope around the network is invalid;
-        ``ReproError`` propagates from a malformed network document.
+        (``bad_request``) when ``horizon``, ``refine`` or ``base`` is
+        invalid; ``ReproError`` propagates from :func:`request_network`.
     """
-    net = network_from_dict(unwrap_envelope(params.get("network"), "sensor-network"))
+    net = network if network is not None else request_network(params)
     try:
         horizon = float(params["horizon"])
         refine = bool(params.get("refine", False))
@@ -352,7 +371,8 @@ class PlanningServer(FrontEnd):
     # --------------------------------------------------------------- commands
     async def _plan(self, req: Request) -> dict[str, Any]:
         try:
-            key = plan_key(req.params)
+            net = request_network(req.params)
+            key = plan_key(req.params, net)
         except ServeError as exc:
             return error_response(req.id, exc.code, str(exc))
         except ReproError as exc:
@@ -370,7 +390,8 @@ class PlanningServer(FrontEnd):
             rejected = self._admit(req)
             if rejected is not None:
                 return rejected
-            task = asyncio.get_running_loop().create_task(self._run_plan(key, req.params))
+            task = asyncio.get_running_loop().create_task(
+                self._run_plan(key, net, req.params))
             self._jobs.add(task)
             task.add_done_callback(self._jobs.discard)
             flight = self._flights[key] = _Flight(task)
@@ -385,11 +406,15 @@ class PlanningServer(FrontEnd):
         return ok_response(req.id, result)
 
     async def _simulate(self, req: Request) -> dict[str, Any]:
+        try:
+            net = request_network(req.params)
+        except ReproError as exc:
+            return error_response(req.id, BAD_REQUEST, str(exc))
         rejected = self._admit(req)
         if rejected is not None:
             return rejected
         task = asyncio.get_running_loop().create_task(
-            self._run_job(execute_simulate, req.params))
+            self._run_job(execute_simulate, net, req.params))
         self._jobs.add(task)
         task.add_done_callback(self._jobs.discard)
         result = await self._await_job(req, task, flight=None)
@@ -410,15 +435,19 @@ class PlanningServer(FrontEnd):
         self.obs.observe("serve.queue_depth", self._pending)
         return None
 
-    def _submit(self, fn: Callable, params: dict[str, Any]) -> "asyncio.Future":
+    def _submit(self, fn: Callable, net: SensorNetwork,
+                params: dict[str, Any]) -> "asyncio.Future":
         loop = asyncio.get_running_loop()
+        # The job carries the decoded network, never the document again.
+        job = {k: v for k, v in params.items() if k != "network"}
         if self._shared_cache is not None:  # thread mode: pass the shared tiers
             return loop.run_in_executor(
-                self._executor, partial(fn, params, cache=self._shared_cache,
+                self._executor, partial(fn, net, job, cache=self._shared_cache,
                                         store=self._shared_store))
-        return loop.run_in_executor(self._executor, fn, params)
+        return loop.run_in_executor(self._executor, fn, net, job)
 
-    async def _run_job(self, fn: Callable, params: dict[str, Any]) -> dict[str, Any]:
+    async def _run_job(self, fn: Callable, net: SensorNetwork,
+                       params: dict[str, Any]) -> dict[str, Any]:
         """One admitted executor job; always releases its admission slot.
 
         A worker failure hard enough to break the pool (e.g. a killed
@@ -429,7 +458,7 @@ class PlanningServer(FrontEnd):
         """
         executor = self._executor
         try:
-            result, snap = await self._submit(fn, params)
+            result, snap = await self._submit(fn, net, params)
         except BrokenExecutor:
             self._rebuild_executor(executor)
             raise
@@ -454,10 +483,11 @@ class PlanningServer(FrontEnd):
         self._executor = self._new_executor()
         broken.shutdown(wait=False, cancel_futures=True)
 
-    async def _run_plan(self, key: tuple, params: dict[str, Any]) -> dict[str, Any]:
+    async def _run_plan(self, key: tuple, net: SensorNetwork,
+                        params: dict[str, Any]) -> dict[str, Any]:
         """A plan job: a :meth:`_run_job` that is single-flight registered."""
         try:
-            result = await self._run_job(execute_plan, params)
+            result = await self._run_job(execute_plan, net, params)
         finally:
             self._flights.pop(key, None)
         self._remember(key, result)

@@ -33,8 +33,8 @@ import time
 from typing import Any
 
 from repro.io.files import unwrap_envelope
-from repro.io.network_json import network_from_dict
 from repro.io.plan_json import plan_from_dict, plan_to_dict
+from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, StatsSnapshot
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.store import PlanArtifactStore
@@ -137,21 +137,20 @@ def _inject_fault(payload: dict[str, Any]) -> None:
     raise RuntimeError(f"injected worker fault: {fault}")
 
 
-def execute_plan(payload: dict[str, Any],
+def execute_plan(net: SensorNetwork, payload: dict[str, Any],
                  cache: PlanArtifactCache | None = None,
                  store: PlanArtifactStore | None = None,
                  ) -> tuple[dict[str, Any], StatsSnapshot]:
-    """Run one ``plan`` command: network document → plan document.
+    """Run one ``plan`` command: network → plan document.
 
-    ``payload`` carries ``network`` (a
-    :func:`~repro.io.network_json.network_to_dict` document, bare or inside
-    the ``save_network`` file envelope), ``horizon``, and optional
-    ``refine``/``base``/``delay``. Planning goes through
-    Algorithm 3 (:func:`~repro.core.mintotal.min_total_distance`, i.e. the
-    staged :func:`~repro.plan.pipeline.build_block` pipeline) against the
-    worker's resident cache (``cache`` overrides the process-global one —
-    the thread-mode server passes its shared instance here). Library errors
-    (malformed network, bad horizon) propagate as
+    ``net`` is the request's network, decoded once by the server parent
+    (a process pool ships it as its columns); ``payload`` carries
+    ``horizon`` and optional ``refine``/``base``/``delay``. Planning goes
+    through Algorithm 3 (:func:`~repro.core.mintotal.min_total_distance`,
+    i.e. the staged :func:`~repro.plan.pipeline.build_block` pipeline)
+    against the worker's resident cache (``cache`` overrides the
+    process-global one — the thread-mode server passes its shared instance
+    here). Library errors (e.g. a bad horizon) propagate as
     :class:`~repro.errors.ReproError` and become ``bad_request`` responses
     server-side.
     """
@@ -160,7 +159,6 @@ def execute_plan(payload: dict[str, Any],
     obs = Instrumentation()
     _synthetic_delay(payload)
     _inject_fault(payload)
-    net = network_from_dict(unwrap_envelope(payload["network"], "sensor-network"))
     horizon = float(payload["horizon"])
     result = min_total_distance(
         net, horizon,
@@ -179,16 +177,18 @@ def execute_plan(payload: dict[str, Any],
     return out, _strip_events(obs.snapshot())
 
 
-def execute_simulate(payload: dict[str, Any],
+def execute_simulate(net: SensorNetwork, payload: dict[str, Any],
                      cache: PlanArtifactCache | None = None,
                      store: PlanArtifactStore | None = None,
                      ) -> tuple[dict[str, Any], StatsSnapshot]:
-    """Run one ``simulate`` command: (network, plan) documents → metrics.
+    """Run one ``simulate`` command: (network, plan document) → metrics.
 
-    ``cache``/``store`` are accepted for submission-path uniformity and
-    unused — simulation replays a finished plan, so it has no plan
-    artifacts to reuse. Replays the plan with the planned policy under the
-    network's nominal fixed workload over the plan's own horizon;
+    ``net`` is the request's decoded network, as for :func:`execute_plan`;
+    ``payload`` carries the ``plan`` document. ``cache``/``store`` are
+    accepted for submission-path uniformity and unused — simulation
+    replays a finished plan, so it has no plan artifacts to reuse. Replays
+    the plan with the planned policy under the network's nominal fixed
+    workload over the plan's own horizon;
     :meth:`~repro.core.schedule.SchedulePlan.validate_for` rejects a
     plan/network mismatch before any simulation work happens.
 
@@ -208,7 +208,6 @@ def execute_simulate(payload: dict[str, Any],
     obs = Instrumentation()
     _synthetic_delay(payload)
     _inject_fault(payload)
-    net = network_from_dict(unwrap_envelope(payload["network"], "sensor-network"))
     plan = plan_from_dict(unwrap_envelope(payload["plan"], "schedule-plan"))
     plan.validate_for(net)
     dynamics = None

@@ -39,7 +39,7 @@ def warm():
     """An n=300 geometry whose tours are all in the worker cache."""
     doc = network_to_dict(build_paper_network(n=300, q=4, seed=11))
     cache = PlanArtifactCache()
-    cold, _ = execute_plan({"network": doc, "horizon": 200.0}, cache=cache)
+    cold, _ = execute_plan(network_from_dict(doc), {"horizon": 200.0}, cache=cache)
     return doc, cache, cold
 
 
@@ -56,17 +56,17 @@ def test_warm_plan_at_unseen_horizon_builds_no_matrix(warm, monkeypatch):
     ref = min_total_distance(net, 333.0)
     ref_cost = ref.plan.total_cost(net.dist)
     monkeypatch.setattr(model, "distance_matrix", _no_matrix)
-    out, _ = execute_plan({"network": doc, "horizon": 333.0}, cache=cache)
+    out, _ = execute_plan(network_from_dict(doc), {"horizon": 333.0}, cache=cache)
     assert out["plan"] == plan_to_dict(ref.plan)
     assert out["service_cost"] == ref_cost
 
 
 def test_storm_simulate_builds_no_matrix(warm, monkeypatch):
     doc, _, cold = warm
-    payload = {"network": doc, "plan": cold["plan"], "dynamics": STORM}
-    ref, _ = execute_simulate(payload)
+    payload = {"plan": cold["plan"], "dynamics": STORM}
+    ref, _ = execute_simulate(network_from_dict(doc), payload)
     monkeypatch.setattr(model, "distance_matrix", _no_matrix)
-    out, _ = execute_simulate(payload)
+    out, _ = execute_simulate(network_from_dict(doc), payload)
     assert out == ref
     assert out["n_failures"] > 0 and out["n_dispatches"] > 0
 
@@ -79,7 +79,7 @@ def test_cold_plan_builds_no_matrix(refine, monkeypatch):
     ref = plan_to_dict(min_total_distance(network_from_dict(doc), 300.0,
                                           refine=refine).plan)
     monkeypatch.setattr(model, "distance_matrix", _no_matrix)
-    out, _ = execute_plan({"network": doc, "horizon": 300.0, "refine": refine},
+    out, _ = execute_plan(network_from_dict(doc), {"horizon": 300.0, "refine": refine},
                           cache=PlanArtifactCache())
     assert out["plan"] == ref
     uncached = min_total_distance(network_from_dict(doc), 300.0, refine=refine)
@@ -92,11 +92,11 @@ def test_small_cold_plan_never_imports_scipy():
     import time or memory."""
     code = (
         "import sys\n"
-        "from repro.io.network_json import network_to_dict\n"
+        "from repro.io.network_json import network_from_dict, network_to_dict\n"
         "from repro.network.builder import build_paper_network\n"
         "from repro.serve.worker import execute_plan\n"
         "doc = network_to_dict(build_paper_network(n=50, q=5, seed=1))\n"
-        "execute_plan({'network': doc, 'horizon': 300.0, 'refine': True})\n"
+        "execute_plan(network_from_dict(doc), {'horizon': 300.0, 'refine': True})\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

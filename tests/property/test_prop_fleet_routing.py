@@ -1,14 +1,13 @@
-"""Property test for the fleet router's no-rebuild routing fast path.
+"""Property test for the fleet router's routing key.
 
-The router computes a request's consistent-hash key straight from the
-JSON network document (:func:`repro.fleet.router.routing_key`) without
-constructing a :class:`~repro.network.model.SensorNetwork` — an O(n)
-byte hash instead of the full O(n^2) distance-matrix build. That is only
-sound if the shortcut and the model agree on every network the fleet can
-see, so: for arbitrary generated scenarios, the routing key of the
-network *document* must equal ``geometry_fingerprint`` of the fully
-parsed network — bare payload, envelope-wrapped, and after a JSON wire
-round trip.
+The router keys a request on the geometry fingerprint of its network
+document (:func:`repro.fleet.router.routing_key`), decoded with the same
+columnar decoder the shards use — an O(n) byte hash, no O(n^2)
+distance-matrix build. Routing is only sound if that key equals the
+model's ``geometry_fingerprint`` on every network the fleet can see, so:
+for arbitrary generated scenarios, the routing key of the network
+*document* must equal ``geometry_fingerprint`` of the network — bare
+payload, envelope-wrapped, and after a JSON wire round trip.
 """
 
 import json

@@ -1,23 +1,28 @@
 """Unit tests for :mod:`repro.network.model`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import NetworkModelError
 from repro.geometry.bbox import Rect
 from repro.geometry.point import Point
+from repro.io.network_json import network_from_dict
+from repro.network.builder import build_paper_network
 from repro.network.depot import BaseStation, Depot
 from repro.network.model import SensorNetwork
 from repro.network.sensor import Sensor
+from repro.serve.server import plan_key
 
 
 def _net():
     sensors = tuple(Sensor(id=i, position=Point(10 * i, 0), cycle=float(i + 1))
                     for i in range(4))
     depots = (Depot(id=0, position=Point(0, 50)), Depot(id=1, position=Point(30, 50)))
-    return SensorNetwork(sensors=sensors, depots=depots,
-                         base_station=BaseStation(Point(15, 0)),
-                         area=Rect.square(100.0))
+    return SensorNetwork.from_sensors(sensors, depots,
+                                      base_station=BaseStation(Point(15, 0)),
+                                      area=Rect.square(100.0))
 
 
 class TestIndexing:
@@ -107,14 +112,14 @@ class TestValidation:
     def test_rejects_bad_sensor_ids(self):
         sensors = (Sensor(id=1, position=Point(0, 0), cycle=1.0),)
         with pytest.raises(NetworkModelError, match="ids must be"):
-            SensorNetwork(sensors=sensors,
-                          depots=(Depot(id=0, position=Point(1, 1)),),
-                          base_station=BaseStation(Point(0, 0)))
+            SensorNetwork.from_sensors(sensors,
+                                       depots=(Depot(id=0, position=Point(1, 1)),),
+                                       base_station=BaseStation(Point(0, 0)))
 
     def test_rejects_empty(self):
         with pytest.raises(NetworkModelError):
-            SensorNetwork(sensors=(), depots=(Depot(id=0, position=Point(0, 0)),),
-                          base_station=BaseStation(Point(0, 0)))
+            SensorNetwork.from_sensors((), (Depot(id=0, position=Point(0, 0)),),
+                                       base_station=BaseStation(Point(0, 0)))
 
 
 class TestMembershipMask:
@@ -132,3 +137,98 @@ class TestMembershipMask:
             net.membership_mask(offline=[4])
         with pytest.raises(NetworkModelError):
             net.membership_mask(offline=[-1])
+
+
+class TestColumns:
+    def test_columns_are_read_only(self):
+        net = _net()
+        for column in (net.coordinates, net.cycles, net.batteries):
+            assert column.dtype == np.float64 and not column.flags.writeable
+
+    def test_writable_argument_is_copied(self):
+        coordinates = np.array([[0.0, 0.0], [1.0, 1.0]])
+        net = SensorNetwork(coordinates, [1.0], [1.0], BaseStation(Point(0, 0)))
+        coordinates[0, 0] = 99.0
+        assert net.coordinates[0, 0] == 0.0
+
+    @pytest.mark.parametrize("coordinates, cycles, batteries, match", [
+        ([[0, 0], [1, 1]], [], [], "at least one sensor"),
+        ([[0, 0]], [1.0], [1.0], "at least one depot"),
+        ([[0, 0], [np.nan, 1]], [1.0], [1.0], "finite"),
+        ([[0, 0], [1, 1]], [0.0], [1.0], "cycles must be positive"),
+        ([[0, 0], [1, 1]], [1.0], [np.inf], "batteries must be positive"),
+        ([[0, 0], [1, 1]], [1.0], [1.0, 1.0], "batteries"),
+        ([0, 0, 1, 1], [1.0], [1.0], "shape"),
+    ])
+    def test_validation(self, coordinates, cycles, batteries, match):
+        with pytest.raises(NetworkModelError, match=match):
+            SensorNetwork(coordinates, cycles, batteries, BaseStation(Point(0, 0)))
+
+    def test_derived_objects_match_the_columns(self):
+        net = _net()
+        assert [s.id for s in net.sensors] == [0, 1, 2, 3]
+        assert net.sensors[2].position == Point(20.0, 0.0)
+        assert net.sensors[3].cycle == 4.0 and net.sensors[3].battery == 1.0
+        assert [d.position for d in net.depots] == [Point(0, 50), Point(30, 50)]
+
+    def test_copies_share_the_geometry(self):
+        net = _net()
+        fingerprint = net.geometry_fingerprint
+        for copy in (net.with_cycles([5, 6, 7, 8]), net.with_batteries([2, 2, 2, 2])):
+            assert copy.coordinates is net.coordinates
+            assert copy.__dict__["geometry_fingerprint"] == fingerprint
+            assert "sensors" not in copy.__dict__
+        assert net.with_batteries([2, 2, 2, 2]).cycles is net.cycles
+        np.testing.assert_array_equal(net.with_batteries([2, 3, 4, 5]).batteries,
+                                      [2, 3, 4, 5])
+
+    def test_with_batteries_wrong_shape(self):
+        with pytest.raises(NetworkModelError):
+            _net().with_batteries([1.0])
+
+
+class TestPickle:
+    def test_pickles_as_its_columns_only(self):
+        net = build_paper_network(n=400, q=4, seed=2)
+        size = len(pickle.dumps(net))
+        # O(n): the three columns' bytes plus a constant
+        assert size < 8 * (2 * net.n_nodes + 2 * net.n) + 2048
+        net.dist, net.sensors, net.depots, net.rates, net.base_distances
+        assert net.geometry_fingerprint
+        blob = pickle.dumps(net)
+        assert len(blob) == size
+        loaded = pickle.loads(blob)
+        assert set(vars(loaded)) == {"coordinates", "cycles", "batteries",
+                                     "base_station", "area"}
+        for name in ("coordinates", "cycles", "batteries"):
+            assert getattr(loaded, name).tobytes() == getattr(net, name).tobytes()
+            assert not getattr(loaded, name).flags.writeable
+        assert loaded.geometry_fingerprint == net.geometry_fingerprint
+        assert (loaded.base_station, loaded.area) == (net.base_station, net.area)
+
+
+#: One fixed document and the digests the object-backed model gave it;
+#: plan keys, artifact-store keys and fleet routing all hash these bytes.
+PINNED_DOC = {
+    "area": [0.0, 0.0, 1000.0, 1000.0],
+    "base_station": [500.0, 500.0],
+    "sensors": [
+        {"x": 12.5, "y": 801.25, "cycle": 3.0, "battery": 1.0},
+        {"x": 433.0625, "y": 19.75, "cycle": 7.5, "battery": 2.25},
+        {"x": 977.125, "y": 640.5, "cycle": 1.0, "battery": 0.5},
+        {"x": 250.0, "y": 250.0, "cycle": 12.0, "battery": 1.0},
+        {"x": 0.1, "y": 999.9, "cycle": 0.3, "battery": 1.0},
+    ],
+    "depots": [[500.0, 500.0], [100.3, 700.7]],
+}
+PINNED_FINGERPRINT = "26e17bcaf6c68f4c89b0b8e14cb3e68465cb7d3703b79a92df100cb9ef327118"
+PINNED_CYCLES = "d8bc7c3d0dcba6f43f90b6d1199510389b70583aeb7a2bb1510cc82f6b370eec"
+
+
+class TestPinnedDigests:
+    def test_geometry_fingerprint(self):
+        assert network_from_dict(PINNED_DOC).geometry_fingerprint == PINNED_FINGERPRINT
+
+    def test_plan_key(self):
+        params = {"network": PINNED_DOC, "horizon": 120.0, "refine": True, "base": 2}
+        assert plan_key(params) == (PINNED_FINGERPRINT, PINNED_CYCLES, 120.0, True, 2)

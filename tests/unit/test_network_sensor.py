@@ -20,13 +20,6 @@ class TestSensor:
         assert s.battery == 1.0
         assert s.rate == pytest.approx(0.1)
 
-    def test_with_cycle_preserves_rest(self):
-        s = Sensor(id=3, position=Point(1, 2), cycle=4.0, battery=2.0)
-        s2 = s.with_cycle(8.0)
-        assert (s2.id, s2.position, s2.battery) == (3, Point(1, 2), 2.0)
-        assert s2.cycle == 8.0
-        assert s.cycle == 4.0  # original untouched
-
     def test_lifetime_from(self):
         s = Sensor(id=0, position=Point(0, 0), cycle=10.0)
         assert s.lifetime_from(1.0) == pytest.approx(10.0)
