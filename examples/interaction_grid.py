@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
-"""Exploring parameter interactions with a grid sweep.
+"""Exploring parameter interactions with a grid of sweeps.
 
 The paper varies one parameter at a time. This example asks an interaction
 question its evaluation leaves open: *does the value of extra chargers
-depend on network size?* — by sweeping the (n, q) grid and printing the
-MTD/Greedy cost-ratio heatmap as text.
+depend on network size?* — by running one q-sweep per network size n and
+printing the MTD/Greedy cost-ratio heatmap as text.
 
 Run:  python examples/interaction_grid.py
 """
 
-from repro.experiments import ExperimentConfig
-from repro.experiments.grid import grid_sweep
+from repro.experiments import ExperimentConfig, sweep
 from repro.reporting import format_table
 
 N_VALUES = [100, 200, 300]
@@ -22,18 +21,16 @@ def main() -> None:
                             algorithms=("mtd", "greedy"))
     print(f"grid: n in {N_VALUES} x q in {Q_VALUES} "
           f"({base.n_topologies} topologies per cell) ...\n")
-    grid = grid_sweep(base, {"n": N_VALUES, "q": Q_VALUES})
+    sweeps = [sweep(base.with_(n=n), "q", Q_VALUES) for n in N_VALUES]
 
-    ratios = grid.ratio_tensor("mtd", "greedy")
-    rows = [[n] + [float(ratios[i, j]) for j in range(len(Q_VALUES))]
-            for i, n in enumerate(N_VALUES)]
+    rows = [[n] + [float(r) for r in s.ratio_series("mtd", "greedy")]
+            for n, s in zip(N_VALUES, sweeps)]
     print("MTD/Greedy mean cost ratio (rows: n, columns: q):")
     print(format_table(["n \\ q"] + [str(q) for q in Q_VALUES], rows,
                        precision=3))
 
-    costs = grid.cost_tensor("mtd")
-    rows = [[n] + [float(costs[i, j]) / 1000.0 for j in range(len(Q_VALUES))]
-            for i, n in enumerate(N_VALUES)]
+    rows = [[n] + [float(c) / 1000.0 for c in s.series("mtd")[1]]
+            for n, s in zip(N_VALUES, sweeps)]
     print("\nMTD mean service cost (km):")
     print(format_table(["n \\ q"] + [str(q) for q in Q_VALUES], rows,
                        precision=0))

@@ -63,7 +63,8 @@ each other on one :class:`~repro.check.scenario.Scenario`:
     number-for-number (metrics).
 ``executor``
     :func:`~repro.experiments.runner.run_cell` with ``jobs=2`` must be
-    bit-identical to the serial run.
+    bit-identical to the serial run, on a fixed-cycle, a variable-cycle
+    and a failure + churn dynamics cell.
 
 Checks *report* failures (as :class:`CheckFailure` values) rather than
 raising, so the fuzzer can count, continue, and shrink.
@@ -606,24 +607,33 @@ class ScenarioChecker:
         # The executor differential is scenario-seeded but runs the
         # library's own topology generator (run_cell is a fixed pipeline);
         # the scenario contributes the seed so each fuzz iteration
-        # exercises a different stream.
+        # exercises a different stream. Three cells: fixed cycles,
+        # variable cycles (the adaptive re-planner) and failure + churn
+        # dynamics (replayed event sources).
         seed = scenario.stable_digest() % (2 ** 31)
-        config = ExperimentConfig(
+        fixed = ExperimentConfig(
             n=12, q=2, side=200.0, horizon=60.0, tau_min=1.0, tau_max=8.0,
             algorithms=("mtd", "greedy"), n_topologies=2, seed=seed)
-        serial = run_cell(config, jobs=1)
-        parallel = run_cell(config, jobs=2)
+        cells = (fixed,
+                 fixed.with_(variable=True, slot_duration=10.0,
+                             algorithms=("mtd-var", "greedy")),
+                 fixed.with_(failure_rate=0.05, failure_mttr=5.0,
+                             churn_rate=0.1, churn_downtime=5.0,
+                             dynamics_seed=seed))
         failures: list[CheckFailure] = []
-        for s, p in zip(serial.results, parallel.results):
-            for attr in ("costs", "deaths", "dispatches"):
-                a = getattr(s, attr)
-                b = getattr(p, attr)
-                if not np.array_equal(a, b):
-                    failures.append(CheckFailure(
-                        "executor", f"{s.algorithm}: {attr} differ between "
-                                    f"jobs=1 ({a.tolist()}) and jobs=2 "
-                                    f"({b.tolist()}) — parallel runs must be "
-                                    f"bit-identical"))
+        for config in cells:
+            serial = run_cell(config, jobs=1)
+            parallel = run_cell(config, jobs=2)
+            for s, p in zip(serial.results, parallel.results):
+                for attr in ("costs", "deaths", "dispatches"):
+                    a = getattr(s, attr)
+                    b = getattr(p, attr)
+                    if not np.array_equal(a, b):
+                        failures.append(CheckFailure("executor", (
+                            f"{config.describe()} {s.algorithm}: {attr} "
+                            f"differ between jobs=1 ({a.tolist()}) and "
+                            f"jobs=2 ({b.tolist()}) — parallel runs must "
+                            f"be bit-identical")))
         return failures
 
     # ----------------------------------------------------------- serve fixture

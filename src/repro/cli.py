@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--csv", default=None, metavar="PATH",
                      help="export the series to a CSV file")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes per cell (topology jobs; results "
+                     help="worker processes per sweep (topology jobs; results "
                           "are bit-identical to --jobs 1)")
     run.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persist plan artifacts to this on-disk store; "
@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", default="EXPERIMENTS.md", metavar="PATH",
                         help="output markdown file (default: EXPERIMENTS.md)")
     report.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes per cell (topology jobs; results "
+                        help="worker processes per sweep (topology jobs; results "
                              "are bit-identical to --jobs 1)")
     report.add_argument("--quiet", action="store_true")
 

@@ -63,7 +63,7 @@ class FigureSpec:
             jobs: int = 1, cache_dir: str | None = None,
             overrides: dict | None = None) -> SweepResult:
         """Execute the sweep (coarse grid unless ``full``); ``jobs > 1``
-        fans each cell's topology jobs onto a process pool, ``cache_dir``
+        fans the sweep's topology jobs onto one process pool, ``cache_dir``
         persists plan artifacts across runs (same results either way).
         ``overrides`` patches the base config before sweeping (e.g.
         ``{"failure_rate": 0.01, "failure_mttr": 5.0}`` re-runs any paper

@@ -1,28 +1,36 @@
-"""Execute one experiment cell: topologies x algorithms -> aggregates.
+"""The run executor: topology jobs x policies -> typed rows -> aggregates.
 
-Every algorithm sees *exactly the same* topologies and workload
-realisations (common random numbers), so per-cell cost ratios are paired
-comparisons rather than noise against noise — the variance-reduction trick
+One **job** is one topology of one config: :func:`build_instance` turns
+``(config, r, battery_range)`` into the topology's network, workload and
+dynamic-event history, then every policy of the job runs against that one
+instance — the same network, workload realisation and event replay for
+all of them (common random numbers), so per-cell cost ratios are paired
+comparisons rather than noise against noise, the variance-reduction trick
 behind the paper's smooth curves at only 100 repetitions.
 
-The cell is executed as independent **topology jobs**: topology ``r`` is a
-pure function of ``(config, r)``, so jobs run serially or fan out onto a
-``ProcessPoolExecutor`` (``jobs > 1``) with bit-identical results — same
-seeds, same floating-point operations, same assembly order. Worker
-instrumentation comes back as mergeable
-:class:`~repro.obs.instrument.StatsSnapshot` payloads folded into the
-parent context in topology order. Within a job, all algorithms share one
-:class:`~repro.plan.cache.PlanArtifactCache`, so ``mtd`` and ``mtd+2opt``
-solve each base tour set once and ``mtd-var`` reuses artifacts across its
-re-plans.
+Each policy run (:func:`run_policy`) gets a fresh
+:class:`~repro.plan.cache.PlanArtifactCache` and a private
+:class:`~repro.obs.instrument.Instrumentation` context and returns one
+:class:`RunRow`; a cell's results therefore never depend on which other
+policies ran before it. :func:`execute` runs a batch of jobs in-process
+(``workers == 1``) or maps them over one ``ProcessPoolExecutor``. Jobs are
+pure in ``(config, r)``, so both modes return bit-identical rows, always in
+job order; when the caller is collecting, each policy run's snapshot is
+merged into its context in (job, policy) order.
+
+The consumers are folds over those rows: :func:`run_cell` here,
+:func:`~repro.experiments.sweeps.sweep` (every point of a sweep in one
+executor call) and :func:`~repro.scenarios.score.score_suite`.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -43,12 +51,18 @@ from repro.sim.engine import simulate
 from repro.sim.policies import ChargingPolicy, PlannedPolicy
 from repro.sim.workload import FixedWorkload, ResampledWorkload, Workload
 
-__all__ = ["AlgorithmResult", "CellResult", "run_cell", "make_policy"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.sources import ScenarioDynamics
+
+__all__ = ["AlgorithmResult", "CellResult", "Instance", "Job", "RunRow",
+           "build_instance", "execute", "make_policy", "run_cell",
+           "run_policy", "topology_seed"]
 
 log = get_logger(__name__)
 
-#: Row shape one topology job produces per algorithm.
-_Row = tuple[float, int, int]  # (service cost, deaths, dispatches)
+#: Spawn key for the battery-heterogeneity stream — distinct from the
+#: deployment/depot/cycle substreams spawned inside the network builder.
+_BATTERY_SPAWN_KEY = (101,)
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,23 @@ class CellResult:
     config: ExperimentConfig
     results: tuple[AlgorithmResult, ...]
 
+    @classmethod
+    def from_rows(cls, config: ExperimentConfig,
+                  per_topology: Sequence[tuple[RunRow, ...]]) -> CellResult:
+        """Fold the executor's rows (one tuple per topology, in config
+        algorithm order) into per-algorithm arrays."""
+        return cls(config=config, results=tuple(
+            AlgorithmResult(
+                algorithm=name,
+                costs=np.asarray([rows[i].cost for rows in per_topology],
+                                 dtype=np.float64),
+                deaths=np.asarray([rows[i].deaths for rows in per_topology],
+                                  dtype=np.int64),
+                dispatches=np.asarray(
+                    [rows[i].dispatches for rows in per_topology],
+                    dtype=np.int64))
+            for i, name in enumerate(config.algorithms)))
+
     @cached_property
     def _by_name(self) -> dict[str, AlgorithmResult]:
         return {r.algorithm: r for r in self.results}
@@ -136,11 +167,10 @@ def make_policy(name: str, config: ExperimentConfig,
     :class:`~repro.sim.policies.PlannedPolicy`; online ones are returned as
     fresh policy objects. ``obs`` (optional instrumentation) is threaded
     into the planners the algorithm runs, and ``cache`` (optional
-    plan-artifact cache) into every staged-pipeline planner — sharing one
-    cache across the refine-variant pairs makes ``mtd+2opt`` reuse ``mtd``'s
-    base tours. ``store`` (the optional on-disk tier) additionally carries
-    ``mtd``'s artifacts across *runs*: a repeat sweep over the same
-    geometry replans warm from disk.
+    plan-artifact cache) into every staged-pipeline planner. ``store``
+    (the optional on-disk tier) additionally carries ``mtd``'s artifacts
+    across policies and *runs*: ``mtd+2opt`` reuses ``mtd``'s base tours,
+    and a repeat sweep over the same geometry replans warm from disk.
     """
     refine = name.endswith("+2opt")
     base = name.removesuffix("+2opt")
@@ -171,15 +201,6 @@ def make_policy(name: str, config: ExperimentConfig,
     raise ConfigError(f"make_policy: unknown algorithm {name!r}")
 
 
-def _make_workload(config: ExperimentConfig, network: SensorNetwork,
-                   topology_seed: int) -> Workload:
-    if not config.variable:
-        return FixedWorkload.from_network(network)
-    return ResampledWorkload(
-        network=network, distribution=config.make_distribution(),
-        slot_duration=config.slot_duration, seed=topology_seed)
-
-
 def topology_seed(config: ExperimentConfig, r: int) -> int:
     """Deterministic child seed of topology ``r`` (identical in every
     execution mode — this is what makes parallel runs bit-reproducible)."""
@@ -187,58 +208,173 @@ def topology_seed(config: ExperimentConfig, r: int) -> int:
         entropy=config.seed, spawn_key=(r,)).generate_state(1)[0])
 
 
-def _run_topology(config: ExperimentConfig, r: int,
-                  obs: Instrumentation | None,
-                  cache_dir: str | None = None) -> list[_Row]:
-    """One topology job: build, plan and simulate every algorithm.
+@dataclass(frozen=True)
+class Instance:
+    """One materialised topology: what every policy of a job runs against.
 
-    Returns one ``(cost, deaths, dispatches)`` row per algorithm, in config
-    order. Pure in ``(config, r)`` — instrumentation never influences
-    results — so the serial loop and pool workers share this code path.
-    With ``cache_dir``, offline planners additionally read/write the shared
-    on-disk artifact store there (artifacts are content-addressed, so
-    concurrent jobs and repeat runs stay bit-identical to cold ones).
+    ``workload`` is shared by every policy (common random numbers);
+    ``dynamics`` is the topology's
+    :class:`~repro.sim.sources.ScenarioDynamics` with its per-topology
+    mixed seed, or ``None`` for a static run. Callers build *fresh*
+    sources per run (:meth:`build_sources`) so every policy replays the
+    identical failure/churn/request history.
     """
-    o = ensure(obs)
+
+    config: ExperimentConfig
+    topology: int
+    network: SensorNetwork
+    workload: Workload
+    dynamics: ScenarioDynamics | None
+
+    def build_sources(self) -> tuple:
+        """Fresh (unprimed) event sources for one simulation run."""
+        return () if self.dynamics is None else self.dynamics.build_sources()
+
+
+def build_instance(config: ExperimentConfig, r: int = 0,
+                   battery_range: tuple[float, float] | None = None) -> Instance:
+    """Materialise topology ``r`` of ``config`` (pure in its arguments).
+
+    With ``battery_range = (lo, hi)`` the unit batteries are replaced by
+    capacities drawn uniformly from it, seeded from the topology's child
+    seed under a dedicated spawn key. Only the batteries column changes,
+    so the copy shares its homogeneous twin's geometry fingerprint (and so
+    every cached tour).
+    """
     topo_seed = topology_seed(config, r)
     network = build_paper_network(
         n=config.n, q=config.q, distribution=config.make_distribution(),
         seed=topo_seed, side=config.side, deployment=config.deployment)
-    workload = _make_workload(config, network, topo_seed)
-    dynamics = config.dynamics(r)
-    plan_cache = PlanArtifactCache()  # shared by all algorithms of this topology
-    store = None if cache_dir is None else PlanArtifactStore(cache_dir)
-    log.debug("cell topology %d/%d (seed %d)", r + 1,
-              config.n_topologies, topo_seed)
-    rows: list[_Row] = []
-    for name in config.algorithms:
-        with o.span(f"cell.{name}", topology=r):
-            policy = make_policy(name, config, network, obs=obs,
-                                 cache=plan_cache, store=store)
-            # Fresh source objects per algorithm, same dynamics seed:
-            # every algorithm faces the identical failure/churn/request
-            # history (common random numbers), like the shared workload.
-            sources = () if dynamics is None else dynamics.build_sources()
-            out = simulate(network, policy, workload, config.horizon,
-                           strict=config.strict, instrumentation=obs,
-                           sources=sources)
-        rows.append((out.metrics.service_cost,
-                     out.metrics.n_deaths,
-                     out.metrics.n_dispatches))
-    return rows
+    if battery_range is not None:
+        rng = np.random.default_rng(np.random.SeedSequence(
+            entropy=topo_seed, spawn_key=_BATTERY_SPAWN_KEY))
+        network = network.with_batteries(
+            rng.uniform(*battery_range, size=network.n))
+    if config.variable:
+        workload: Workload = ResampledWorkload(
+            network=network, distribution=config.make_distribution(),
+            slot_duration=config.slot_duration, seed=topo_seed)
+    else:
+        workload = FixedWorkload.from_network(network)
+    return Instance(config=config, topology=r, network=network,
+                    workload=workload, dynamics=config.dynamics(r))
 
 
-def _topology_worker(payload: tuple[ExperimentConfig, int, bool, str | None],
-                     ) -> tuple[int, list[_Row], StatsSnapshot | None]:
-    """Pool entry point: run one topology job in a worker process.
+@dataclass(frozen=True)
+class RunRow:
+    """One policy's run on one instance — everything any fold needs.
 
-    Collects into a worker-local instrumentation context (when the parent
-    is collecting) and ships it back as a picklable snapshot.
+    Deterministic in the instance and the policy except ``replan_durs``
+    (wall-clock durations of the ``replan`` spans, or of the ``plan``
+    spans for offline planners)."""
+
+    cost: float
+    deaths: int
+    dispatches: int
+    active_tours: int
+    tour_slots: int
+    energy: float
+    replan_durs: tuple[float, ...]
+    cache_hits: int
+    cache_misses: int
+
+
+def run_policy(inst: Instance, algorithm: str,
+               store: PlanArtifactStore | None = None,
+               ) -> tuple[RunRow, Instrumentation]:
+    """Plan and simulate one algorithm on ``inst``.
+
+    Runs under a fresh plan-artifact cache and a private instrumentation
+    context (returned alongside the row); ``store`` is the optional shared
+    on-disk artifact tier.
     """
-    config, r, collect, cache_dir = payload
-    worker_obs = Instrumentation() if collect else None
-    rows = _run_topology(config, r, worker_obs, cache_dir)
-    return r, rows, None if worker_obs is None else worker_obs.snapshot()
+    o = Instrumentation()
+    with o.span(f"cell.{algorithm}", topology=inst.topology):
+        policy = make_policy(algorithm, inst.config, inst.network, obs=o,
+                             cache=PlanArtifactCache(), store=store)
+        out = simulate(inst.network, policy, inst.workload,
+                       inst.config.horizon, strict=inst.config.strict,
+                       instrumentation=o, sources=inst.build_sources())
+    m = out.metrics
+    # Adaptive policies time each re-plan under ``replan`` (which nests a
+    # ``plan`` span); offline planners only record ``plan``. Prefer the
+    # outer span so nothing double-counts.
+    spans = o.spans("replan") or o.spans("plan")
+    row = RunRow(
+        cost=float(m.service_cost), deaths=int(m.n_deaths),
+        dispatches=int(m.n_dispatches),
+        active_tours=sum(ev.n_active_chargers for ev in m.dispatches),
+        tour_slots=int(m.n_dispatches * inst.network.q),
+        energy=float(m.energy_delivered),
+        replan_durs=tuple(float(s.dur) for s in spans),
+        cache_hits=int(o.counters.get("plan.cache.tours.hit", 0)),
+        cache_misses=int(o.counters.get("plan.cache.tours.miss", 0)))
+    return row, o
+
+
+@dataclass(frozen=True)
+class Job:
+    """One topology of one config, and the algorithms to run on it."""
+
+    config: ExperimentConfig
+    topology: int
+    policies: tuple[str, ...]
+    battery_range: tuple[float, float] | None = None
+
+
+_JobResult = tuple[tuple[RunRow, ...], tuple[StatsSnapshot, ...]]
+
+
+def _run_job(payload: tuple[Job, bool, str | None]) -> _JobResult:
+    """Build one job's instance and run its policies (pool entry point)."""
+    job, collect, cache_dir = payload
+    inst = build_instance(job.config, job.topology, job.battery_range)
+    store = None if cache_dir is None else PlanArtifactStore(cache_dir)
+    log.debug("cell topology %d/%d (seed %d)", job.topology + 1,
+              job.config.n_topologies, topology_seed(job.config, job.topology))
+    rows, snaps = [], []
+    for algorithm in job.policies:
+        row, o = run_policy(inst, algorithm, store)
+        rows.append(row)
+        if collect:
+            snaps.append(o.snapshot())
+    return tuple(rows), tuple(snaps)
+
+
+def execute(jobs: Sequence[Job], *, workers: int = 1,
+            obs: Instrumentation | None = None,
+            cache_dir: str | None = None,
+            on_done: Callable[[int], None] | None = None,
+            ) -> list[tuple[RunRow, ...]]:
+    """Run every job; returns one row tuple per job, in job order.
+
+    ``workers == 1`` loops in-process; ``workers > 1`` maps the jobs over
+    one ``ProcessPoolExecutor``, with bit-identical rows. ``obs``, when
+    collecting, receives every policy run's instrumentation in (job,
+    policy) order. ``cache_dir`` names an on-disk
+    :class:`~repro.plan.store.PlanArtifactStore` shared by every job
+    (multi-process safe, content-addressed: purely an accelerator).
+    ``on_done(index)`` fires as each job's rows land, in job order.
+    """
+    if workers < 1:
+        raise ConfigError(f"jobs must be >= 1, got {workers}")
+    if cache_dir is not None:
+        # Initialise (or validate) the store once, before any worker
+        # opens it: concurrent first opens of an empty directory race.
+        PlanArtifactStore(cache_dir)
+    o = ensure(obs)
+    payloads = [(job, o.enabled, cache_dir) for job in jobs]
+    out: list[tuple[RunRow, ...]] = []
+    with (ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
+          if workers > 1 and len(jobs) > 1 else nullcontext()) as pool:
+        for rows, snaps in (map(_run_job, payloads) if pool is None
+                            else pool.map(_run_job, payloads)):
+            for snap in snaps:
+                o.merge(snap)
+            out.append(rows)
+            if on_done is not None:
+                on_done(len(out) - 1)
+    return out
 
 
 def run_cell(config: ExperimentConfig,
@@ -260,48 +396,15 @@ def run_cell(config: ExperimentConfig,
     jobs:
         Worker processes. ``1`` (default) runs in-process; ``N > 1`` fans
         the topology jobs out on a ``ProcessPoolExecutor``. Results are
-        bit-identical to the serial path regardless of ``jobs`` — each job
-        derives its own seed and the parent assembles rows in topology
-        order — and worker instrumentation is merged back (by topology
-        index) into ``obs``.
+        bit-identical to the serial path regardless of ``jobs``.
     cache_dir:
         Optional on-disk :class:`~repro.plan.store.PlanArtifactStore`
-        directory shared by every topology job (serial or pooled — the
-        store is multi-process safe). Purely an accelerator: results stay
-        bit-identical with or without it.
+        directory shared by every topology job. Purely an accelerator:
+        results stay bit-identical with or without it.
     """
-    if jobs < 1:
-        raise ConfigError(f"run_cell: jobs must be >= 1, got {jobs}")
-    o = ensure(obs)
-    per_topology: list[list[_Row]] = []
-    with o.span("cell", n=config.n, q=config.q,
-                topologies=config.n_topologies, jobs=jobs):
-        if jobs == 1 or config.n_topologies == 1:
-            for r in range(config.n_topologies):
-                per_topology.append(_run_topology(config, r, obs, cache_dir))
-        else:
-            collect = o.enabled
-            payloads = [(config, r, collect, cache_dir)
-                        for r in range(config.n_topologies)]
-            with ProcessPoolExecutor(
-                    max_workers=min(jobs, config.n_topologies)) as pool:
-                outcomes = list(pool.map(_topology_worker, payloads))
-            outcomes.sort(key=lambda item: item[0])
-            for _, rows, snap in outcomes:
-                per_topology.append(rows)
-                if snap is not None:
-                    o.merge(snap)
-
-    results = tuple(
-        AlgorithmResult(
-            algorithm=name,
-            costs=np.asarray([rows[i][0] for rows in per_topology],
-                             dtype=np.float64),
-            deaths=np.asarray([rows[i][1] for rows in per_topology],
-                              dtype=np.int64),
-            dispatches=np.asarray([rows[i][2] for rows in per_topology],
-                                  dtype=np.int64),
-        )
-        for i, name in enumerate(config.algorithms)
-    )
-    return CellResult(config=config, results=results)
+    with ensure(obs).span("cell", n=config.n, q=config.q,
+                          topologies=config.n_topologies, jobs=jobs):
+        rows = execute([Job(config, r, config.algorithms)
+                        for r in range(config.n_topologies)],
+                       workers=jobs, obs=obs, cache_dir=cache_dir)
+    return CellResult.from_rows(config, rows)

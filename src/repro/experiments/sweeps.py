@@ -4,20 +4,23 @@ A sweep varies one :class:`~repro.experiments.config.ExperimentConfig`
 field across a list of values and runs the cell at each; the result holds
 one :class:`~repro.experiments.runner.CellResult` per value plus helpers to
 extract ``(x, mean_cost)`` series per algorithm — exactly what the paper's
-figures show.
+figures show. Every (value, topology) job of a sweep goes through one
+:func:`~repro.experiments.runner.execute` call (one process pool per sweep
+under ``jobs > 1``), and the rows are folded back per value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import CellResult, run_cell
-from repro.obs.instrument import Instrumentation
+from repro.experiments.runner import CellResult, Job, execute
+from repro.obs.instrument import Instrumentation, ensure
 
 __all__ = ["SweepResult", "sweep"]
 
@@ -94,28 +97,37 @@ def sweep(base: ExperimentConfig, parameter: str, values: Sequence[Any],
     values:
         Values to assign (validated by the config's ``__post_init__``).
     progress:
-        Optional callback invoked with a human-readable line before each
-        cell (the CLI passes a logger method).
+        Optional callback invoked with a human-readable line as each
+        sweep point completes (the CLI passes a logger method).
     obs:
-        Optional instrumentation context, forwarded to every cell.
+        Optional instrumentation context: a ``sweep`` span around the run,
+        plus every policy run's counters and ``cell.<algorithm>`` spans.
     jobs:
-        Worker processes per cell, forwarded to
-        :func:`~repro.experiments.runner.run_cell`; sweep points still run
-        in order (their topology jobs fan out), so results match the serial
-        path bit for bit.
+        Worker processes shared by every (value, topology) job of the
+        sweep; results match the serial path bit for bit.
     cache_dir:
-        Optional on-disk plan-artifact store directory, forwarded to every
-        cell; sweep points over shared geometry (and repeat runs of the
+        Optional on-disk plan-artifact store directory shared by every
+        job; sweep points over shared geometry (and repeat runs of the
         same sweep) then replan warm from disk. Results are unaffected.
     """
     if not values:
         raise ConfigError("sweep: empty value list")
     if not hasattr(base, parameter):
         raise ConfigError(f"sweep: ExperimentConfig has no field {parameter!r}")
-    cells: list[CellResult] = []
-    for v in values:
-        cfg = base.with_(**{parameter: v})
-        if progress is not None:
-            progress(f"[sweep {parameter}={v}] {cfg.describe()}")
-        cells.append(run_cell(cfg, obs=obs, jobs=jobs, cache_dir=cache_dir))
-    return SweepResult(parameter=parameter, values=tuple(values), cells=tuple(cells))
+    configs = [base.with_(**{parameter: v}) for v in values]
+    ends = list(accumulate(cfg.n_topologies for cfg in configs))
+
+    def done(index: int) -> None:
+        if progress is not None and index + 1 in ends:
+            k = ends.index(index + 1)
+            progress(f"[sweep {parameter}={values[k]}] {configs[k].describe()}")
+
+    with ensure(obs).span("sweep", parameter=parameter, values=len(values),
+                          jobs=jobs):
+        rows = execute([Job(cfg, r, cfg.algorithms) for cfg in configs
+                        for r in range(cfg.n_topologies)],
+                       workers=jobs, obs=obs, cache_dir=cache_dir,
+                       on_done=done)
+    cells = tuple(CellResult.from_rows(cfg, rows[end - cfg.n_topologies:end])
+                  for cfg, end in zip(configs, ends))
+    return SweepResult(parameter=parameter, values=tuple(values), cells=cells)

@@ -18,12 +18,15 @@ reuse patterns:
    fixed geometry* every time the workload shifts; coverage sets recur
    whenever cycle estimates land in the same quantisation classes.
 3. **Across algorithm variants**: ``mtd`` and ``mtd+2opt`` share base
-   tours — the refined variant only pays for the 2-opt pass.
+   tours — the refined variant only pays for the 2-opt pass. This happens
+   where one cache or store outlives a single plan: in serve workers, and
+   through the on-disk :class:`~repro.plan.store.PlanArtifactStore`. The
+   run executor (:mod:`repro.experiments.runner`) gives every (instance,
+   policy) run a fresh cache, so inside one of its jobs the variants share
+   nothing except through that store.
 
 The cache is a plain in-process LRU store; it is *not* shared across
-processes (the parallel experiment executor gives each topology job its
-own, which is also what keeps parallel runs bit-identical to serial ones),
-but it *is* shared across threads: the planning service's thread-mode
+processes, but it *is* shared across threads: the planning service's thread-mode
 workers all plan against one instance, so every store access is guarded by
 an internal :class:`threading.Lock` (``OrderedDict`` reorder-on-read plus
 eviction is not atomic under concurrent callers). Lookups and their

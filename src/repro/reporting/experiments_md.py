@@ -138,8 +138,8 @@ def experiments_markdown(
     """Run the given figures and render the full document (summary table
     first, then one section per figure). ``obs`` (optional
     :class:`~repro.obs.instrument.Instrumentation`) is forwarded to every
-    figure run, ``jobs`` to every cell (parallel topology jobs; results are
-    identical to the serial path)."""
+    figure run, ``jobs`` to every sweep (parallel topology jobs; results
+    are identical to the serial path)."""
     ids = list(figure_ids)
     sections: list[str] = []
     summary_rows: list[str] = []

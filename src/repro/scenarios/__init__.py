@@ -7,11 +7,7 @@ Importing this package registers the six built-in scenarios
 policies, and the ``quick``/``full`` suites.
 """
 
-from repro.scenarios.generators import (
-    ScenarioInstance,
-    build_instance,
-    instance_digest,
-)
+from repro.scenarios.generators import build_instance, instance_digest
 from repro.scenarios.golden import (
     GATED_KEYS,
     METRICS,
@@ -47,7 +43,7 @@ __all__ = [
     "SCENARIOS", "POLICIES", "SUITES",
     "register_scenario", "register_policy", "register_suite",
     "get_scenario", "get_suite", "scenario_names", "policy_names",
-    "ScenarioInstance", "build_instance", "instance_digest",
+    "build_instance", "instance_digest",
     "Scorecard", "score_suite", "SCORECARD_KIND", "METRIC_KEYS",
     "MetricSpec", "METRICS", "GATED_KEYS", "Regression",
     "compare_scorecards", "default_baseline_path",

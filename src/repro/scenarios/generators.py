@@ -1,12 +1,12 @@
 """Scenario instance generation and the six built-in scenarios.
 
 :func:`build_instance` materialises topology ``r`` of a
-:class:`~repro.scenarios.registry.ScenarioSpec` into a
-:class:`ScenarioInstance` — network, workload, dynamics — as a pure
-function of ``(spec, r)``. It reuses the experiment runner's child-seed
-derivation (:func:`~repro.experiments.runner.topology_seed`), so a
-scenario scored serially, scored under ``--jobs N``, or rebuilt in a test
-process produces byte-identical topologies and (for a fixed policy)
+:class:`~repro.scenarios.registry.ScenarioSpec` — network, workload,
+dynamics — as a pure function of ``(spec, r)``. It is the run executor's
+own instance builder (:func:`repro.experiments.runner.build_instance`)
+applied to the spec's config and battery range, so a scenario scored
+serially, scored under ``--jobs N``, or rebuilt in a test process
+produces byte-identical topologies and (for a fixed policy)
 byte-identical event streams. :func:`instance_digest` packages exactly
 that witness — sha256 of the topology document and of a canonical greedy
 run's merged event log — for determinism tests and ``--jobs``
@@ -32,16 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.baselines.greedy import GreedyOnDemandPolicy
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import topology_seed
 from repro.io.network_json import network_to_dict
-from repro.network.builder import build_paper_network
-from repro.network.model import SensorNetwork
 from repro.scenarios.registry import (
     ScenarioSpec,
     SuiteSpec,
@@ -50,87 +45,13 @@ from repro.scenarios.registry import (
     register_suite,
 )
 from repro.sim.engine import simulate
-from repro.sim.sources import ScenarioDynamics
-from repro.sim.workload import FixedWorkload, ResampledWorkload, Workload
 
-__all__ = ["ScenarioInstance", "build_instance", "instance_digest"]
-
-#: Spawn key for the battery-heterogeneity stream — distinct from the
-#: deployment/depot/cycle substreams spawned inside the network builder.
-_BATTERY_SPAWN_KEY = (101,)
+__all__ = ["build_instance", "instance_digest"]
 
 
-@dataclass(frozen=True)
-class ScenarioInstance:
-    """One materialised topology of a scenario.
-
-    Parameters
-    ----------
-    spec:
-        The generating spec (with any suite overrides already applied).
-    topology:
-        Repetition index ``r``.
-    network:
-        The built :class:`~repro.network.model.SensorNetwork`.
-    workload:
-        Fixed or resampled workload, shared by every policy scored on this
-        instance (common random numbers).
-    dynamics:
-        The instance's :class:`~repro.sim.sources.ScenarioDynamics` with
-        its per-topology mixed seed, or ``None`` for static scenarios.
-        Callers build *fresh* sources per run
-        (``dynamics.build_sources()``) so every policy replays the
-        identical failure/churn/request history.
-    """
-
-    spec: ScenarioSpec
-    topology: int
-    network: SensorNetwork
-    workload: Workload
-    dynamics: ScenarioDynamics | None
-
-    @property
-    def config(self) -> ExperimentConfig:
-        return self.spec.config
-
-    def build_sources(self) -> tuple:
-        """Fresh (unprimed) event sources for one simulation run."""
-        return () if self.dynamics is None else self.dynamics.build_sources()
-
-
-def _heterogeneous_batteries(network: SensorNetwork, topo_seed: int,
-                             battery_range: tuple[float, float]) -> SensorNetwork:
-    """Replace unit batteries with capacities drawn from ``battery_range``.
-
-    Geometry, depots and cycles are untouched — only the batteries column
-    changes, so the copy shares the homogeneous twin's coordinate array
-    and geometry fingerprint (and so every cached tour). The draw is
-    seeded from the topology's child seed under a dedicated spawn key,
-    independent of the builder's own substreams.
-    """
-    lo, hi = battery_range
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=topo_seed, spawn_key=_BATTERY_SPAWN_KEY))
-    return network.with_batteries(rng.uniform(lo, hi, size=network.n))
-
-
-def build_instance(spec: ScenarioSpec, topology: int = 0) -> ScenarioInstance:
+def build_instance(spec: ScenarioSpec, topology: int = 0) -> runner.Instance:
     """Materialise topology ``r`` of ``spec`` (pure in ``(spec, r)``)."""
-    config = spec.config
-    topo_seed = topology_seed(config, topology)
-    network = build_paper_network(
-        n=config.n, q=config.q, distribution=config.make_distribution(),
-        seed=topo_seed, side=config.side, deployment=config.deployment)
-    if spec.battery_range is not None:
-        network = _heterogeneous_batteries(network, topo_seed, spec.battery_range)
-    if config.variable:
-        workload: Workload = ResampledWorkload(
-            network=network, distribution=config.make_distribution(),
-            slot_duration=config.slot_duration, seed=topo_seed)
-    else:
-        workload = FixedWorkload.from_network(network)
-    return ScenarioInstance(spec=spec, topology=topology, network=network,
-                            workload=workload, dynamics=config.dynamics(topology))
+    return runner.build_instance(spec.config, topology, spec.battery_range)
 
 
 def instance_digest(spec: ScenarioSpec, topology: int = 0, *,

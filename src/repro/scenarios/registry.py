@@ -6,9 +6,9 @@ The scenario evaluation framework has three registries:
   A :class:`ScenarioSpec` wraps an :class:`~repro.experiments.config.ExperimentConfig`
   (topology size, workload, :class:`~repro.sim.sources.ScenarioDynamics`
   rates) plus the framework-only knobs (battery heterogeneity). Topology
-  ``r`` of a spec is a pure function of ``(spec, r)`` — the same
-  child-seed derivation the parallel experiment executor uses — so
-  generation is byte-identical across processes and ``--jobs`` settings.
+  ``r`` of a spec is a pure function of ``(spec, r)`` — built by the run
+  executor's own instance builder — so generation is byte-identical
+  across processes and ``--jobs`` settings.
 * :data:`POLICIES` — named policies the scorer runs over the suite. A
   :class:`PolicyEntry` maps a scoreboard name to one of the runner's
   algorithm names (:data:`~repro.experiments.config.KNOWN_ALGORITHMS`),
@@ -75,11 +75,6 @@ class ScenarioSpec:
                     f"ScenarioSpec {self.name!r}: battery_range needs "
                     f"0 < lo <= hi, got ({lo}, {hi})")
 
-    @property
-    def variable(self) -> bool:
-        """Whether the workload resamples cycles (adaptive policies need it)."""
-        return self.config.variable
-
     def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
         """Copy with ``ExperimentConfig`` fields overridden (suite scaling)."""
         return ScenarioSpec(name=self.name, description=self.description,
@@ -115,7 +110,7 @@ class PolicyEntry:
                 f"{self.algorithm!r}; known: {KNOWN_ALGORITHMS}")
 
     def compatible(self, spec: ScenarioSpec) -> bool:
-        return spec.variable or not self.requires_variable
+        return spec.config.variable or not self.requires_variable
 
 
 @dataclass(frozen=True)

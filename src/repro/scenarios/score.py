@@ -1,13 +1,14 @@
 """Score every registered policy over a scenario suite.
 
-One ``(scenario, topology)`` pair is an independent **instance job**: it
-materialises the instance (:func:`~repro.scenarios.generators.build_instance`),
-then runs every compatible policy against the *shared* workload and the
-*replayed* dynamic-event history (fresh source objects, same seeds —
-common random numbers, the paper's own variance-reduction trick). Jobs
-run serially or fan out on a ``ProcessPoolExecutor`` (``jobs > 1``) with
-identical results for every gated metric: instances are pure functions of
-``(spec, r)`` and rows are folded in ``(scenario, topology)`` order.
+One ``(scenario, topology)`` pair is one job of the run executor
+(:func:`~repro.experiments.runner.execute`): it materialises the instance
+once, then runs every compatible policy against the *shared* workload and
+the *replayed* dynamic-event history (common random numbers, the paper's
+own variance-reduction trick). Every job of the suite goes through one
+executor call — in-process, or one ``ProcessPoolExecutor`` under
+``jobs > 1`` — with identical results for every gated metric; the
+executor returns rows in ``(scenario, topology)`` order and the scorer
+folds them per scenario with :func:`_aggregate`.
 
 Each policy run collects into a fresh, private
 :class:`~repro.obs.instrument.Instrumentation` context, which is where
@@ -27,26 +28,16 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
-from repro.experiments.runner import make_policy
+from repro.experiments.runner import Job, RunRow, execute
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
-from repro.plan.cache import PlanArtifactCache
-from repro.scenarios.generators import ScenarioInstance, build_instance
-from repro.scenarios.registry import (
-    POLICIES,
-    PolicyEntry,
-    ScenarioSpec,
-    get_suite,
-    policy_names,
-)
+from repro.scenarios.registry import POLICIES, get_suite, policy_names
 from repro.serve.client import percentile
-from repro.sim.engine import simulate
 
 __all__ = ["Scorecard", "score_suite", "SCORECARD_KIND", "METRIC_KEYS"]
 
@@ -68,11 +59,6 @@ METRIC_KEYS = (
     "replan_latency_p99_ms",
     "cache_hit_rate",
 )
-
-#: Raw per-(instance, policy) row — everything the aggregation needs,
-#: deterministic except ``replan_durs`` (wall-clock samples).
-_Raw = dict[str, Any]
-
 
 class _LiveSink:
     """NDJSON progress stream for ``repro watch --score`` (no-op when
@@ -98,71 +84,21 @@ class _LiveSink:
             self._fh.close()
 
 
-def _run_policy(inst: ScenarioInstance, entry: PolicyEntry) -> _Raw:
-    """One policy on one instance, under a private instrumentation context."""
-    o = Instrumentation()
-    cache = PlanArtifactCache()
-    policy = make_policy(entry.algorithm, inst.config, inst.network,
-                         obs=o, cache=cache)
-    result = simulate(inst.network, policy, inst.workload, inst.config.horizon,
-                      strict=False, instrumentation=o,
-                      sources=inst.build_sources())
-    m = result.metrics
-    active = sum(ev.n_active_chargers for ev in m.dispatches)
-    # Replan spans: the adaptive policies time each re-plan under
-    # ``replan`` (which nests a ``plan`` span); offline planners only
-    # record ``plan``. Prefer the outer span so nothing double-counts.
-    spans = o.spans("replan") or o.spans("plan")
-    hits = int(o.counters.get("plan.cache.tours.hit", 0))
-    misses = int(o.counters.get("plan.cache.tours.miss", 0))
-    return {
-        "cost": float(m.service_cost),
-        "deaths": int(m.n_deaths),
-        "dispatches": int(m.n_dispatches),
-        "active_tours": int(active),
-        "tour_slots": int(m.n_dispatches * inst.network.q),
-        "energy": float(m.energy_delivered),
-        "replans": len(spans),
-        "replan_durs": [float(s.dur) for s in spans],
-        "cache_hits": hits,
-        "cache_misses": misses,
-    }
-
-
-def _run_instance(spec: ScenarioSpec, topology: int,
-                  entries: tuple[PolicyEntry, ...]) -> dict[str, _Raw | None]:
-    """One instance job: build once, run every compatible policy."""
-    inst = build_instance(spec, topology)
-    rows: dict[str, _Raw | None] = {}
-    for entry in entries:
-        rows[entry.name] = _run_policy(inst, entry) if entry.compatible(spec) \
-            else None
-    return rows
-
-
-def _instance_worker(payload: tuple[int, ScenarioSpec, int,
-                                    tuple[PolicyEntry, ...]]
-                     ) -> tuple[int, int, dict[str, _Raw | None]]:
-    """Pool entry point (top-level for pickling)."""
-    index, spec, topology, entries = payload
-    return index, topology, _run_instance(spec, topology, entries)
-
-
-def _aggregate(rows: list[_Raw]) -> dict[str, float | None]:
+def _aggregate(rows: list[RunRow]) -> dict[str, float | None]:
     """Fold one policy's per-topology rows into the fixed metric columns."""
     reps = len(rows)
-    durs = [d for row in rows for d in row["replan_durs"]]
-    tour_slots = sum(row["tour_slots"] for row in rows)
-    active = sum(row["active_tours"] for row in rows)
-    hits = sum(row["cache_hits"] for row in rows)
-    lookups = hits + sum(row["cache_misses"] for row in rows)
+    durs = [d for row in rows for d in row.replan_durs]
+    tour_slots = sum(row.tour_slots for row in rows)
+    active = sum(row.active_tours for row in rows)
+    hits = sum(row.cache_hits for row in rows)
+    lookups = hits + sum(row.cache_misses for row in rows)
     return {
-        "service_cost": sum(row["cost"] for row in rows) / reps,
-        "deaths": float(sum(row["deaths"] for row in rows)),
-        "dispatches": sum(row["dispatches"] for row in rows) / reps,
+        "service_cost": sum(row.cost for row in rows) / reps,
+        "deaths": float(sum(row.deaths for row in rows)),
+        "dispatches": sum(row.dispatches for row in rows) / reps,
         "charger_utilization": (active / tour_slots) if tour_slots else 0.0,
-        "energy_delivered": sum(row["energy"] for row in rows) / reps,
-        "replan_count": sum(row["replans"] for row in rows) / reps,
+        "energy_delivered": sum(row.energy for row in rows) / reps,
+        "replan_count": len(durs) / reps,
         "replan_latency_p50_ms": 1e3 * percentile(durs, 50) if durs else None,
         "replan_latency_p99_ms": 1e3 * percentile(durs, 99) if durs else None,
         "cache_hit_rate": (hits / lookups) if lookups else None,
@@ -267,8 +203,6 @@ def score_suite(suite: str = "quick",
         ``instance`` / ``scenario`` / ``done`` events) that
         ``repro watch --score`` tails while the run is in flight.
     """
-    if jobs < 1:
-        raise ConfigError(f"score_suite: jobs must be >= 1, got {jobs}")
     suite_spec = get_suite(suite)
     specs = suite_spec.members()
     selected = tuple(policies) if policies is not None else policy_names()
@@ -279,56 +213,45 @@ def score_suite(suite: str = "quick",
     if not selected:
         raise ConfigError("score_suite: no policies selected")
     entries = tuple(POLICIES[name] for name in selected)
+    runnable = [tuple(e for e in entries if e.compatible(spec)) for spec in specs]
+    batch = [Job(spec.config, r, tuple(e.algorithm for e in ents),
+                 spec.battery_range)
+             for spec, ents in zip(specs, runnable)
+             for r in range(spec.config.n_topologies)]
+    owner = [spec.name for spec in specs for _ in range(spec.config.n_topologies)]
 
     o = ensure(obs)
     sink = _LiveSink(live)
-    payloads = [(i, spec, r, entries)
-                for i, spec in enumerate(specs)
-                for r in range(spec.config.n_topologies)]
-    results: dict[tuple[int, int], dict[str, _Raw | None]] = {}
+
+    def done(index: int) -> None:
+        o.incr("score.instances")
+        sink.emit("instance", done=index + 1, total=len(batch),
+                  scenario=owner[index], topology=batch[index].topology)
+
     try:
         sink.emit("start", suite=suite, policies=list(selected),
                   scenarios=[spec.name for spec in specs],
-                  total_instances=len(payloads))
-        n_done = 0
+                  total_instances=len(batch))
         with o.span("score", suite=suite, scenarios=len(specs),
                     policies=len(entries), jobs=jobs):
-            if jobs == 1 or len(payloads) == 1:
-                for payload in payloads:
-                    index, r, rows = _instance_worker(payload)
-                    results[(index, r)] = rows
-                    o.incr("score.instances")
-                    n_done += 1
-                    sink.emit("instance", done=n_done, total=len(payloads),
-                              scenario=specs[index].name, topology=r)
-            else:
-                with ProcessPoolExecutor(
-                        max_workers=min(jobs, len(payloads))) as pool:
-                    for index, r, rows in pool.map(_instance_worker, payloads):
-                        results[(index, r)] = rows
-                        o.incr("score.instances")
-                        n_done += 1
-                        sink.emit("instance", done=n_done, total=len(payloads),
-                                  scenario=specs[index].name, topology=r)
+            results = iter(execute(batch, workers=jobs, obs=obs, on_done=done))
 
         scenarios: dict[str, dict[str, dict[str, float | None] | None]] = {}
-        for i, spec in enumerate(specs):
-            per_policy: dict[str, dict[str, float | None] | None] = {}
-            for entry in entries:
-                rows = [results[(i, r)][entry.name]
-                        for r in range(spec.config.n_topologies)]
-                if any(row is None for row in rows):
-                    per_policy[entry.name] = None
-                    continue
-                per_policy[entry.name] = _aggregate(rows)  # type: ignore[arg-type]
+        for i, (spec, ents) in enumerate(zip(specs, runnable)):
+            per_topology = [next(results)
+                            for _ in range(spec.config.n_topologies)]
+            per_policy: dict[str, dict[str, float | None] | None] = \
+                dict.fromkeys(selected)
+            for j, entry in enumerate(ents):
+                per_policy[entry.name] = _aggregate(
+                    [rows[j] for rows in per_topology])
                 o.incr("score.cells")
             scenarios[spec.name] = per_policy
             sink.emit("scenario", index=i + 1, total=len(specs),
                       scenario=spec.name, cells=per_policy)
             if progress is not None:
-                scored = sum(1 for m in per_policy.values() if m is not None)
                 progress(f"[{i + 1}/{len(specs)}] {spec.name}: "
-                         f"{scored}/{len(entries)} policies scored")
+                         f"{len(ents)}/{len(entries)} policies scored")
         card = Scorecard(suite=suite, policies=selected, scenarios=scenarios)
         sink.emit("done", cells=card.n_cells)
         return card
