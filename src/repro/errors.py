@@ -14,7 +14,6 @@ __all__ = [
     "GraphError",
     "TourError",
     "ScheduleError",
-    "InfeasiblePlanError",
     "SimulationError",
     "SensorDeathError",
     "ConfigError",
@@ -45,24 +44,6 @@ class TourError(ReproError):
 
 class ScheduleError(ReproError):
     """Malformed charging schedule or plan."""
-
-
-class InfeasiblePlanError(ScheduleError):
-    """A charging plan lets at least one sensor run out of energy.
-
-    Attributes
-    ----------
-    sensor_id:
-        Identifier of the first sensor found to violate feasibility.
-    time:
-        The time at which the violation occurs.
-    """
-
-    def __init__(self, message: str, *, sensor_id: int | None = None,
-                 time: float | None = None) -> None:
-        super().__init__(message)
-        self.sensor_id = sensor_id
-        self.time = time
 
 
 class SimulationError(ReproError):

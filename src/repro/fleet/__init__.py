@@ -6,7 +6,8 @@ on the geometry fingerprint) across N :mod:`repro.serve` backend shards
 kept alive by a :class:`~repro.fleet.supervisor.ShardSupervisor`, with
 the on-disk :class:`~repro.plan.store.PlanArtifactStore` shared by every
 shard as a tier-3 cache. :class:`~repro.fleet.service.Fleet` bundles the
-whole thing; ``python -m repro.fleet --smoke`` is the CI harness.
+whole thing; ``repro check fleet`` (:mod:`repro.check.fleetcheck`) is its
+gate.
 """
 
 from repro.fleet.hashring import HashRing

@@ -106,7 +106,7 @@ class FleetConfig:
         Number of backend shards.
     shard_mode:
         ``"thread"`` — in-process :class:`~repro.fleet.supervisor.ThreadShard`
-        backends (cheap; correctness tests, smoke, differential);
+        backends (cheap; correctness tests, differential);
         ``"process"`` — real ``repro serve`` subprocesses (true CPU
         scale-out; production and the throughput benchmark).
     workers / executor / queue_limit / default_deadline / cache_entries:

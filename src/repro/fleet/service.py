@@ -5,9 +5,8 @@
 :class:`~repro.fleet.supervisor.ShardSupervisor` to a
 :class:`~repro.fleet.router.FleetRouter` hosted on a daemon thread
 (:class:`~repro.serve.frontend.FrontEndThread`), and
-hands back the router's ``(host, port)``. Integration tests, the CI
-smoke, the fleet differential and the benchmarks all drive fleets through
-it; :func:`serve_fleet` wraps it for the ``repro fleet`` CLI command.
+hands back the router's ``(host, port)``. Integration tests, the fleet
+differential and the benchmarks all drive fleets through it; :func:`serve_fleet` wraps it for the ``repro fleet`` CLI command.
 """
 
 from __future__ import annotations

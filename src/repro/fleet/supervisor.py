@@ -5,7 +5,7 @@ router. This module owns their lifetime:
 
 * :class:`ThreadShard` — a shard as an in-process
   :class:`~repro.serve.server.ServerThread`. Cheap to boot and to kill,
-  which is what the tests, the CI smoke and the fleet differential use;
+  which is what the tests and the fleet differential use;
   its :meth:`~ThreadShard.kill` is abrupt (no drain), so in-flight
   requests surface as ``shutting_down``/reset — the failure the router's
   fail-over must absorb.
@@ -82,7 +82,7 @@ class ShardHandle(Protocol):
 
 
 class ThreadShard:
-    """A shard hosted on an in-process server thread (tests / smoke)."""
+    """A shard hosted on an in-process server thread (tests / differential)."""
 
     def __init__(self, spec: ShardSpec) -> None:
         self.spec = spec

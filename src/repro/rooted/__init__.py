@@ -15,40 +15,21 @@
   extension of a forest after sensors are added (the adaptive patch phase's
   fast re-plan path; falls back to from-scratch when it cannot certify
   identity).
-
-Extensions beyond the paper (motivated by its cited companion works):
-
-* :func:`~repro.rooted.minmax.minmax_q_rooted_tours` — balance the fleet's
-  longest tour (min-max objective, cf. the paper's reference [16]).
-* :func:`~repro.rooted.capacity.split_tour_by_budget` — adapt tours to a
-  vehicle range budget (cf. reference [7]).
 """
 
-from repro.rooted.capacity import (
-    SplitResult,
-    split_tour_by_budget,
-    split_tours_by_budget,
-)
 from repro.rooted.exact import exact_q_rooted_tsp
 from repro.rooted.incremental import extend_q_rooted_msf
-from repro.rooted.minmax import MinMaxResult, makespan, minmax_q_rooted_tours
 from repro.rooted.msf import MsfAssignment, q_rooted_msf, rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp, tours_total_cost
 from repro.rooted.refine import refine_tours
 
 __all__ = [
-    "MinMaxResult",
     "MsfAssignment",
-    "SplitResult",
     "exact_q_rooted_tsp",
     "extend_q_rooted_msf",
-    "makespan",
-    "minmax_q_rooted_tours",
     "q_rooted_msf",
     "q_rooted_tsp",
     "refine_tours",
     "rooted_msf",
-    "split_tour_by_budget",
-    "split_tours_by_budget",
     "tours_total_cost",
 ]

@@ -9,7 +9,7 @@ deadlines — with single-flight request coalescing, bounded-queue
 backpressure and graceful drain (:mod:`repro.serve.server`). CPU-bound
 work runs on a process (or thread) pool (:mod:`repro.serve.worker`);
 :mod:`repro.serve.client` is the blocking client plus the concurrent
-load generator / smoke harness.
+load generator.
 
 Start one with ``repro serve`` or embed it::
 

@@ -11,21 +11,14 @@ percentiles (p50/p95/p99), throughput, and the outcome mix (ok / rejected /
 deadline / failed). The server-side coalescing and planner-execution
 counters are read through a ``stats`` request before and after the run, so
 a load report also says how much work the single-flight layer *avoided*.
-
-``python -m repro.serve.client`` exposes the generator on the command line,
-including a self-contained ``--smoke`` mode (spawns an in-process thread
-server, drives a mixed plan/health workload, asserts zero failures and at
-least one coalesced request) used by CI.
+The serving gate built on them is ``repro check fleet``; the measured load
+driver is ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import multiprocessing
 import socket
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -36,7 +29,7 @@ from repro.errors import ServeError
 from repro.serve.protocol import DEADLINE_EXCEEDED, OVERLOADED, decode_response, encode
 from repro.serve.protocol import raise_for_error as _raise_for_error
 
-__all__ = ["ServeClient", "LoadGenerator", "LoadReport", "percentile", "run_smoke"]
+__all__ = ["ServeClient", "LoadGenerator", "LoadReport", "percentile"]
 
 
 def percentile(samples: list[float], p: float) -> float:
@@ -248,25 +241,17 @@ class LoadGenerator:
 
     ``retries`` is handed to every :class:`ServeClient` (transient-failure
     retry budget; attempts performed land in ``LoadReport.n_retries``).
-    ``processes`` > 1 forks that many generator *processes*, each driving
-    ``concurrency`` threads over its own slice of the mix — the shape that
-    saturates a multi-shard fleet from a single driver machine, where one
-    Python process would bottleneck on its own GIL before the fleet does.
     """
 
     def __init__(self, host: str, port: int, *, concurrency: int = 4,
-                 timeout: float = 120.0, retries: int = 0,
-                 processes: int = 1) -> None:
+                 timeout: float = 120.0, retries: int = 0) -> None:
         if concurrency < 1:
             raise ValueError(f"LoadGenerator: concurrency must be >= 1, got {concurrency}")
-        if processes < 1:
-            raise ValueError(f"LoadGenerator: processes must be >= 1, got {processes}")
         self.host = host
         self.port = port
         self.concurrency = concurrency
         self.timeout = timeout
         self.retries = retries
-        self.processes = processes
 
     def run(self, requests: list[tuple[str, dict[str, Any]]],
             *, start_barrier: bool = True) -> LoadReport:
@@ -274,14 +259,11 @@ class LoadGenerator:
 
         With ``start_barrier`` (default) all threads connect first and
         release together, so the initial burst is genuinely concurrent —
-        what the coalescing assertions in CI rely on.
+        what the coalescing assertions in the tests rely on.
         """
         before = self._server_counters()
         t0 = time.perf_counter()
-        if self.processes > 1:
-            report = self._run_multiprocess(requests, start_barrier)
-        else:
-            report = self._run_threads(requests, start_barrier)
+        report = self._run_threads(requests, start_barrier)
         report.duration = time.perf_counter() - t0
         after = self._server_counters()
         report.coalesced = int(after.get("serve.coalesced", 0)
@@ -340,165 +322,9 @@ class LoadGenerator:
             t.join()
         return report
 
-    def _run_multiprocess(self, requests: list[tuple[str, dict[str, Any]]],
-                          start_barrier: bool) -> LoadReport:
-        """Fan the mix out over ``processes`` child generator processes."""
-        ctx = multiprocessing.get_context("spawn")
-        slices = [requests[i::self.processes] for i in range(self.processes)]
-        barrier = ctx.Barrier(self.processes) if start_barrier else None
-        queue: multiprocessing.Queue = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_drive_slice,
-                args=(self.host, self.port, self.concurrency, self.timeout,
-                      self.retries, part, barrier, queue),
-                daemon=True)
-            for part in slices if part
-        ]
-        for p in procs:
-            p.start()
-        report = LoadReport(concurrency=self.concurrency * len(procs))
-        for _ in procs:
-            part = queue.get()
-            report.n_requests += part["n_requests"]
-            report.n_ok += part["n_ok"]
-            report.n_rejected += part["n_rejected"]
-            report.n_deadline += part["n_deadline"]
-            report.n_failed += part["n_failed"]
-            report.n_retries += part["n_retries"]
-            report.latencies_ms.extend(part["latencies_ms"])
-        for p in procs:
-            p.join()
-        return report
-
     def _server_counters(self) -> dict[str, float]:
         try:
             with ServeClient(self.host, self.port, timeout=self.timeout) as client:
                 return dict(client.stats().get("counters", {}))
         except (OSError, ServeError):  # stats are best-effort decoration
             return {}
-
-
-def _drive_slice(host: str, port: int, concurrency: int, timeout: float,
-                 retries: int, requests: list[tuple[str, dict[str, Any]]],
-                 barrier: Any, queue: Any) -> None:
-    """One child generator process: thread-drive a slice, queue the tallies.
-
-    Module-level (not a closure) so the spawn start method can pickle it;
-    the cross-process barrier aligns the children's bursts the same way
-    the in-process thread barrier aligns threads.
-    """
-    gen = LoadGenerator(host, port, concurrency=concurrency,
-                        timeout=timeout, retries=retries)
-    if barrier is not None:
-        barrier.wait(timeout=timeout)
-    report = gen._run_threads(requests, start_barrier=True)
-    queue.put({
-        "n_requests": report.n_requests,
-        "n_ok": report.n_ok,
-        "n_rejected": report.n_rejected,
-        "n_deadline": report.n_deadline,
-        "n_failed": report.n_failed,
-        "n_retries": report.n_retries,
-        "latencies_ms": report.latencies_ms,
-    })
-
-
-# --------------------------------------------------------------------------
-# Smoke mode (CI) and the command-line front end
-# --------------------------------------------------------------------------
-
-def _smoke_requests(n_requests: int) -> list[tuple[str, dict[str, Any]]]:
-    """A mixed workload over two small topologies plus health probes.
-
-    Repeating two plan payloads guarantees single-flight joins and/or
-    response-cache hits under any thread interleaving; a 150 ms synthetic
-    service time keeps the first flights open long enough that a concurrent
-    burst *must* coalesce.
-    """
-    from repro.io.network_json import network_to_dict
-    from repro.network.builder import build_paper_network
-
-    nets = [network_to_dict(build_paper_network(n=24, q=3, seed=s)) for s in (1, 2)]
-    requests: list[tuple[str, dict[str, Any]]] = []
-    for i in range(n_requests):
-        if i % 5 == 4:
-            requests.append(("health", {}))
-        else:
-            requests.append(("plan", {"network": nets[(i % 10) // 5],
-                                      "horizon": 200.0, "delay": 0.15}))
-    return requests
-
-
-def run_smoke(*, host: str | None = None, port: int | None = None,
-              n_requests: int = 50, concurrency: int = 8) -> int:
-    """The CI smoke: drive a mixed load, assert clean serving, return 0/1.
-
-    Without ``host``/``port`` an in-process thread-mode server on an
-    ephemeral port is spawned for the duration. Asserts every response was
-    ``ok`` (no failures, no rejections — the smoke queue is sized for the
-    load) and that at least one request was coalesced onto another's
-    in-flight computation.
-    """
-    from repro.serve.server import ServeConfig, ServerThread
-
-    spawned = None
-    if host is None or port is None:
-        spawned = ServerThread(ServeConfig(
-            executor="thread", workers=2, queue_limit=max(64, n_requests),
-            default_deadline=120.0))
-        host, port = spawned.start()
-    try:
-        gen = LoadGenerator(host, port, concurrency=concurrency)
-        report = gen.run(_smoke_requests(n_requests))
-    finally:
-        if spawned is not None:
-            spawned.stop()
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    failures: list[str] = []
-    if report.n_ok != report.n_requests:
-        failures.append(f"expected {report.n_requests} ok responses, got {report.n_ok} "
-                        f"(rejected={report.n_rejected}, deadline={report.n_deadline}, "
-                        f"failed={report.n_failed})")
-    if report.coalesced + report.plan_cache_hits < 1:
-        failures.append("expected at least one coalesced or response-cached plan")
-    for f in failures:
-        print(f"SMOKE FAIL: {f}", file=sys.stderr)
-    if not failures:
-        print(f"smoke ok: {report.n_ok}/{report.n_requests} responses, "
-              f"{report.coalesced} coalesced, {report.plan_cache_hits} cache hits, "
-              f"{report.planner_runs} planner runs", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.serve.client`` — load generator / smoke harness."""
-    parser = argparse.ArgumentParser(
-        prog="repro-serve-client",
-        description="Load generator for the repro planning service")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=7351)
-    parser.add_argument("--requests", type=int, default=50, metavar="N")
-    parser.add_argument("--concurrency", type=int, default=8, metavar="N")
-    parser.add_argument("--processes", type=int, default=1, metavar="N",
-                        help="generator processes (each drives --concurrency "
-                             "threads over its own slice; >1 avoids a "
-                             "single-process GIL bottleneck against a fleet)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="client retry budget for overloaded/connection-"
-                             "reset responses (jittered exponential backoff)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="spawn an in-process server, drive the mixed "
-                             "workload, assert clean serving (used by CI)")
-    args = parser.parse_args(argv)
-    if args.smoke:
-        return run_smoke(n_requests=args.requests, concurrency=args.concurrency)
-    gen = LoadGenerator(args.host, args.port, concurrency=args.concurrency,
-                        retries=args.retries, processes=args.processes)
-    report = gen.run(_smoke_requests(args.requests))
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    return 0 if report.n_failed == 0 else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -16,8 +16,8 @@ server:
   (``process`` mode: a :class:`~concurrent.futures.ProcessPoolExecutor`
   with a per-process warm artifact cache; ``thread`` mode: a
   :class:`~concurrent.futures.ThreadPoolExecutor` sharing one locked
-  cache — used by tests, the smoke harness and NumPy-heavy workloads that
-  release the GIL). The event loop itself never plans.
+  cache — used by tests, the fleet differential and NumPy-heavy
+  workloads that release the GIL). The event loop itself never plans.
 * **Single-flight coalescing** — concurrent ``plan`` requests with the
   same plan key (``geometry_fingerprint`` × cycles digest × horizon ×
   refine × base — i.e. geometry × the coverage structure) share ONE
@@ -102,7 +102,7 @@ class ServeConfig:
     executor:
         ``"process"`` (default; true CPU parallelism, per-process artifact
         caches) or ``"thread"`` (one shared, locked artifact cache; cheap
-        startup — what tests and the smoke harness use).
+        startup — what tests and the fleet differential use).
     queue_limit:
         Maximum in-flight executor jobs (running + queued). Admission past
         this answers ``overloaded`` immediately.

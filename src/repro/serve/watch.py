@@ -1,4 +1,4 @@
-"""``watch`` subscription client and the CI watch-smoke harness.
+"""``watch`` subscription client.
 
 :class:`WatchClient` is the blocking consumer half of the protocol-v3
 ``watch`` upgrade (:mod:`repro.serve.protocol`): it sends one ``watch``
@@ -9,29 +9,16 @@ Like :class:`~repro.serve.client.ServeClient` it is stdlib-only and not
 thread-safe — but :meth:`close` may be called from another thread to
 unblock a reader (that is how :class:`WatchCollector` shuts down).
 
-:func:`run_watch_smoke` (``python -m repro.serve.watch --smoke``) is the
-CI gate for the whole streaming path: boot an in-process 2-shard fleet,
-hold a watch subscription open while a mixed plan/health workload runs
-through the router, then assert that
-
-* the stream was lossless (no sequence gaps client-side, ``dropped == 0``
-  router-side), and
-* at drain, the fleet-wide counter totals accumulated from watch deltas
-  are **identical** to the one-shot ``stats`` fan-out — the live stream
-  and snapshot aggregation must never disagree.
-
-Counters that the act of observing bumps (``stats``/``health`` request
-accounting, ``*.watch.*``) are discovered empirically — two back-to-back
-``stats`` calls, anything that moved is observer effect — and excluded
-from the identity check rather than hard-coded.
+The streaming path's end-to-end contracts (a lossless stream, and
+watch totals identical to the one-shot ``stats`` fan-out at drain, under
+concurrent load through a 2-shard fleet) are tier-1 tests in
+``tests/integration/test_watch.py``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import socket
-import sys
 import threading
 from typing import Any, Iterator
 
@@ -39,7 +26,7 @@ from repro.errors import ServeError
 from repro.obs.live import WatchFrame, is_frame_line
 from repro.serve.protocol import decode_response, encode, raise_for_error
 
-__all__ = ["WatchClient", "WatchCollector", "run_watch_smoke", "main"]
+__all__ = ["WatchClient", "WatchCollector"]
 
 
 class WatchClient:
@@ -139,9 +126,9 @@ class WatchClient:
 class WatchCollector(threading.Thread):
     """Drains a :class:`WatchClient` on a background thread.
 
-    The integration tests and the smoke harness need the subscription
-    consumed *while* they drive load on the main thread; this collects
-    every frame under a lock so the driver can snapshot mid-run.
+    A driver that holds a subscription open *while* it drives load on the
+    main thread needs it consumed concurrently; this collects every frame
+    under a lock so the driver can snapshot mid-run.
     """
 
     def __init__(self, client: WatchClient) -> None:
@@ -166,140 +153,3 @@ class WatchCollector(threading.Thread):
         self.client.close()
         self.join(timeout=10.0)
         return self.snapshot()
-
-
-# --------------------------------------------------------------------------
-# The CI watch smoke.
-# --------------------------------------------------------------------------
-
-def _observer_counters(s1: dict[str, float],
-                       s2: dict[str, float]) -> set[str]:
-    """Counter names bumped by the act of taking a ``stats`` snapshot.
-
-    Two back-to-back fan-outs with no other traffic: any counter that
-    moved between them is request-accounting for the observation itself
-    and can never satisfy a stream/snapshot identity check.
-    """
-    changed = {name for name, value in s2.items() if value != s1.get(name, 0.0)}
-    changed.update(name for name in s1 if name not in s2)
-    return changed
-
-
-def _counter_mismatches(watch_totals: dict[str, float],
-                        stats_counters: dict[str, float],
-                        exclude: set[str]) -> list[str]:
-    """Names where the watch accumulation and the stats fan-out disagree."""
-    bad: list[str] = []
-    for name in sorted(set(watch_totals) | set(stats_counters)):
-        if name in exclude or ".watch." in name:
-            continue
-        w = watch_totals.get(name, 0.0)
-        s = stats_counters.get(name, 0.0)
-        if abs(w - s) > 1e-6:
-            bad.append(f"{name}: watch={w} stats={s}")
-    return bad
-
-
-def run_watch_smoke(*, n_requests: int = 50, concurrency: int = 8,
-                    shards: int = 2, interval: float = 0.25) -> int:
-    """The CI watch smoke; returns a process exit code."""
-    import tempfile
-    import time
-
-    from repro.fleet.__main__ import _mixed_requests
-    from repro.fleet.router import FleetConfig
-    from repro.fleet.service import Fleet
-    from repro.serve.client import LoadGenerator, ServeClient
-
-    requests = _mixed_requests(n_requests)
-    with tempfile.TemporaryDirectory(prefix="repro-watch-smoke-") as cache_dir:
-        config = FleetConfig(
-            shards=shards, shard_mode="thread", workers=2, executor="thread",
-            queue_limit=max(64, n_requests), default_deadline=120.0,
-            cache_dir=cache_dir, supervisor_poll=0.75, seed=0)
-        with Fleet(config) as fleet:
-            host, port = fleet.router.address
-            watch = WatchClient(host, port, interval=interval)
-            collector = WatchCollector(watch)
-
-            gen = LoadGenerator(host, port, concurrency=concurrency)
-            report = gen.run(requests)
-
-            # Let the in-flight deltas land, then measure the observer
-            # effect of the stats fan-out itself with two idle snapshots.
-            time.sleep(interval * 3)
-            with ServeClient(host, port) as probe:
-                s1 = dict(probe.stats().get("counters", {}))
-                s2 = dict(probe.stats().get("counters", {}))
-            observer = _observer_counters(s1, s2)
-            # One more frame period so the stream ingests those snapshots'
-            # own accounting; then the totals must match exactly.
-            time.sleep(interval * 3)
-            frames = collector.stop()
-
-    aggregates = [f for f in frames if f.kind == "aggregate"]
-    final = aggregates[-1] if aggregates else None
-    mismatches = [] if final is None else _counter_mismatches(
-        final.counters, s2, observer)
-
-    summary = dict(report.to_dict(),
-                   frames=len(frames),
-                   aggregate_frames=len(aggregates),
-                   client_gaps=watch.n_dropped,
-                   router_dropped=0 if final is None else final.dropped,
-                   shards_up=0 if final is None else
-                   sum(1 for state in final.shards.values() if state == "up"),
-                   counters_compared=0 if final is None else
-                   len((set(final.counters) | set(s2)) - observer),
-                   observer_counters=len(observer))
-    print(json.dumps(summary, indent=2, sort_keys=True))
-
-    failures: list[str] = []
-    if report.n_ok != report.n_requests:
-        failures.append(f"expected {report.n_requests} ok responses, got "
-                        f"{report.n_ok} — workload failed under a subscription")
-    if len(aggregates) < 2:
-        failures.append(f"expected >= 2 aggregate frames over the run, got "
-                        f"{len(aggregates)}")
-    if watch.n_dropped:
-        failures.append(f"client observed {watch.n_dropped} sequence gap(s) "
-                        f"— deltas were dropped")
-    if final is not None and final.dropped:
-        failures.append(f"router-side aggregation reported {final.dropped} "
-                        f"dropped shard frame(s)")
-    if final is not None and summary["shards_up"] != shards:
-        failures.append(f"final frame shows {summary['shards_up']}/{shards} "
-                        f"shards up")
-    for line in mismatches:
-        failures.append(f"watch totals diverge from stats fan-out: {line}")
-    for f in failures:
-        print(f"WATCH SMOKE FAIL: {f}", file=sys.stderr)
-    if not failures:
-        assert final is not None
-        print(f"watch smoke ok: {len(frames)} frames, 0 gaps, "
-              f"{summary['counters_compared']} counters identical to the "
-              f"stats fan-out at drain "
-              f"({summary['observer_counters']} observer counters excluded)",
-              file=sys.stderr)
-    return 1 if failures else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-watch-smoke",
-        description="Watch-stream smoke: fleet + live subscription under load")
-    parser.add_argument("--requests", type=int, default=50, metavar="N")
-    parser.add_argument("--concurrency", type=int, default=8, metavar="N")
-    parser.add_argument("--shards", type=int, default=2, metavar="N")
-    parser.add_argument("--interval", type=float, default=0.25, metavar="SEC")
-    parser.add_argument("--smoke", action="store_true",
-                        help="accepted for symmetry with repro.serve "
-                             "(this entry point is always the smoke)")
-    args = parser.parse_args(argv)
-    return run_watch_smoke(n_requests=args.requests,
-                           concurrency=args.concurrency,
-                           shards=args.shards, interval=args.interval)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

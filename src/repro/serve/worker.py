@@ -5,7 +5,7 @@ workers; this module is the code that actually runs there. Everything is a
 module-level function so the :class:`~concurrent.futures.ProcessPoolExecutor`
 can ship it by reference, and the same functions run unchanged on a
 :class:`~concurrent.futures.ThreadPoolExecutor` (the server's ``thread``
-mode, used by tests and the smoke harness).
+mode, used by tests and the fleet differential).
 
 Each worker keeps a **warm** :class:`~repro.plan.cache.PlanArtifactCache`
 resident in :data:`_CACHE`:
@@ -40,7 +40,7 @@ from repro.plan.cache import PlanArtifactCache
 from repro.plan.store import PlanArtifactStore
 
 __all__ = ["init_worker", "execute_plan", "execute_simulate",
-           "worker_cache_info", "flush_worker_cache"]
+           "flush_worker_cache"]
 
 _CACHE: PlanArtifactCache | None = None
 _STORE: PlanArtifactStore | None = None
@@ -71,11 +71,6 @@ def init_worker(max_entries: int | None = 4096,
         if cache_dir is not None and _STORE is None:
             _STORE = PlanArtifactStore(cache_dir)
             _STORE.warm(_CACHE)
-
-
-def worker_cache_info() -> dict[str, int] | None:
-    """The resident cache's :meth:`~repro.plan.cache.PlanArtifactCache.info`."""
-    return None if _CACHE is None else _CACHE.info()
 
 
 def flush_worker_cache() -> int:

@@ -60,3 +60,21 @@ def paper_network_random_cycles():
 @pytest.fixture
 def linear_distribution() -> LinearCycleDistribution:
     return LinearCycleDistribution(tau_min=1.0, tau_max=50.0, sigma=2.0)
+
+
+@pytest.fixture(scope="session")
+def mixed_serve_load():
+    """48 wire requests over 8 small geometries: plans with a 50 ms
+    synthetic service time, every 6th request a ``health`` fan-out.
+
+    Each plan has its own horizon, so no request is answered from the
+    response cache and every plan keeps a worker busy.
+    """
+    from repro.io.network_json import network_to_dict
+
+    nets = [network_to_dict(build_paper_network(n=16, q=2, seed=s))
+            for s in range(60, 68)]
+    return [("health", {}) if i % 6 == 5 else
+            ("plan", {"network": nets[i % 8], "horizon": 200.0 + i,
+                      "delay": 0.05})
+            for i in range(48)]

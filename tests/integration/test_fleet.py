@@ -28,6 +28,7 @@ import json
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -38,7 +39,7 @@ from repro.fleet.router import routing_key
 from repro.io.network_json import network_to_dict
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
-from repro.serve import ServeClient, ServeConfig, ServerThread, frontend
+from repro.serve import LoadGenerator, ServeClient, ServeConfig, ServerThread, frontend
 from repro.serve.protocol import BAD_REQUEST, SHARD_UNAVAILABLE, SHUTTING_DOWN, encode
 
 
@@ -213,28 +214,45 @@ class TestFailover:
                     == counters["fleet.shard_unavailable"])
             assert counters["fleet.failed"] >= counters["fleet.shard_unavailable"]
 
-    def test_supervisor_restarts_and_shard_rejoins(self, net):
-        cfg = _config(supervisor_poll=0.1, max_restarts=3)
-        with Fleet(cfg) as fleet:
-            victim = _owner(fleet, net)
-            with ServeClient(*fleet.router.address) as c:
-                c.plan(net, 300.0)
+    def test_supervisor_restarts_and_shard_rejoins(self, mixed_serve_load):
+        """Concurrent load across a mid-run kill of a ring owner: every
+        request is answered ``ok``, the router fails over at least once,
+        and the supervisor restarts the victim, which rejoins the ring.
+
+        The kill lands while the victim has a request in flight. Killed
+        in an idle gap instead, the 0.1 s supervisor poll can take the
+        shard out of rotation before any request meets it, and then no
+        fail-over happens at all.
+        """
+        requests = mixed_serve_load
+        half = len(requests) // 2
+        with Fleet(_config(supervisor_poll=0.1, max_restarts=3)) as fleet:
+            victim = _owner(fleet, requests[0][1]["network"])
+            gen = LoadGenerator(*fleet.router.address, concurrency=8)
+            first = gen.run(requests[:half])
+            with ThreadPoolExecutor(1) as pool:
+                pending = pool.submit(gen.run, requests[half:])
+                assert _wait(lambda: fleet.router._inflight.get(victim, 0)
+                             > 0), "the second half never reached the victim"
                 fleet.kill_shard(victim)
-                deadline = time.monotonic() + 20
-                while time.monotonic() < deadline:  # detected down ...
-                    if victim not in fleet.router.live_shards:
-                        break
-                    time.sleep(0.05)
-                while time.monotonic() < deadline:  # ... then rejoined
-                    if len(fleet.router.live_shards) == 2:
-                        break
-                    time.sleep(0.05)
-                assert fleet.router.live_shards == {"shard-0", "shard-1"}
-                # The restarted shard serves its keys again (cold cache,
-                # same deterministic answer).
-                assert c.plan(net, 300.0)["n_schedulings"] >= 0
-            assert fleet.obs.counters.get("fleet.shard.restarts", 0) >= 1
-            assert fleet.obs.counters.get("fleet.rejoined", 0) >= 1
+                second = pending.result(timeout=120)
+            assert _wait(lambda: fleet.router.live_shards
+                         == {"shard-0", "shard-1"}
+                         and fleet.obs.counters.get("fleet.rejoined", 0) >= 1)
+            counters = dict(fleet.obs.counters)
+            # The restarted shard serves its keys again (cold cache, same
+            # deterministic answer).
+            with ServeClient(*fleet.router.address) as c:
+                assert c.plan(requests[0][1]["network"],
+                              300.0)["n_schedulings"] >= 0
+        for report in (first, second):
+            assert report.n_ok == report.n_requests, report.to_dict()
+        assert first.n_requests + second.n_requests == len(requests)
+        assert counters.get("fleet.failover", 0) >= 1
+        assert counters.get("fleet.failover.served", 0) >= 1
+        assert counters.get("fleet.shard.down", 0) >= 1
+        assert counters.get("fleet.shard.restarts", 0) >= 1
+        assert counters.get("fleet.rejoined", 0) >= 1
 
 
 class TestRouterDrain:

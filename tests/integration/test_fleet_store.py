@@ -6,8 +6,8 @@ a fleet: whatever one shard computes is write-through published for all.
 These tests pin that contract with two independent
 :class:`~repro.serve.ServerThread` servers pointed at the same store root
 (in-process for speed; the store's locking + atomic-publication design is
-identical across real processes, which ``repro check fleet`` and the CI
-fleet smoke exercise):
+identical across real processes, which ``repro check fleet`` and the
+fleet fail-over tests exercise):
 
 * a plan computed by server A is served warm by a *concurrently running*
   server B — same payload, zero recomputation of the shared artifacts;

@@ -389,16 +389,3 @@ class TestLoadGeneratorModes:
             # were rejected `overloaded` and retried into success.
             assert report.n_retries >= 1
             assert report.to_dict()["n_retries"] == report.n_retries
-
-    def test_multiprocess_mode_drives_real_processes(self, net):
-        from repro.serve import LoadGenerator
-
-        with ServerThread(_config()) as srv:
-            host, port = srv.address
-            gen = LoadGenerator(host, port, concurrency=2, processes=2)
-            report = gen.run([("health", {}) for _ in range(8)]
-                             + [("plan", {"network": net, "horizon": 300.0})])
-            assert report.n_requests == 9
-            assert report.n_failed == 0
-            assert report.duration > 0
-            assert report.throughput > 0

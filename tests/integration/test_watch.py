@@ -29,7 +29,7 @@ from repro.fleet.router import routing_key
 from repro.io.network_json import network_to_dict
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
-from repro.serve import ServeClient, ServeConfig, ServerThread
+from repro.serve import LoadGenerator, ServeClient, ServeConfig, ServerThread
 from repro.serve.protocol import BAD_REQUEST
 from repro.serve.watch import WatchClient, WatchCollector
 
@@ -62,6 +62,31 @@ def _wait(predicate, timeout=20.0, step=0.05):
             return True
         time.sleep(step)
     return predicate()
+
+
+def _observer_counters(s1, s2):
+    """Counter names bumped by the act of taking a ``stats`` snapshot.
+
+    Two back-to-back fan-outs with no other traffic: any counter that
+    moved between them is request accounting for the observation itself
+    and can never satisfy a stream/snapshot identity check.
+    """
+    changed = {name for name, value in s2.items() if value != s1.get(name, 0.0)}
+    changed.update(name for name in s1 if name not in s2)
+    return changed
+
+
+def _counter_mismatches(watch_totals, stats_counters, exclude):
+    """Names where the watch accumulation and the stats fan-out disagree."""
+    bad = []
+    for name in sorted(set(watch_totals) | set(stats_counters)):
+        if name in exclude or ".watch." in name:
+            continue
+        w = watch_totals.get(name, 0.0)
+        s = stats_counters.get(name, 0.0)
+        if abs(w - s) > 1e-6:
+            bad.append(f"{name}: watch={w} stats={s}")
+    return bad
 
 
 class TestServeWatch:
@@ -197,23 +222,46 @@ class TestFleetStatsMergeRules:
         assert stats["counters"]["serve.requests.stats"] == 2
         assert len(stats["shards"]) == 2
 
-    def test_aggregate_stream_equals_stats_fanout_at_drain(self, net):
-        """The tentpole identity on a quiet fleet: accumulated watch totals
-        equal the one-shot fan-out for every traffic counter."""
+    def test_aggregate_stream_equals_stats_fanout_at_drain(
+            self, mixed_serve_load):
+        """The stream/snapshot identity under concurrent load: at drain, the
+        watch totals equal the one-shot fan-out for the *whole* counter
+        table, bar the counters that observing itself bumps."""
+        interval = 0.1
         with Fleet(_fleet_config()) as fleet:
             host, port = fleet.router.address
-            watch = WatchClient(host, port, interval=0.1)
+            watch = WatchClient(host, port, interval=interval)
             collector = WatchCollector(watch)
-            with ServeClient(host, port) as c:
-                c.plan(net, 200.0)
-                time.sleep(0.3)  # let the deltas land
-                stats = c.stats()
-            time.sleep(0.3)  # let the stats request's own accounting land
+            report = LoadGenerator(host, port, concurrency=8).run(
+                mixed_serve_load)
+            with ServeClient(host, port) as probe:
+                s1 = dict(probe.stats()["counters"])
+                s2 = dict(probe.stats()["counters"])
+            observer = _observer_counters(s1, s2)
+
+            def totals():
+                aggregates = [f for f in collector.snapshot()
+                              if f.kind == "aggregate"]
+                return aggregates[-1].counters if aggregates else {}
+
+            # Wait for the stream to ingest the load and the two
+            # snapshots' own accounting; a lost delta never converges.
+            _wait(lambda: not _counter_mismatches(totals(), s2, observer),
+                  timeout=10.0)
             frames = collector.stop()
-        final = [f for f in frames if f.kind == "aggregate"][-1]
-        for name in ("serve.requests.plan", "fleet.routed", "plan.calls"):
-            assert final.counters.get(name, 0.0) == \
-                stats["counters"].get(name, 0.0), name
+
+        assert report.n_ok == report.n_requests, report.to_dict()
+        aggregates = [f for f in frames if f.kind == "aggregate"]
+        assert len(aggregates) >= 2
+        assert watch.n_dropped == 0
+        last = aggregates[-1]
+        assert last.dropped == 0
+        assert last.shards == {"shard-0": "up", "shard-1": "up"}
+        # Observer discovery must not swallow the traffic counters.
+        traffic = {"serve.requests.plan", "serve.requests.health",
+                   "fleet.routed", "plan.calls"}
+        assert traffic <= set(s2) - observer
+        assert _counter_mismatches(last.counters, s2, observer) == []
 
 
 class TestWatchSurvivesShardRestart:

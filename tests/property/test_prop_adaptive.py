@@ -1,5 +1,4 @@
-"""Property-based tests for the adaptive layer: the patch repair step and
-the capacity/minmax extensions."""
+"""Property-based tests for the adaptive layer's patch repair step."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,8 +9,6 @@ from repro.core.quantize import quantize_cycles
 from repro.geometry.bbox import Rect
 from repro.geometry.point import Point
 from repro.network.builder import NetworkBuilder
-from repro.rooted.capacity import split_tour_by_budget
-from repro.rooted.qtsp import q_rooted_tsp
 
 
 @st.composite
@@ -77,40 +74,3 @@ class TestPatchProperties:
                 continue
             covered = set().union(*(t.visited() for t in tours))
             assert patch.sets[j] <= covered
-
-
-@st.composite
-def split_instances(draw):
-    n = draw(st.integers(1, 15))
-    pts = draw(st.lists(
-        st.tuples(st.floats(0, 500, allow_nan=False, width=32),
-                  st.floats(0, 500, allow_nan=False, width=32)),
-        min_size=n + 1, max_size=n + 1))
-    from repro.geometry.distance import distance_matrix
-
-    dist = distance_matrix(np.asarray(pts, dtype=np.float64))
-    tour = q_rooted_tsp(dist, list(range(1, n + 1)), [0])[0]
-    return dist, tour
-
-
-class TestSplitProperties:
-    @given(split_instances(), st.floats(1.0, 3.0, allow_nan=False))
-    @settings(max_examples=40, deadline=None)
-    def test_split_invariants(self, inst, tightness):
-        dist, tour = inst
-        stops = tour.stops()
-        if not stops:
-            return
-        min_budget = 2 * max(dist[tour.depot, s] for s in stops)
-        if min_budget <= 0:
-            return  # all points coincide; the budget constraint is vacuous
-        budget = min_budget * float(tightness)
-        result = split_tour_by_budget(dist, tour, budget)
-        # Every trip within budget, all stops covered exactly once, order kept.
-        flattened = [s for t in result.trips for s in t.stops()]
-        assert flattened == list(stops)
-        for trip in result.trips:
-            assert trip.cost(dist) <= budget * (1 + 1e-6)
-            assert trip.depot == tour.depot
-        # Splitting can only add distance.
-        assert result.total_cost >= tour.cost(dist) - 1e-6
