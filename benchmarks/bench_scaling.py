@@ -245,9 +245,11 @@ def test_executor_serial_vs_parallel(benchmark, pipeline_json):
         lambda: _timed(lambda: run_cell(cfg, jobs=jobs)), rounds=1, iterations=1)
     parallel = run_cell(cfg, jobs=jobs)
 
-    for a, b in zip(serial.results, parallel.results):
-        assert a.costs.tobytes() == b.costs.tobytes()
-        assert a.deaths.tobytes() == b.deaths.tobytes()
+    spec = serial.specs[0]
+    for alg in cfg.algorithms:
+        for field in ("cost", "deaths"):
+            assert (serial.column(spec, alg, field).tobytes()
+                    == parallel.column(spec, alg, field).tobytes())
 
     pipeline_json["executor"] = {
         "n": cfg.n, "topologies": cfg.n_topologies, "jobs": jobs,

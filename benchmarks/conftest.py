@@ -3,7 +3,8 @@
 Each ``bench_fig*.py`` regenerates one panel of the paper's evaluation:
 it runs the registered sweep (coarse grid, a few topologies per point —
 raise with ``--bench-reps`` or use the CLI's ``--full`` for paper density),
-prints the same series the paper plots plus the paper-vs-measured verdict,
+prints the panel's EXPERIMENTS.md section (the same series the paper plots
+plus the paper-vs-measured verdict),
 and records the wall-clock through pytest-benchmark (one round — these are
 macro-benchmarks; the micro-benchmarks live in ``bench_scaling.py``).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.figures import get_figure
-from repro.reporting.summary import figure_report
+from repro.reporting.experiments_md import figure_markdown
 
 
 def pytest_addoption(parser):
@@ -38,7 +39,7 @@ def bench_full(request) -> bool:
 @pytest.fixture
 def run_figure_bench(benchmark, bench_reps, bench_full, request):
     """Run one registered figure under the benchmark timer and print its
-    paper-vs-measured report (straight to the terminal, bypassing capture);
+    markdown panel section (straight to the terminal, bypassing capture);
     returns the sweep for assertions."""
     capman = request.config.pluginmanager.getplugin("capturemanager")
 
@@ -47,7 +48,7 @@ def run_figure_bench(benchmark, bench_reps, bench_full, request):
         result = benchmark.pedantic(
             lambda: spec.run(n_topologies=bench_reps, full=bench_full),
             rounds=1, iterations=1)
-        report = "\n" + figure_report(spec, result) + "\n"
+        report = "\n" + figure_markdown(spec, result)
         if capman is not None:
             with capman.global_and_fixture_disabled():
                 print(report, flush=True)

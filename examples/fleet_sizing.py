@@ -15,27 +15,23 @@ approximation.)
 Run:  python examples/fleet_sizing.py
 """
 
-from repro import ExperimentConfig
-from repro.experiments import run_cell
+from repro import ExperimentConfig, sweep
 from repro.reporting import format_table
 
 HORIZON = 1000.0
 
 
 def main() -> None:
-    rows = []
-    prev_cost = None
     base = ExperimentConfig(n=200, horizon=HORIZON, algorithms=("mtd", "greedy"),
                             n_topologies=3, seed=77)
     print(f"sweeping fleet size on: {base.describe()}\n")
-    for q in range(1, 9):
-        cell = run_cell(base.with_(q=q))
-        mtd = cell.by_name("mtd")
-        greedy = cell.by_name("greedy")
-        saving = (prev_cost - mtd.mean_cost) if prev_cost is not None else float("nan")
-        rows.append([q, mtd.mean_cost, greedy.mean_cost,
-                     cell.ratio("mtd", "greedy"), saving])
-        prev_cost = mtd.mean_cost
+    result = sweep(base, "q", list(range(1, 9)))
+    _, mtd = result.series("mtd")
+    _, greedy = result.series("greedy")
+    ratios = result.ratio_series("mtd", "greedy")
+    savings = [float("nan"), *(mtd[:-1] - mtd[1:])]
+    rows = [list(row) for row in
+            zip(result.values, mtd, greedy, ratios, savings)]
 
     print(format_table(
         ["q", "MTD cost (m)", "Greedy cost (m)", "MTD/Greedy", "marginal saving (m)"],

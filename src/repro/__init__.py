@@ -50,7 +50,7 @@ from repro.core import (
     service_cost,
 )
 from repro.errors import ReproError
-from repro.experiments import ExperimentConfig, run_cell, run_figure, sweep
+from repro.experiments import ExperimentConfig, run_cell, sweep
 from repro.io import load_network, load_plan, save_network, save_plan
 from repro.network import (
     LinearCycleDistribution,
@@ -102,7 +102,6 @@ __all__ = [
     "q_rooted_tsp",
     "quantize_cycles",
     "run_cell",
-    "run_figure",
     "save_network",
     "save_plan",
     "service_cost",

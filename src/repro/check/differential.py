@@ -624,13 +624,14 @@ class ScenarioChecker:
         for config in cells:
             serial = run_cell(config, jobs=1)
             parallel = run_cell(config, jobs=2)
-            for s, p in zip(serial.results, parallel.results):
-                for attr in ("costs", "deaths", "dispatches"):
-                    a = getattr(s, attr)
-                    b = getattr(p, attr)
+            spec = serial.specs[0]
+            for algorithm in config.algorithms:
+                for field in ("cost", "deaths", "dispatches"):
+                    a = serial.column(spec, algorithm, field)
+                    b = parallel.column(spec, algorithm, field)
                     if not np.array_equal(a, b):
                         failures.append(CheckFailure("executor", (
-                            f"{config.describe()} {s.algorithm}: {attr} "
+                            f"{config.describe()} {algorithm}: {field} "
                             f"differ between jobs=1 ({a.tolist()}) and "
                             f"jobs=2 ({b.tolist()}) — parallel runs must "
                             f"be bit-identical")))

@@ -41,7 +41,7 @@ from repro.errors import CheckError, ConfigError
 from repro.experiments.figures import FIGURES, get_figure
 from repro.obs import Instrumentation, configure_logging, get_logger
 from repro.reporting.csvio import sweep_to_csv
-from repro.reporting.summary import figure_report
+from repro.reporting.experiments_md import figure_markdown
 
 __all__ = ["main", "build_parser"]
 
@@ -398,7 +398,7 @@ def _cmd_run(args: argparse.Namespace, obs: Instrumentation | None) -> int:
                       overrides=_dynamics_overrides(args))
     elapsed = time.perf_counter() - t0
     print()
-    print(figure_report(spec, result, instrumentation=obs))
+    print(figure_markdown(spec, result))
     log.info("(completed in %.1fs)", elapsed)
     if args.csv:
         path = sweep_to_csv(result, args.csv)

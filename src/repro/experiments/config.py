@@ -23,7 +23,7 @@ from repro.network.cycles import (
     RandomCycleDistribution,
 )
 
-__all__ = ["ExperimentConfig"]
+__all__ = ["ExperimentConfig", "ScenarioSpec"]
 
 #: Algorithms the runner knows how to instantiate.
 KNOWN_ALGORITHMS = (
@@ -211,3 +211,50 @@ class ExperimentConfig:
         if self.request_rate > 0:
             parts.append(f"req={self.request_rate:g}")
         return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class ScenarioSpec:
+    """One named, seed-deterministic run target.
+
+    Registered scenarios (:mod:`repro.scenarios`) and the points of a
+    figure panel (:meth:`repro.experiments.figures.FigureSpec.points`) are
+    both specs; the run executor
+    (:func:`~repro.experiments.runner.run_table`) keys its result table by
+    them.
+
+    Parameters
+    ----------
+    name:
+        Registry key (kebab-case, e.g. ``"failure-storm"``) or panel id.
+    description:
+        One line for tables and docs.
+    config:
+        The :class:`ExperimentConfig` describing topology, workload and
+        dynamic-event rates. ``config.algorithms`` are the policies a
+        panel runs; the scorer supplies its own from its policy registry.
+    battery_range:
+        Optional ``(lo, hi)``; when set, per-sensor battery capacities are
+        drawn uniformly from it (seeded from the topology's child seed),
+        replacing the homogeneous ``B = 1`` default.
+    """
+
+    name: str
+    description: str
+    config: ExperimentConfig
+    battery_range: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if not self.name:
+            raise ConfigError("ScenarioSpec: name must be non-empty")
+        if self.battery_range is not None:
+            lo, hi = self.battery_range
+            if not (0 < lo <= hi):
+                raise ConfigError(
+                    f"ScenarioSpec {self.name!r}: battery_range needs "
+                    f"0 < lo <= hi, got ({lo}, {hi})")
+
+    def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
+        """Copy with ``ExperimentConfig`` fields overridden (suite scaling,
+        panel points)."""
+        return replace(self, config=self.config.with_(**overrides))

@@ -6,6 +6,11 @@ parameters and the qualitative claim the reproduction must match. Benches
 in ``benchmarks/`` and the CLI both resolve figures through this registry,
 so the definition of every experiment lives in exactly one place.
 
+A panel resolves to scenario specs, one point per swept value
+(:meth:`FigureSpec.points`), and runs them through the same executor and
+result table as the scorecard. The points are not registered scenarios:
+the scoring suites do not run them.
+
 Default sweep grids are slightly coarser than the paper's (e.g. 6 values of
 ``tau_max`` instead of 50) and default repetitions lower than the paper's
 100 topologies; pass ``full=True`` / a higher ``n_topologies`` for the
@@ -18,11 +23,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.sweeps import SweepResult, sweep
+from repro.experiments.config import ExperimentConfig, ScenarioSpec
+from repro.experiments.sweeps import SweepResult, _run_points
 from repro.obs.instrument import Instrumentation
 
-__all__ = ["FigureSpec", "FIGURES", "get_figure", "run_figure"]
+__all__ = ["FigureSpec", "FIGURES", "get_figure"]
 
 ProgressFn = Callable[[str], None]
 
@@ -57,18 +62,16 @@ class FigureSpec:
     paper_claim: str
     check: Callable[[SweepResult], bool] | None = None
 
-    def run(self, *, n_topologies: int | None = None, full: bool = False,
-            progress: ProgressFn | None = None,
-            obs: Instrumentation | None = None,
-            jobs: int = 1, cache_dir: str | None = None,
-            overrides: dict | None = None) -> SweepResult:
-        """Execute the sweep (coarse grid unless ``full``); ``jobs > 1``
-        fans the sweep's topology jobs onto one process pool, ``cache_dir``
-        persists plan artifacts across runs (same results either way).
-        ``overrides`` patches the base config before sweeping (e.g.
+    def points(self, *, n_topologies: int | None = None, full: bool = False,
+               overrides: dict | None = None) -> tuple[ScenarioSpec, ...]:
+        """The panel as scenario specs, one per swept value (coarse grid
+        unless ``full``): the panel's base spec with the parameter
+        overridden, as a suite resolves its members.
+
+        ``n_topologies`` and ``overrides`` patch the base first (e.g.
         ``{"failure_rate": 0.01, "failure_mttr": 5.0}`` re-runs any paper
-        panel under charger breakdowns) — it may not override the swept
-        parameter itself."""
+        panel under charger breakdowns); ``overrides`` may not name the
+        swept parameter itself."""
         base = self.base
         if n_topologies is not None:
             base = base.with_(n_topologies=n_topologies)
@@ -78,9 +81,23 @@ class FigureSpec:
                     f"figure {self.figure_id} sweeps {self.parameter!r}; "
                     f"it cannot also be overridden")
             base = base.with_(**overrides)
-        vals = self.values_full if full else self.values
-        return sweep(base, self.parameter, list(vals), progress=progress,
-                     obs=obs, jobs=jobs, cache_dir=cache_dir)
+        spec = ScenarioSpec(self.figure_id, self.title, base)
+        return tuple(spec.with_overrides(**{self.parameter: v})
+                     for v in (self.values_full if full else self.values))
+
+    def run(self, *, n_topologies: int | None = None, full: bool = False,
+            progress: ProgressFn | None = None,
+            obs: Instrumentation | None = None,
+            jobs: int = 1, cache_dir: str | None = None,
+            overrides: dict | None = None) -> SweepResult:
+        """Run the panel's :meth:`points` in one executor call; ``jobs > 1``
+        fans the topology jobs onto one process pool, ``cache_dir``
+        persists plan artifacts across runs (same results either way)."""
+        return _run_points(
+            self.parameter,
+            self.points(n_topologies=n_topologies, full=full,
+                        overrides=overrides),
+            progress=progress, obs=obs, jobs=jobs, cache_dir=cache_dir)
 
 
 def _ratio_band(num: str, den: str, lo: float, hi: float,
@@ -296,12 +313,3 @@ def get_figure(figure_id: str) -> FigureSpec:
     except KeyError:
         raise ConfigError(
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}") from None
-
-
-def run_figure(figure_id: str, *, n_topologies: int | None = None,
-               full: bool = False,
-               progress: ProgressFn | None = None,
-               obs: Instrumentation | None = None) -> SweepResult:
-    """Convenience: ``get_figure(figure_id).run(...)``."""
-    return get_figure(figure_id).run(n_topologies=n_topologies, full=full,
-                                     progress=progress, obs=obs)

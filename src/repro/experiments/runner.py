@@ -1,7 +1,8 @@
-"""The run executor: topology jobs x policies -> typed rows -> aggregates.
+"""The run executor: (spec, topology) jobs x policies -> one result table.
 
-One **job** is one topology of one config: :func:`build_instance` turns
-``(config, r, battery_range)`` into the topology's network, workload and
+One **job** is one topology of one
+:class:`~repro.experiments.config.ScenarioSpec`: :func:`build_instance`
+turns ``(spec, r)`` into the topology's network, workload and
 dynamic-event history, then every policy of the job runs against that one
 instance — the same network, workload realisation and event replay for
 all of them (common random numbers), so per-cell cost ratios are paired
@@ -12,25 +13,27 @@ Each policy run (:func:`run_policy`) gets a fresh
 :class:`~repro.plan.cache.PlanArtifactCache` and a private
 :class:`~repro.obs.instrument.Instrumentation` context and returns one
 :class:`RunRow`; a cell's results therefore never depend on which other
-policies ran before it. :func:`execute` runs a batch of jobs in-process
-(``workers == 1``) or maps them over one ``ProcessPoolExecutor``. Jobs are
-pure in ``(config, r)``, so both modes return bit-identical rows, always in
-job order; when the caller is collecting, each policy run's snapshot is
-merged into its context in (job, policy) order.
+policies ran before it. :func:`run_table` is the one entry point: it runs
+every job of a batch in-process (``jobs == 1``) or maps them over one
+``ProcessPoolExecutor``. Jobs are pure in ``(spec, r)``, so both modes
+return bit-identical rows; when the caller is collecting, each policy
+run's snapshot is merged into its context in (job, policy) order.
 
-The consumers are folds over those rows: :func:`run_cell` here,
-:func:`~repro.experiments.sweeps.sweep` (every point of a sweep in one
-executor call) and :func:`~repro.scenarios.score.score_suite`.
+The rows land in one :class:`ResultTable` keyed by ``(spec, policy)``.
+A figure panel is a tuple of specs, one per swept value
+(:func:`~repro.experiments.sweeps.sweep`, :func:`run_cell` for a single
+config); a scorecard is the suite's specs
+(:func:`~repro.scenarios.score.score_suite`). Both read the same table:
+panels its cost and death columns, the scorecard its one metric fold
+(:func:`fold_metrics`).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,11 +43,12 @@ from repro.baselines.naive import NaiveChargeAllPolicy
 from repro.baselines.periodic import periodic_per_sensor_plan
 from repro.core.mintotal import min_total_distance
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, ScenarioSpec
 from repro.network.builder import build_paper_network
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, StatsSnapshot, ensure
 from repro.obs.log import get_logger
+from repro.obs.quantile import percentile
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.store import PlanArtifactStore
 from repro.sim.engine import simulate
@@ -54,9 +58,9 @@ from repro.sim.workload import FixedWorkload, ResampledWorkload, Workload
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.sources import ScenarioDynamics
 
-__all__ = ["AlgorithmResult", "CellResult", "Instance", "Job", "RunRow",
-           "build_instance", "execute", "make_policy", "run_cell",
-           "run_policy", "topology_seed"]
+__all__ = ["METRIC_KEYS", "Instance", "Job", "ResultTable", "RunRow",
+           "build_instance", "fold_metrics", "make_policy", "run_cell",
+           "run_policy", "run_table", "topology_seed"]
 
 log = get_logger(__name__)
 
@@ -64,95 +68,20 @@ log = get_logger(__name__)
 #: deployment/depot/cycle substreams spawned inside the network builder.
 _BATTERY_SPAWN_KEY = (101,)
 
-
-@dataclass(frozen=True)
-class AlgorithmResult:
-    """Aggregate of one algorithm over all topologies of a cell.
-
-    Parameters
-    ----------
-    algorithm:
-        Algorithm name.
-    costs:
-        ``(n_topologies,)`` service costs, one per topology.
-    deaths:
-        ``(n_topologies,)`` death counts (all zeros for a correct run).
-    dispatches:
-        ``(n_topologies,)`` executed scheduling counts.
-    """
-
-    algorithm: str
-    costs: np.ndarray
-    deaths: np.ndarray
-    dispatches: np.ndarray
-
-    @property
-    def mean_cost(self) -> float:
-        return float(self.costs.mean())
-
-    @property
-    def std_cost(self) -> float:
-        return float(self.costs.std(ddof=1)) if self.costs.size > 1 else 0.0
-
-    @property
-    def total_deaths(self) -> int:
-        return int(self.deaths.sum())
-
-
-@dataclass(frozen=True)
-class CellResult:
-    """All algorithms' aggregates for one cell.
-
-    ``results`` preserves the config's algorithm order."""
-
-    config: ExperimentConfig
-    results: tuple[AlgorithmResult, ...]
-
-    @classmethod
-    def from_rows(cls, config: ExperimentConfig,
-                  per_topology: Sequence[tuple[RunRow, ...]]) -> CellResult:
-        """Fold the executor's rows (one tuple per topology, in config
-        algorithm order) into per-algorithm arrays."""
-        return cls(config=config, results=tuple(
-            AlgorithmResult(
-                algorithm=name,
-                costs=np.asarray([rows[i].cost for rows in per_topology],
-                                 dtype=np.float64),
-                deaths=np.asarray([rows[i].deaths for rows in per_topology],
-                                  dtype=np.int64),
-                dispatches=np.asarray(
-                    [rows[i].dispatches for rows in per_topology],
-                    dtype=np.int64))
-            for i, name in enumerate(config.algorithms)))
-
-    @cached_property
-    def _by_name(self) -> dict[str, AlgorithmResult]:
-        return {r.algorithm: r for r in self.results}
-
-    def by_name(self, algorithm: str) -> AlgorithmResult:
-        try:
-            return self._by_name[algorithm]
-        except KeyError:
-            raise KeyError(f"algorithm {algorithm!r} not in cell "
-                           f"(have {[r.algorithm for r in self.results]})") from None
-
-    def ratio(self, num: str, den: str) -> float:
-        """Mean-cost ratio between two algorithms (e.g. MTD / Greedy)."""
-        d = self.by_name(den).mean_cost
-        return self.by_name(num).mean_cost / d if d > 0 else math.inf
-
-    def ratio_ci(self, num: str, den: str):
-        """Paired 95% confidence interval for the per-topology cost ratio
-        (valid because all algorithms share topologies and workloads)."""
-        from repro.experiments.stats import paired_ratio_ci
-
-        return paired_ratio_ci(self.by_name(num).costs, self.by_name(den).costs)
-
-    def cost_ci(self, algorithm: str):
-        """95% t-interval for an algorithm's mean service cost."""
-        from repro.experiments.stats import mean_ci
-
-        return mean_ci(self.by_name(algorithm).costs)
+#: The metric columns of :func:`fold_metrics`, in scorecard column order.
+#: Definitions, directions and gate tolerances live in
+#: :mod:`repro.scenarios.golden`.
+METRIC_KEYS = (
+    "service_cost",
+    "deaths",
+    "dispatches",
+    "charger_utilization",
+    "energy_delivered",
+    "replan_count",
+    "replan_latency_p50_ms",
+    "replan_latency_p99_ms",
+    "cache_hit_rate",
+)
 
 
 def make_policy(name: str, config: ExperimentConfig,
@@ -231,25 +160,25 @@ class Instance:
         return () if self.dynamics is None else self.dynamics.build_sources()
 
 
-def build_instance(config: ExperimentConfig, r: int = 0,
-                   battery_range: tuple[float, float] | None = None) -> Instance:
-    """Materialise topology ``r`` of ``config`` (pure in its arguments).
+def build_instance(spec: ScenarioSpec, r: int = 0) -> Instance:
+    """Materialise topology ``r`` of ``spec`` (pure in ``(spec, r)``).
 
-    With ``battery_range = (lo, hi)`` the unit batteries are replaced by
-    capacities drawn uniformly from it, seeded from the topology's child
+    With ``spec.battery_range = (lo, hi)`` the unit batteries are replaced
+    by capacities drawn uniformly from it, seeded from the topology's child
     seed under a dedicated spawn key. Only the batteries column changes,
     so the copy shares its homogeneous twin's geometry fingerprint (and so
     every cached tour).
     """
+    config = spec.config
     topo_seed = topology_seed(config, r)
     network = build_paper_network(
         n=config.n, q=config.q, distribution=config.make_distribution(),
         seed=topo_seed, side=config.side, deployment=config.deployment)
-    if battery_range is not None:
+    if spec.battery_range is not None:
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=topo_seed, spawn_key=_BATTERY_SPAWN_KEY))
         network = network.with_batteries(
-            rng.uniform(*battery_range, size=network.n))
+            rng.uniform(*spec.battery_range, size=network.n))
     if config.variable:
         workload: Workload = ResampledWorkload(
             network=network, distribution=config.make_distribution(),
@@ -314,12 +243,11 @@ def run_policy(inst: Instance, algorithm: str,
 
 @dataclass(frozen=True)
 class Job:
-    """One topology of one config, and the algorithms to run on it."""
+    """One topology of one spec, and the algorithms to run on it."""
 
-    config: ExperimentConfig
+    spec: ScenarioSpec
     topology: int
     policies: tuple[str, ...]
-    battery_range: tuple[float, float] | None = None
 
 
 _JobResult = tuple[tuple[RunRow, ...], tuple[StatsSnapshot, ...]]
@@ -328,10 +256,11 @@ _JobResult = tuple[tuple[RunRow, ...], tuple[StatsSnapshot, ...]]
 def _run_job(payload: tuple[Job, bool, str | None]) -> _JobResult:
     """Build one job's instance and run its policies (pool entry point)."""
     job, collect, cache_dir = payload
-    inst = build_instance(job.config, job.topology, job.battery_range)
+    config = job.spec.config
+    inst = build_instance(job.spec, job.topology)
     store = None if cache_dir is None else PlanArtifactStore(cache_dir)
     log.debug("cell topology %d/%d (seed %d)", job.topology + 1,
-              job.config.n_topologies, topology_seed(job.config, job.topology))
+              config.n_topologies, topology_seed(config, job.topology))
     rows, snaps = [], []
     for algorithm in job.policies:
         row, o = run_policy(inst, algorithm, store)
@@ -341,70 +270,129 @@ def _run_job(payload: tuple[Job, bool, str | None]) -> _JobResult:
     return tuple(rows), tuple(snaps)
 
 
-def execute(jobs: Sequence[Job], *, workers: int = 1,
-            obs: Instrumentation | None = None,
-            cache_dir: str | None = None,
-            on_done: Callable[[int], None] | None = None,
-            ) -> list[tuple[RunRow, ...]]:
-    """Run every job; returns one row tuple per job, in job order.
+def fold_metrics(rows: Sequence[RunRow]) -> dict[str, float | None]:
+    """Fold one (spec, policy) cell's per-topology rows into the
+    :data:`METRIC_KEYS` columns (a scorecard cell)."""
+    reps = len(rows)
+    durs = [d for row in rows for d in row.replan_durs]
+    tour_slots = sum(row.tour_slots for row in rows)
+    active = sum(row.active_tours for row in rows)
+    hits = sum(row.cache_hits for row in rows)
+    lookups = hits + sum(row.cache_misses for row in rows)
+    return {
+        "service_cost": sum(row.cost for row in rows) / reps,
+        "deaths": float(sum(row.deaths for row in rows)),
+        "dispatches": sum(row.dispatches for row in rows) / reps,
+        "charger_utilization": (active / tour_slots) if tour_slots else 0.0,
+        "energy_delivered": sum(row.energy for row in rows) / reps,
+        "replan_count": len(durs) / reps,
+        "replan_latency_p50_ms": 1e3 * percentile(durs, 50) if durs else None,
+        "replan_latency_p99_ms": 1e3 * percentile(durs, 99) if durs else None,
+        "cache_hit_rate": (hits / lookups) if lookups else None,
+    }
 
-    ``workers == 1`` loops in-process; ``workers > 1`` maps the jobs over
-    one ``ProcessPoolExecutor``, with bit-identical rows. ``obs``, when
-    collecting, receives every policy run's instrumentation in (job,
-    policy) order. ``cache_dir`` names an on-disk
-    :class:`~repro.plan.store.PlanArtifactStore` shared by every job
-    (multi-process safe, content-addressed: purely an accelerator).
-    ``on_done(index)`` fires as each job's rows land, in job order.
+
+@dataclass(frozen=True)
+class ResultTable:
+    """Every run of one executor call: per-topology rows keyed by
+    ``(spec, policy)``.
+
+    ``specs`` keeps the call's order; ``rows[spec, policy]`` holds one
+    :class:`RunRow` per topology, in topology order. Both renderings read
+    it: a figure panel takes its points' :meth:`column` s, the scorecard
+    folds each cell with :meth:`metrics`.
     """
-    if workers < 1:
-        raise ConfigError(f"jobs must be >= 1, got {workers}")
+
+    specs: tuple[ScenarioSpec, ...]
+    rows: Mapping[tuple[ScenarioSpec, str], tuple[RunRow, ...]]
+
+    def runs(self, spec: ScenarioSpec, policy: str) -> tuple[RunRow, ...]:
+        try:
+            return self.rows[spec, policy]
+        except KeyError:
+            raise KeyError(f"policy {policy!r} did not run on "
+                           f"{spec.name!r}") from None
+
+    def column(self, spec: ScenarioSpec, policy: str,
+               field: str) -> np.ndarray:
+        """One numeric :class:`RunRow` field across the spec's topologies:
+        float64 for ``cost`` and ``energy``, int64 for the counts."""
+        return np.asarray(
+            [getattr(row, field) for row in self.runs(spec, policy)],
+            dtype=np.float64 if field in ("cost", "energy") else np.int64)
+
+    def metrics(self, spec: ScenarioSpec,
+                policy: str) -> dict[str, float | None]:
+        """The cell's :func:`fold_metrics`."""
+        return fold_metrics(self.runs(spec, policy))
+
+
+def run_table(specs: Sequence[ScenarioSpec],
+              policies: Sequence[Sequence[str]] | None = None, *,
+              jobs: int = 1, obs: Instrumentation | None = None,
+              cache_dir: str | None = None,
+              on_done: Callable[[int, ScenarioSpec, int], None] | None = None,
+              ) -> ResultTable:
+    """Run each spec's policies on each of its topologies: one job per
+    (spec, topology), every job in one executor call.
+
+    ``policies[i]`` are the algorithms of ``specs[i]`` (default: each
+    spec's ``config.algorithms``; a repeated name runs once). ``jobs == 1`` loops in-process;
+    ``jobs > 1`` maps the jobs over one ``ProcessPoolExecutor``, with
+    bit-identical rows. ``obs``, when collecting, receives every policy
+    run's instrumentation in (job, policy) order. ``cache_dir`` names an
+    on-disk :class:`~repro.plan.store.PlanArtifactStore` shared by every
+    job (multi-process safe, content-addressed: purely an accelerator).
+    ``on_done(done, spec, topology)`` fires as each job's rows land, in
+    job order.
+    """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    specs = tuple(specs)
+    if len(set(specs)) != len(specs):
+        raise ConfigError("run_table: duplicate spec (its rows would merge)")
+    if policies is None:
+        policies = [spec.config.algorithms for spec in specs]
+    batch = [Job(spec, r, tuple(dict.fromkeys(pols)))
+             for spec, pols in zip(specs, policies, strict=True)
+             for r in range(spec.config.n_topologies)]
     if cache_dir is not None:
         # Initialise (or validate) the store once, before any worker
         # opens it: concurrent first opens of an empty directory race.
         PlanArtifactStore(cache_dir)
     o = ensure(obs)
-    payloads = [(job, o.enabled, cache_dir) for job in jobs]
-    out: list[tuple[RunRow, ...]] = []
-    with (ProcessPoolExecutor(max_workers=min(workers, len(jobs)))
-          if workers > 1 and len(jobs) > 1 else nullcontext()) as pool:
-        for rows, snaps in (map(_run_job, payloads) if pool is None
-                            else pool.map(_run_job, payloads)):
+    payloads = [(job, o.enabled, cache_dir) for job in batch]
+    runs: dict[tuple[ScenarioSpec, str], list[RunRow]] = {}
+    with (ProcessPoolExecutor(max_workers=min(jobs, len(batch)))
+          if jobs > 1 and len(batch) > 1 else nullcontext()) as pool:
+        results = (map(_run_job, payloads) if pool is None
+                   else pool.map(_run_job, payloads))
+        for done, (job, (job_rows, snaps)) in enumerate(zip(batch, results),
+                                                        start=1):
             for snap in snaps:
                 o.merge(snap)
-            out.append(rows)
+            for policy, row in zip(job.policies, job_rows):
+                runs.setdefault((job.spec, policy), []).append(row)
             if on_done is not None:
-                on_done(len(out) - 1)
-    return out
+                on_done(done, job.spec, job.topology)
+    return ResultTable(specs=specs, rows={key: tuple(rows)
+                                          for key, rows in runs.items()})
 
 
 def run_cell(config: ExperimentConfig,
              obs: Instrumentation | None = None,
-             *, jobs: int = 1, cache_dir: str | None = None) -> CellResult:
-    """Run every configured algorithm on every topology of the cell.
+             *, jobs: int = 1, cache_dir: str | None = None) -> ResultTable:
+    """Run every configured algorithm on every topology of one config.
 
-    Topology ``r`` is derived deterministically from ``(config.seed, r)``;
-    its workload realisation is shared across algorithms. ``obs``
-    (optional instrumentation) wraps the whole cell in a ``cell`` span and
-    times each algorithm's plan+simulate work under ``cell.<algorithm>``.
-
-    Parameters
-    ----------
-    config:
-        The cell definition.
-    obs:
-        Optional instrumentation context.
-    jobs:
-        Worker processes. ``1`` (default) runs in-process; ``N > 1`` fans
-        the topology jobs out on a ``ProcessPoolExecutor``. Results are
-        bit-identical to the serial path regardless of ``jobs``.
-    cache_dir:
-        Optional on-disk :class:`~repro.plan.store.PlanArtifactStore`
-        directory shared by every topology job. Purely an accelerator:
-        results stay bit-identical with or without it.
+    The table's one spec (``table.specs[0]``, named ``"cell"``) wraps
+    ``config``. Topology ``r`` is derived deterministically from
+    ``(config.seed, r)``; its workload realisation is shared across
+    algorithms. ``obs`` (optional instrumentation) wraps the whole cell in
+    a ``cell`` span and times each algorithm's plan+simulate work under
+    ``cell.<algorithm>``; ``jobs`` and ``cache_dir`` are
+    :func:`run_table`'s (results are bit-identical for every value).
     """
     with ensure(obs).span("cell", n=config.n, q=config.q,
                           topologies=config.n_topologies, jobs=jobs):
-        rows = execute([Job(config, r, config.algorithms)
-                        for r in range(config.n_topologies)],
-                       workers=jobs, obs=obs, cache_dir=cache_dir)
-    return CellResult.from_rows(config, rows)
+        return run_table([ScenarioSpec("cell", config.describe(), config)],
+                         jobs=jobs, obs=obs, cache_dir=cache_dir)

@@ -12,6 +12,10 @@ needing only a handful of sparse buckets per decade of dynamic range.
 Sketches serialise to plain JSON (:meth:`to_dict` / :meth:`from_dict`) so
 serve workers, shards and the fleet router can ship and merge them over the
 NDJSON protocol; the ``watch`` stream ships bucket *deltas* the same way.
+
+:func:`percentile` is the exact nearest-rank percentile of a sample list,
+for callers that hold every sample (the load generator's latencies, a
+scorecard cell's replan durations).
 """
 
 from __future__ import annotations
@@ -19,10 +23,25 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping
 
-__all__ = ["QuantileSketch", "DEFAULT_ALPHA"]
+__all__ = ["QuantileSketch", "DEFAULT_ALPHA", "percentile"]
 
 #: Default relative accuracy: reported quantiles are within 1% of exact.
 DEFAULT_ALPHA = 0.01
+
+
+def percentile(samples: list[float], p: float) -> float:
+    """Nearest-rank percentile (``p`` in [0, 100]) of ``samples``.
+
+    The standard load-testing convention: p99 of 100 samples is the 99th
+    smallest, no interpolation. Empty input returns ``nan``.
+    """
+    if not samples:
+        return float("nan")
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile: p must be in [0, 100], got {p}")
+    ordered = sorted(samples)
+    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
+    return ordered[rank - 1]
 
 
 class QuantileSketch:

@@ -1,16 +1,19 @@
-"""Result presentation: ASCII tables, CSV export, paper-vs-measured
-summaries, markdown report generation and simulation timelines."""
+"""Result presentation: ASCII tables, CSV export, the paper-vs-measured
+markdown panels, scorecard renderings and simulation timelines."""
 
 from repro.reporting.csvio import sweep_to_csv, write_csv
-from repro.reporting.experiments_md import experiments_markdown, figure_markdown
+from repro.reporting.experiments_md import (
+    experiments_markdown,
+    figure_markdown,
+    headline_pair,
+)
 from repro.reporting.scorecard import (
     save_scorecard_svg,
     scorecard_markdown,
     scorecard_svg,
 )
-from repro.reporting.summary import figure_report, headline_pair, sweep_summary
 from repro.reporting.svg import network_svg, save_network_svg
-from repro.reporting.table import format_table, render_sweep
+from repro.reporting.table import format_table
 from repro.reporting.timeline import cost_histogram, dispatch_timeline, run_digest
 
 __all__ = [
@@ -18,17 +21,14 @@ __all__ = [
     "dispatch_timeline",
     "experiments_markdown",
     "figure_markdown",
-    "figure_report",
     "format_table",
     "headline_pair",
     "network_svg",
-    "render_sweep",
     "run_digest",
     "save_network_svg",
     "save_scorecard_svg",
     "scorecard_markdown",
     "scorecard_svg",
-    "sweep_summary",
     "sweep_to_csv",
     "write_csv",
 ]

@@ -30,7 +30,9 @@ def sweep_to_csv(result, path: str | Path,
 
     Columns: the swept parameter, then per-algorithm mean cost, cost std,
     and (optionally) total deaths — everything needed to re-plot a paper
-    panel without re-running it.
+    panel without re-running it. The mean cost and deaths are the result
+    table's metric fold (the scorecard's cells); the std is the sample
+    std of the per-topology cost column.
     """
     header: list[str] = [result.parameter]
     for alg in result.algorithms:
@@ -38,12 +40,14 @@ def sweep_to_csv(result, path: str | Path,
         if with_deaths:
             header.append(f"{alg}_deaths")
     rows: list[list] = []
-    for v, cell in zip(result.values, result.cells):
+    for v, point in zip(result.values, result.points):
         row: list = [v]
         for alg in result.algorithms:
-            r = cell.by_name(alg)
-            row.extend([r.mean_cost, r.std_cost])
+            fold = result.table.metrics(point, alg)
+            costs = result.costs(point, alg)
+            row.extend([fold["service_cost"],
+                        float(costs.std(ddof=1)) if costs.size > 1 else 0.0])
             if with_deaths:
-                row.append(r.total_deaths)
+                row.append(int(fold["deaths"]))
         rows.append(row)
     return write_csv(path, header, rows)

@@ -4,11 +4,13 @@
 paper-vs-measured markdown document: per panel, the fixed setup, the sweep
 table, the headline ratio, the zero-deaths statement and the verdict on the
 registered qualitative check. EXPERIMENTS.md in this repository is the
-output of exactly this code path.
+output of exactly this code path, and ``repro run`` prints the same panel
+section (:func:`figure_markdown`) for one figure.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from typing import Callable, Iterable
 
@@ -16,9 +18,9 @@ import numpy as np
 
 from repro.experiments.figures import FIGURES, FigureSpec
 from repro.experiments.sweeps import SweepResult
-from repro.reporting.summary import headline_pair
 
-__all__ = ["figure_markdown", "experiments_markdown", "PAPER_PANELS", "DISCUSSION"]
+__all__ = ["figure_markdown", "experiments_markdown", "headline_pair",
+           "PAPER_PANELS", "DISCUSSION"]
 
 #: The panels of the paper's evaluation, in paper order.
 PAPER_PANELS = ("fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6")
@@ -77,6 +79,29 @@ DISCUSSION: dict[str, str] = {
 }
 
 
+def headline_pair(result: SweepResult) -> tuple[str, str] | None:
+    """The (algorithm, baseline) pair whose ratio a panel reports:
+    the first configured algorithm against 'greedy' when present."""
+    algs = result.algorithms
+    if "greedy" in algs:
+        for a in algs:
+            if a != "greedy":
+                return a, "greedy"
+    if len(algs) >= 2:
+        return algs[0], algs[1]
+    return None
+
+
+def _heading(spec: FigureSpec) -> str:
+    return f"{spec.figure_id} — {spec.title}"
+
+
+def _anchor(heading: str) -> str:
+    """GitHub's anchor for a heading: lower-cased, punctuation other than
+    ``-`` and ``_`` dropped, each space a hyphen."""
+    return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+
 def _markdown_table(header: list[str], rows: list[list]) -> str:
     def fmt(v) -> str:
         if isinstance(v, float):
@@ -93,7 +118,7 @@ def _markdown_table(header: list[str], rows: list[list]) -> str:
 
 def figure_markdown(spec: FigureSpec, result: SweepResult) -> str:
     """One panel's paper-vs-measured markdown section."""
-    setup = result.cells[0].config if result.cells else spec.base
+    setup = result.points[0].config if result.points else spec.base
     pair = headline_pair(result)
 
     header = result.header()
@@ -103,7 +128,7 @@ def figure_markdown(spec: FigureSpec, result: SweepResult) -> str:
         rows = [row + [float(r)]
                 for row, r in zip(rows, result.ratio_series(*pair))]
 
-    out = [f"### {spec.figure_id} — {spec.title}", ""]
+    out = [f"### {_heading(spec)}", ""]
     out.append(f"*Paper claim:* {spec.paper_claim}")
     out.append("")
     out.append(f"*Setup:* `{setup.describe()}`, sweeping `{spec.parameter}` "
@@ -162,7 +187,8 @@ def experiments_markdown(
                    else "FAIL" if spec.check is not None else "—")
         alive = "yes" if deaths == 0 else f"NO ({deaths} deaths)"
         summary_rows.append(
-            f"| [{fid}](#{fid.replace('-', '')}--) | {ratio} | {alive} | {verdict} |")
+            f"| [{fid}](#{_anchor(_heading(spec))}) | {ratio} | {alive} "
+            f"| {verdict} |")
 
     reps = n_topologies if n_topologies is not None else "figure defaults"
     head = [

@@ -1,14 +1,15 @@
 """Plain-text tables (no third-party dependencies).
 
-The benches print each reproduced figure as a table of the same series the
-paper plots; these helpers keep that output aligned and consistent.
+Aligned ASCII tables for the instrumentation stats table and the
+examples; figure panels render as markdown
+(:mod:`repro.reporting.experiments_md`).
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "render_sweep", "render_timings"]
+__all__ = ["format_table", "render_timings"]
 
 
 def _fmt(value: Any, precision: int) -> str:
@@ -74,24 +75,3 @@ def render_timings(timers: Mapping[str, Any], *, indent: str = "") -> str:
     ]
     return format_table(["span", "calls", "total s", "mean ms", "max ms"],
                         rows, precision=3, indent=indent)
-
-
-def render_sweep(result, *, precision: int = 1, with_ratio: tuple[str, str] | None = None) -> str:
-    """Table for a :class:`~repro.experiments.sweeps.SweepResult`.
-
-    Parameters
-    ----------
-    result:
-        The sweep.
-    with_ratio:
-        Optional ``(numerator, denominator)`` algorithm pair; appends a
-        ratio column (the headline number of most paper figures).
-    """
-    header = result.header()
-    rows = result.rows()
-    if with_ratio is not None:
-        num, den = with_ratio
-        header = header + [f"{num}/{den}"]
-        ratios = result.ratio_series(num, den)
-        rows = [row + [float(r)] for row, r in zip(rows, ratios)]
-    return format_table(header, rows, precision=precision)

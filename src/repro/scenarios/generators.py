@@ -1,13 +1,12 @@
 """Scenario instance generation and the six built-in scenarios.
 
 :func:`build_instance` materialises topology ``r`` of a
-:class:`~repro.scenarios.registry.ScenarioSpec` — network, workload,
+:class:`~repro.experiments.config.ScenarioSpec` — network, workload,
 dynamics — as a pure function of ``(spec, r)``. It is the run executor's
-own instance builder (:func:`repro.experiments.runner.build_instance`)
-applied to the spec's config and battery range, so a scenario scored
-serially, scored under ``--jobs N``, or rebuilt in a test process
-produces byte-identical topologies and (for a fixed policy)
-byte-identical event streams. :func:`instance_digest` packages exactly
+own instance builder (:func:`repro.experiments.runner.build_instance`,
+re-exported here), so a scenario scored serially, scored under
+``--jobs N``, or rebuilt in a test process produces byte-identical
+topologies and (for a fixed policy) byte-identical event streams. :func:`instance_digest` packages exactly
 that witness — sha256 of the topology document and of a canonical greedy
 run's merged event log — for determinism tests and ``--jobs``
 differentials.
@@ -34,7 +33,7 @@ import hashlib
 import json
 
 from repro.baselines.greedy import GreedyOnDemandPolicy
-from repro.experiments import runner
+from repro.experiments.runner import build_instance
 from repro.experiments.config import ExperimentConfig
 from repro.io.network_json import network_to_dict
 from repro.scenarios.registry import (
@@ -47,11 +46,6 @@ from repro.scenarios.registry import (
 from repro.sim.engine import simulate
 
 __all__ = ["build_instance", "instance_digest"]
-
-
-def build_instance(spec: ScenarioSpec, topology: int = 0) -> runner.Instance:
-    """Materialise topology ``r`` of ``spec`` (pure in ``(spec, r)``)."""
-    return runner.build_instance(spec.config, topology, spec.battery_range)
 
 
 def instance_digest(spec: ScenarioSpec, topology: int = 0, *,

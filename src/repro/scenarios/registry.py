@@ -3,9 +3,10 @@
 The scenario evaluation framework has three registries:
 
 * :data:`SCENARIOS` — named, seed-deterministic scenario generators.
-  A :class:`ScenarioSpec` wraps an :class:`~repro.experiments.config.ExperimentConfig`
-  (topology size, workload, :class:`~repro.sim.sources.ScenarioDynamics`
-  rates) plus the framework-only knobs (battery heterogeneity). Topology
+  A :class:`~repro.experiments.config.ScenarioSpec` (re-exported here)
+  wraps an :class:`~repro.experiments.config.ExperimentConfig` (topology
+  size, workload, :class:`~repro.sim.sources.ScenarioDynamics` rates)
+  plus the framework-only knobs (battery heterogeneity). Topology
   ``r`` of a spec is a pure function of ``(spec, r)`` — built by the run
   executor's own instance builder — so generation is byte-identical
   across processes and ``--jobs`` settings.
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ConfigError
-from repro.experiments.config import KNOWN_ALGORITHMS, ExperimentConfig
+from repro.experiments.config import KNOWN_ALGORITHMS, ScenarioSpec
 
 __all__ = [
     "ScenarioSpec", "PolicyEntry", "SuiteSpec",
@@ -38,48 +39,6 @@ __all__ = [
     "register_scenario", "register_policy", "register_suite",
     "get_scenario", "get_suite", "scenario_names", "policy_names",
 ]
-
-
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """One named, seed-deterministic scenario generator.
-
-    Parameters
-    ----------
-    name:
-        Registry key (kebab-case, e.g. ``"failure-storm"``).
-    description:
-        One line for tables and docs.
-    config:
-        The :class:`~repro.experiments.config.ExperimentConfig` describing
-        topology, workload and dynamic-event rates. ``config.algorithms``
-        is ignored — the scorer supplies policies from :data:`POLICIES`.
-    battery_range:
-        Optional ``(lo, hi)``; when set, per-sensor battery capacities are
-        drawn uniformly from it (seeded from the topology's child seed),
-        replacing the homogeneous ``B = 1`` default.
-    """
-
-    name: str
-    description: str
-    config: ExperimentConfig
-    battery_range: tuple[float, float] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("ScenarioSpec: name must be non-empty")
-        if self.battery_range is not None:
-            lo, hi = self.battery_range
-            if not (0 < lo <= hi):
-                raise ConfigError(
-                    f"ScenarioSpec {self.name!r}: battery_range needs "
-                    f"0 < lo <= hi, got ({lo}, {hi})")
-
-    def with_overrides(self, **overrides: Any) -> "ScenarioSpec":
-        """Copy with ``ExperimentConfig`` fields overridden (suite scaling)."""
-        return ScenarioSpec(name=self.name, description=self.description,
-                            config=self.config.with_(**overrides),
-                            battery_range=self.battery_range)
 
 
 @dataclass(frozen=True)

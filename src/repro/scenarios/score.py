@@ -1,14 +1,15 @@
 """Score every registered policy over a scenario suite.
 
 One ``(scenario, topology)`` pair is one job of the run executor
-(:func:`~repro.experiments.runner.execute`): it materialises the instance
-once, then runs every compatible policy against the *shared* workload and
-the *replayed* dynamic-event history (common random numbers, the paper's
-own variance-reduction trick). Every job of the suite goes through one
-executor call — in-process, or one ``ProcessPoolExecutor`` under
-``jobs > 1`` — with identical results for every gated metric; the
-executor returns rows in ``(scenario, topology)`` order and the scorer
-folds them per scenario with :func:`_aggregate`.
+(:func:`~repro.experiments.runner.run_table`): it materialises the
+instance once, then runs every compatible policy against the *shared*
+workload and the *replayed* dynamic-event history (common random numbers,
+the paper's own variance-reduction trick). Every job of the suite goes
+through one executor call — in-process, or one ``ProcessPoolExecutor``
+under ``jobs > 1`` — with identical results for every gated metric. Each
+scorecard cell is the result table's one metric fold
+(:func:`~repro.experiments.runner.fold_metrics`) of its ``(scenario,
+policy)`` rows — the same rows a figure panel reads.
 
 Each policy run collects into a fresh, private
 :class:`~repro.obs.instrument.Instrumentation` context, which is where
@@ -33,11 +34,15 @@ from pathlib import Path
 from typing import Any, Callable, Mapping
 
 from repro.errors import ConfigError
-from repro.experiments.runner import Job, RunRow, execute
+from repro.experiments.runner import METRIC_KEYS, run_table
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
-from repro.scenarios.registry import POLICIES, get_suite, policy_names
-from repro.serve.client import percentile
+from repro.scenarios.registry import (
+    POLICIES,
+    ScenarioSpec,
+    get_suite,
+    policy_names,
+)
 
 __all__ = ["Scorecard", "score_suite", "SCORECARD_KIND", "METRIC_KEYS"]
 
@@ -46,19 +51,6 @@ log = get_logger(__name__)
 #: Envelope kind of a serialised scorecard (see :mod:`repro.io.files`).
 SCORECARD_KIND = "scorecard"
 
-#: Fixed scoring dimensions, in scorecard column order. Definitions,
-#: directions and gate tolerances live in :mod:`repro.scenarios.golden`.
-METRIC_KEYS = (
-    "service_cost",
-    "deaths",
-    "dispatches",
-    "charger_utilization",
-    "energy_delivered",
-    "replan_count",
-    "replan_latency_p50_ms",
-    "replan_latency_p99_ms",
-    "cache_hit_rate",
-)
 
 class _LiveSink:
     """NDJSON progress stream for ``repro watch --score`` (no-op when
@@ -82,27 +74,6 @@ class _LiveSink:
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
-
-
-def _aggregate(rows: list[RunRow]) -> dict[str, float | None]:
-    """Fold one policy's per-topology rows into the fixed metric columns."""
-    reps = len(rows)
-    durs = [d for row in rows for d in row.replan_durs]
-    tour_slots = sum(row.tour_slots for row in rows)
-    active = sum(row.active_tours for row in rows)
-    hits = sum(row.cache_hits for row in rows)
-    lookups = hits + sum(row.cache_misses for row in rows)
-    return {
-        "service_cost": sum(row.cost for row in rows) / reps,
-        "deaths": float(sum(row.deaths for row in rows)),
-        "dispatches": sum(row.dispatches for row in rows) / reps,
-        "charger_utilization": (active / tour_slots) if tour_slots else 0.0,
-        "energy_delivered": sum(row.energy for row in rows) / reps,
-        "replan_count": len(durs) / reps,
-        "replan_latency_p50_ms": 1e3 * percentile(durs, 50) if durs else None,
-        "replan_latency_p99_ms": 1e3 * percentile(durs, 99) if durs else None,
-        "cache_hit_rate": (hits / lookups) if lookups else None,
-    }
 
 
 @dataclass(frozen=True)
@@ -214,37 +185,32 @@ def score_suite(suite: str = "quick",
         raise ConfigError("score_suite: no policies selected")
     entries = tuple(POLICIES[name] for name in selected)
     runnable = [tuple(e for e in entries if e.compatible(spec)) for spec in specs]
-    batch = [Job(spec.config, r, tuple(e.algorithm for e in ents),
-                 spec.battery_range)
-             for spec, ents in zip(specs, runnable)
-             for r in range(spec.config.n_topologies)]
-    owner = [spec.name for spec in specs for _ in range(spec.config.n_topologies)]
+    total = sum(spec.config.n_topologies for spec in specs)
 
     o = ensure(obs)
     sink = _LiveSink(live)
 
-    def done(index: int) -> None:
+    def done(n_done: int, spec: ScenarioSpec, topology: int) -> None:
         o.incr("score.instances")
-        sink.emit("instance", done=index + 1, total=len(batch),
-                  scenario=owner[index], topology=batch[index].topology)
+        sink.emit("instance", done=n_done, total=total, scenario=spec.name,
+                  topology=topology)
 
     try:
         sink.emit("start", suite=suite, policies=list(selected),
                   scenarios=[spec.name for spec in specs],
-                  total_instances=len(batch))
+                  total_instances=total)
         with o.span("score", suite=suite, scenarios=len(specs),
                     policies=len(entries), jobs=jobs):
-            results = iter(execute(batch, workers=jobs, obs=obs, on_done=done))
+            table = run_table(
+                specs, [tuple(e.algorithm for e in ents) for ents in runnable],
+                jobs=jobs, obs=obs, on_done=done)
 
         scenarios: dict[str, dict[str, dict[str, float | None] | None]] = {}
         for i, (spec, ents) in enumerate(zip(specs, runnable)):
-            per_topology = [next(results)
-                            for _ in range(spec.config.n_topologies)]
             per_policy: dict[str, dict[str, float | None] | None] = \
                 dict.fromkeys(selected)
-            for j, entry in enumerate(ents):
-                per_policy[entry.name] = _aggregate(
-                    [rows[j] for rows in per_topology])
+            for entry in ents:
+                per_policy[entry.name] = table.metrics(spec, entry.algorithm)
                 o.incr("score.cells")
             scenarios[spec.name] = per_policy
             sink.emit("scenario", index=i + 1, total=len(specs),

@@ -17,7 +17,6 @@ driver is ``benchmarks/e2e/run.py``.
 
 from __future__ import annotations
 
-import math
 import socket
 import threading
 import time
@@ -26,25 +25,11 @@ from random import Random
 from typing import Any
 
 from repro.errors import ServeError
+from repro.obs.quantile import percentile
 from repro.serve.protocol import DEADLINE_EXCEEDED, OVERLOADED, decode_response, encode
 from repro.serve.protocol import raise_for_error as _raise_for_error
 
 __all__ = ["ServeClient", "LoadGenerator", "LoadReport", "percentile"]
-
-
-def percentile(samples: list[float], p: float) -> float:
-    """Nearest-rank percentile (``p`` in [0, 100]) of ``samples``.
-
-    The standard load-testing convention: p99 of 100 samples is the 99th
-    smallest, no interpolation. Empty input returns ``nan``.
-    """
-    if not samples:
-        return float("nan")
-    if not 0 <= p <= 100:
-        raise ValueError(f"percentile: p must be in [0, 100], got {p}")
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(p / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 class ServeClient:

@@ -2,8 +2,9 @@
 
 ``test_parallel_runner.py`` compares serial with parallel runs of the
 *same* code, so a seed-derivation or ordering slip made on both paths
-would pass it. These tests pin the sha256 of every ``AlgorithmResult``
-array for three tiny cells to fixed digests (a fixed-cycle cell, a
+would pass it. These tests pin the sha256 of every result-table column
+(cost, deaths, dispatches per algorithm) for three tiny cells to fixed
+digests (a fixed-cycle cell, a
 variable-cycle cell and a dynamics cell), at ``jobs=1`` and ``jobs=2``,
 and check that the optional on-disk artifact store changes no byte.
 """
@@ -32,7 +33,8 @@ CELLS = {
 }
 
 #: cell -> algorithm -> first 16 hex digits of sha256 over the
-#: ``.tobytes()`` of (costs, deaths, dispatches).
+#: ``.tobytes()`` of the (cost, deaths, dispatches) columns (float64,
+#: int64, int64).
 DIGESTS = {
     "fixed": {
         "mtd": ("5ffdbe26009af9e0", "9d908ecfb6b256de", "032e7d6955673a31"),
@@ -53,16 +55,19 @@ DIGESTS = {
 }
 
 
-def _digests(cell):
-    return {r.algorithm: tuple(
-        hashlib.sha256(getattr(r, attr).tobytes()).hexdigest()[:16]
-        for attr in ("costs", "deaths", "dispatches"))
-        for r in cell.results}
+_FIELDS = ("cost", "deaths", "dispatches")
 
 
-def _arrays(cell):
-    return [(r.costs.tobytes(), r.deaths.tobytes(), r.dispatches.tobytes())
-            for r in cell.results]
+def _digests(table):
+    return {alg: tuple(
+        hashlib.sha256(table.column(spec, alg, field).tobytes()).hexdigest()[:16]
+        for field in _FIELDS)
+        for spec, alg in table.rows}
+
+
+def _arrays(table):
+    return [tuple(table.column(spec, alg, field).tobytes() for field in _FIELDS)
+            for spec, alg in table.rows]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.figures import FIGURES
 from repro.experiments.sweeps import sweep
-from repro.reporting.summary import figure_report
+from repro.reporting.experiments_md import figure_markdown
 
 #: Per-figure shrunken sweep values (keep variable-cycle figures extra small).
 _SMALL_VALUES = {
@@ -35,13 +35,13 @@ def test_figure_machinery_smoke(figure_id):
     # Every configured algorithm produced a positive cost and — unless the
     # sweep injects charger failures, where deaths are the measured
     # outcome — kept every sensor alive.
-    dynamic = result.cells[0].config.failure_rate > 0
+    dynamic = result.points[0].config.failure_rate > 0
     for alg in base.algorithms:
-        assert result.cells[0].by_name(alg).mean_cost > 0
+        assert result.series(alg)[1][0] > 0
         if not dynamic:
-            assert result.cells[0].by_name(alg).total_deaths == 0
+            assert result.deaths(alg)[0] == 0
 
     # The reporting layer renders without error (checks are NOT asserted at
     # this scale — shapes are a property of paper-scale instances).
-    text = figure_report(spec, result)
-    assert figure_id in text
+    text = figure_markdown(spec, result)
+    assert text.startswith(f"### {figure_id} — ")

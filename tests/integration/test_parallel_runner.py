@@ -1,7 +1,8 @@
 """Integration: the parallel experiment executor is a pure accelerator.
 
 ``run_cell(config, jobs=N)`` fans the per-topology jobs onto a process
-pool; the contract is byte-identical results versus the serial path —
+pool; the contract is a byte-identical result table versus the serial
+path —
 same costs, same deaths, same dispatch counts — and instrumentation
 counters that merge back to exactly the serial tallies. These tests pin
 that contract on tiny cells (the scaling numbers live in
@@ -25,13 +26,13 @@ TINY_VAR = ExperimentConfig(n=20, horizon=80.0, n_topologies=3, seed=11,
 
 
 def _assert_cells_identical(a, b):
-    assert [r.algorithm for r in a.results] == [r.algorithm for r in b.results]
-    for ra, rb in zip(a.results, b.results):
+    assert a.specs == b.specs and list(a.rows) == list(b.rows)
+    for spec, alg in a.rows:
         # Byte-level equality: the parallel path must not change a single
         # floating-point operation, not merely land within tolerance.
-        assert ra.costs.tobytes() == rb.costs.tobytes()
-        assert ra.deaths.tobytes() == rb.deaths.tobytes()
-        assert ra.dispatches.tobytes() == rb.dispatches.tobytes()
+        for field in ("cost", "deaths", "dispatches"):
+            assert (a.column(spec, alg, field).tobytes()
+                    == b.column(spec, alg, field).tobytes())
 
 
 class TestParallelDeterminism:
@@ -88,7 +89,7 @@ class TestMergedInstrumentation:
 
     def test_disabled_obs_collects_nothing(self):
         cell = run_cell(TINY, jobs=2)  # no obs: workers skip collection
-        assert all(r.costs.size == TINY.n_topologies for r in cell.results)
+        assert all(len(rows) == TINY.n_topologies for rows in cell.rows.values())
 
 
 class TestParallelSweepAndCli:

@@ -4,7 +4,7 @@ the actual panel reproductions run in ``benchmarks/``)."""
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.figures import FIGURES, get_figure, run_figure
+from repro.experiments.figures import FIGURES, get_figure
 
 PAPER_PANELS = ["fig1a", "fig1b", "fig2a", "fig2b", "fig3", "fig4", "fig5", "fig6"]
 
@@ -57,20 +57,25 @@ class TestRunFigure:
         from repro.experiments.sweeps import sweep
 
         result = sweep(small, "n", [20])
-        assert result.cells[0].by_name("mtd").mean_cost > 0
+        assert result.series("mtd")[1][0] > 0
 
-    def test_run_figure_forwards_reps(self, monkeypatch):
-        captured = {}
 
-        def fake_run(self, *, n_topologies=None, full=False, progress=None,
-                     obs=None):
-            captured["reps"] = n_topologies
-            captured["full"] = full
-            return "sentinel"
+class TestPanelPoints:
+    def test_one_spec_per_value_with_the_parameter_overridden(self):
+        spec = get_figure("fig2a")
+        points = spec.points(n_topologies=2)
+        assert [p.config.tau_max for p in points] == list(spec.values)
+        for p in points:
+            assert p.name == "fig2a"
+            assert p.config == spec.base.with_(n_topologies=2,
+                                               tau_max=p.config.tau_max)
+        assert len(spec.points(full=True)) == len(spec.values_full)
 
-        from repro.experiments import figures as mod
+    def test_points_are_not_registered_scenarios(self):
+        from repro.scenarios import SCENARIOS
 
-        monkeypatch.setattr(mod.FigureSpec, "run", fake_run)
-        out = run_figure("fig1a", n_topologies=7, full=True)
-        assert out == "sentinel"
-        assert captured == {"reps": 7, "full": True}
+        assert not set(SCENARIOS) & set(FIGURES)
+
+    def test_override_of_the_swept_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="sweeps 'n'"):
+            get_figure("fig1a").points(overrides={"n": 10})

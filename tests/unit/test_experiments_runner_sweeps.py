@@ -4,58 +4,83 @@ Tiny cells only (n=25, short horizon) — the full-scale runs live in
 ``benchmarks/``.
 """
 
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import make_policy, run_cell
+from repro.experiments.config import ExperimentConfig, ScenarioSpec
+from repro.experiments.runner import make_policy, run_cell, run_table
 from repro.experiments.sweeps import sweep
 from repro.network.builder import build_paper_network
+from repro.reporting.csvio import sweep_to_csv
 
 TINY = ExperimentConfig(n=25, horizon=100.0, n_topologies=2, seed=9,
                         algorithms=("mtd", "greedy"))
 
 
+def _cell(table):
+    """The single spec of a ``run_cell`` table."""
+    (spec,) = table.specs
+    return spec
+
+
 class TestRunCell:
     def test_shapes_and_order(self):
-        cell = run_cell(TINY)
-        assert [r.algorithm for r in cell.results] == ["mtd", "greedy"]
-        for r in cell.results:
-            assert r.costs.shape == (2,)
-            assert r.deaths.shape == (2,)
-            assert np.all(r.costs > 0)
+        table = run_cell(TINY)
+        spec = _cell(table)
+        assert spec.config == TINY
+        assert [alg for _, alg in table.rows] == ["mtd", "greedy"]
+        for alg in TINY.algorithms:
+            assert table.column(spec, alg, "cost").shape == (2,)
+            assert table.column(spec, alg, "deaths").shape == (2,)
+            assert np.all(table.column(spec, alg, "cost") > 0)
 
     def test_no_deaths_on_paper_defaults(self):
-        cell = run_cell(TINY)
-        assert all(r.total_deaths == 0 for r in cell.results)
+        table = run_cell(TINY)
+        assert all(row.deaths == 0 for rows in table.rows.values()
+                   for row in rows)
 
     def test_reproducible(self):
         a = run_cell(TINY)
         b = run_cell(TINY)
-        np.testing.assert_array_equal(a.by_name("mtd").costs,
-                                      b.by_name("mtd").costs)
+        np.testing.assert_array_equal(a.column(_cell(a), "mtd", "cost"),
+                                      b.column(_cell(b), "mtd", "cost"))
 
     def test_mtd_beats_greedy_on_linear(self):
-        cell = run_cell(TINY.with_(n_topologies=3))
-        assert cell.ratio("mtd", "greedy") < 1.0
+        table = run_cell(TINY.with_(n_topologies=3))
+        metrics = {alg: table.metrics(_cell(table), alg)
+                   for alg in ("mtd", "greedy")}
+        assert (metrics["mtd"]["service_cost"]
+                < metrics["greedy"]["service_cost"])
 
     def test_by_name_unknown_raises(self):
-        cell = run_cell(TINY)
-        with pytest.raises(KeyError):
-            cell.by_name("nope")
+        table = run_cell(TINY)
+        with pytest.raises(KeyError, match="nope"):
+            table.runs(_cell(table), "nope")
 
     def test_variable_cell_runs(self):
         cfg = TINY.with_(variable=True, algorithms=("mtd-var", "greedy"),
                          slot_duration=10.0)
-        cell = run_cell(cfg)
-        assert all(r.total_deaths == 0 for r in cell.results)
+        table = run_cell(cfg)
+        assert all(row.deaths == 0 for rows in table.rows.values()
+                   for row in rows)
 
-    def test_mean_and_std(self):
-        cell = run_cell(TINY)
-        r = cell.by_name("mtd")
-        assert r.mean_cost == pytest.approx(r.costs.mean())
-        assert r.std_cost == pytest.approx(r.costs.std(ddof=1))
+    def test_mean_and_std(self, tmp_path):
+        """The CSV's mean cost and deaths are the table's metric fold; its
+        std is the cost column's sample std."""
+        result = sweep(TINY, "n", [25])
+        point = result.points[0]
+        costs = result.costs(point, "mtd")
+        fold = result.table.metrics(point, "mtd")
+        with open(sweep_to_csv(result, tmp_path / "s.csv")) as fh:
+            row = dict(zip(*csv.reader(fh)))
+        assert float(row["mtd_mean_cost"]) == fold["service_cost"]
+        assert fold["service_cost"] == pytest.approx(costs.mean())
+        assert float(row["mtd_std_cost"]) == pytest.approx(costs.std(ddof=1))
+        assert int(row["mtd_deaths"]) == fold["deaths"]
 
 
 class TestMakePolicy:
@@ -108,6 +133,68 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(TINY, "banana", [1])
 
+    @pytest.mark.parametrize("values", [[20, 20], [20, 20.0]])
+    def test_repeated_point_raises(self, values):
+        """The table keys rows by point, so equal values cannot both run."""
+        with pytest.raises(ConfigError, match="duplicate spec"):
+            sweep(TINY, "n", values)
+
+    def test_categorical_series(self):
+        """A ``deployment`` sweep's x axis is its labels, unconverted."""
+        result = sweep(TINY.with_(n=20), "deployment", ["uniform", "grid"])
+        x, y = result.series("mtd")
+        assert list(x) == ["uniform", "grid"]
+        assert y.shape == (2,) and np.all(y > 0)
+
     def test_deaths_accessor(self):
         result = sweep(TINY, "n", [20])
         np.testing.assert_array_equal(result.deaths("mtd"), [0])
+
+
+def _deterministic(row):
+    """A RunRow minus its wall-clock replan durations (kept as a count)."""
+    return replace(row, replan_durs=len(row.replan_durs))
+
+
+class TestOneTableTwoRenderings:
+    def test_scorecard_and_panel_read_the_same_rows(self, monkeypatch):
+        """A scenario scored by ``score_suite`` and the same spec run as a
+        one-point panel give identical rows; the scorecard's cells and the
+        panel's numbers are the table's one fold of them."""
+        from repro.experiments.figures import FigureSpec
+        from repro.scenarios import registry, score
+
+        spec = ScenarioSpec("one-table", "tiny fixed-cycle scenario",
+                            ExperimentConfig(n=20, q=3, horizon=60.0,
+                                             n_topologies=2, seed=3))
+        monkeypatch.setitem(registry.SCENARIOS, spec.name, spec)
+        monkeypatch.setitem(registry.SUITES, "one-table", registry.SuiteSpec(
+            "one-table", "one scenario", scenarios=(spec.name,)))
+        tables = []
+
+        def spy(*args, **kwargs):
+            tables.append(run_table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(score, "run_table", spy)
+        card = score.score_suite("one-table")
+        (scored,) = tables
+
+        panel = FigureSpec(
+            figure_id="one-table-panel", title="one point", parameter="n",
+            values=(spec.config.n,), values_full=(spec.config.n,),
+            base=spec.config.with_(algorithms=("mtd", "greedy")),
+            paper_claim="-")
+        result = panel.run()
+        (point,) = result.points
+
+        assert card.metrics(spec.name, "mtd-var") is None  # fixed cycles
+        for policy in ("mtd", "greedy"):
+            assert ([_deterministic(r) for r in scored.runs(spec, policy)]
+                    == [_deterministic(r) for r in result.table.runs(point, policy)])
+            fold = result.table.metrics(point, policy)
+            cell = card.metrics(spec.name, policy)
+            assert cell["service_cost"] == fold["service_cost"]
+            assert cell["deaths"] == fold["deaths"]
+            assert result.series(policy)[1][0] == fold["service_cost"]
+            assert float(result.deaths(policy)[0]) == fold["deaths"]

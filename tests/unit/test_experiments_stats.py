@@ -81,10 +81,12 @@ class TestCellIntegration:
         from repro.experiments.config import ExperimentConfig
         from repro.experiments.runner import run_cell
 
-        cell = run_cell(ExperimentConfig(n=20, horizon=80.0, n_topologies=3,
-                                         seed=5, algorithms=("mtd", "greedy")))
-        ci = cell.ratio_ci("mtd", "greedy")
+        table = run_cell(ExperimentConfig(n=20, horizon=80.0, n_topologies=3,
+                                          seed=5, algorithms=("mtd", "greedy")))
+        (spec,) = table.specs
+        mtd = table.column(spec, "mtd", "cost")
+        ci = paired_ratio_ci(mtd, table.column(spec, "greedy", "cost"))
         assert isinstance(ci, ConfidenceInterval)
         assert 0 < ci.lower <= ci.mean <= ci.upper
-        cost_ci = cell.cost_ci("mtd")
+        cost_ci = mean_ci(mtd)
         assert cost_ci.n == 3

@@ -5,11 +5,9 @@ import csv
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.figures import get_figure
 from repro.experiments.sweeps import sweep
 from repro.reporting.csvio import sweep_to_csv, write_csv
-from repro.reporting.summary import figure_report, sweep_summary
-from repro.reporting.table import format_table, render_sweep
+from repro.reporting.table import format_table
 
 
 @pytest.fixture(scope="module")
@@ -39,16 +37,6 @@ class TestFormatTable:
         assert "abc" in out
 
 
-class TestRenderSweep:
-    def test_includes_all_algorithms(self, tiny_sweep):
-        out = render_sweep(tiny_sweep)
-        assert "mtd" in out and "greedy" in out
-
-    def test_ratio_column(self, tiny_sweep):
-        out = render_sweep(tiny_sweep, with_ratio=("mtd", "greedy"))
-        assert "mtd/greedy" in out
-
-
 class TestCsv:
     def test_write_csv_roundtrip(self, tmp_path):
         path = write_csv(tmp_path / "sub" / "out.csv", ["a", "b"], [[1, 2], [3, 4]])
@@ -64,17 +52,3 @@ class TestCsv:
         assert header[0] == "n"
         assert "mtd_mean_cost" in header and "greedy_deaths" in header
         assert len(rows) == 3  # header + 2 sweep values
-
-
-class TestSummaries:
-    def test_sweep_summary_mentions_ratio_and_deaths(self, tiny_sweep):
-        out = sweep_summary(tiny_sweep)
-        assert "mtd/greedy" in out
-        assert "no sensor ever ran out of energy" in out
-
-    def test_figure_report_structure(self, tiny_sweep):
-        spec = get_figure("fig1a")
-        out = figure_report(spec, tiny_sweep)
-        assert out.startswith("== fig1a")
-        assert "paper claim" in out
-        assert "registered shape check" in out  # fig1a has a check

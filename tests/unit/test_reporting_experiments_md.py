@@ -1,5 +1,8 @@
 """Unit tests for :mod:`repro.reporting.experiments_md` and the report CLI."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -74,3 +77,73 @@ class TestExperimentsMarkdown:
         err = capsys.readouterr().err
         assert "repro: error:" in err and "not-a-figure" in err
         assert not (tmp_path / "x.md").exists()  # nothing ran
+
+
+def _github_slug(heading: str) -> str:
+    """GitHub's heading anchor: lower-case, drop punctuation except ``-``
+    and ``_``, one hyphen per space."""
+    kept = "".join(ch for ch in heading.lower()
+                   if ch.isalnum() or ch in "-_ ")
+    return kept.replace(" ", "-")
+
+
+def _assert_summary_links_resolve(md: str) -> list[str]:
+    headings = {_github_slug(line.lstrip("#").strip())
+                for line in md.splitlines() if line.startswith("#")}
+    targets = re.findall(r"^\| \[[^\]]+\]\(#([^)]+)\)", md, flags=re.M)
+    assert targets, "the summary table has no links"
+    for target in targets:
+        assert target in headings, f"dead summary link #{target}"
+    return targets
+
+
+class TestSummaryLinks:
+    def test_every_link_targets_a_heading(self, monkeypatch, tiny_sweep):
+        from repro.experiments import figures as figs
+
+        monkeypatch.setattr(
+            figs.FigureSpec, "run",
+            lambda self, *, n_topologies=None, full=False, progress=None,
+            obs=None, jobs=1: tiny_sweep)
+        ids = ["fig1a", "fig5", "abl-q", "abl-base"]
+        targets = _assert_summary_links_resolve(experiments_markdown(ids))
+        assert len(targets) == len(ids)
+        assert targets[0] == ("fig1a--service-cost-vs-network-size-n-linear-"
+                              "distribution-fixed-cycles")
+
+    def test_committed_experiments_md_links_resolve(self):
+        md = (Path(__file__).resolve().parents[2] / "EXPERIMENTS.md").read_text()
+        targets = _assert_summary_links_resolve(md)
+        assert ("abl-refine--ablation-2-opt-refinement-of-algorithm-2-tours"
+                in targets)
+
+
+class TestRunPrintsThePanelSection:
+    def test_run_table_matches_the_report_section(self, monkeypatch, capsys):
+        """``repro run`` prints the EXPERIMENTS.md panel: the same table rows
+        as ``repro report`` for the same sweep, ratios to three decimals."""
+        from repro.cli import main
+        from repro.experiments import figures as figs
+
+        spec = figs.FIGURES["fig1a"]
+        small = figs.FigureSpec(
+            figure_id=spec.figure_id, title=spec.title,
+            parameter=spec.parameter, values=(20, 25), values_full=(20, 25),
+            base=spec.base.with_(horizon=60.0), paper_claim=spec.paper_claim,
+            check=spec.check)
+        monkeypatch.setitem(figs.FIGURES, "fig1a", small)
+        assert main(["run", "fig1a", "--reps", "2", "--quiet"]) == 0
+        printed = capsys.readouterr().out
+        section = experiments_markdown(["fig1a"], n_topologies=2)
+        section = section[section.index("### fig1a"):]
+
+        def table(text: str) -> list[str]:
+            return [line for line in text.splitlines() if line.startswith("|")]
+
+        assert table(printed) == table(section)
+        assert printed.strip().startswith("### fig1a — ")
+        rows = table(printed)[2:]
+        assert len(rows) == 2
+        for row in rows:
+            ratio = row.strip("|").split("|")[-1].strip()
+            assert re.fullmatch(r"\d\.\d{3}", ratio), row
