@@ -34,7 +34,7 @@ from repro.sim.sources import ScenarioDynamics
 from repro.sim.workload import FixedWorkload, ResampledWorkload, StormWorkload
 
 __all__ = ["result_diffs", "check_engine_equivalence", "check_determinism",
-           "run_sim_check", "FAILURE_STORM"]
+           "run_failure_storm", "run_sim_check", "FAILURE_STORM"]
 
 #: The canonical failure-storm dynamics used by the determinism smoke:
 #: frequent charger breakdowns, sensor churn and request arrivals, all on
@@ -143,21 +143,25 @@ def check_engine_equivalence(seed: int = 0, *,
     return problems
 
 
+def run_failure_storm(seed: int = 0, **sim_kwargs) -> SimulationResult:
+    """One run of the canonical failure-storm scenario: greedy on-demand
+    charging of a 24-sensor network under a storm workload and
+    :data:`FAILURE_STORM` dynamics, both seeded by ``seed``. Extra keyword
+    arguments (``max_log_events``, ``event_spill``, ...) go to
+    :func:`~repro.sim.engine.simulate`."""
+    net = build_paper_network(n=24, q=2, seed=seed)
+    workload = _make_workload("storm", net, seed)
+    return simulate(net, GreedyOnDemandPolicy(), workload, 150.0,
+                    sources=FAILURE_STORM.with_seed(seed).build_sources(),
+                    **sim_kwargs)
+
+
 def check_determinism(seed: int = 0, *,
                       obs: Instrumentation | None = None) -> list[str]:
     """Run the canonical failure-storm scenario twice from one seed and
     assert byte-identical serialized event logs."""
     o = ensure(obs)
-    net = build_paper_network(n=24, q=2, seed=seed)
-    horizon = 150.0
-    workload = _make_workload("storm", net, seed)
-    dynamics = FAILURE_STORM.with_seed(seed)
-
-    def run_once() -> SimulationResult:
-        return simulate(net, GreedyOnDemandPolicy(), workload, horizon,
-                        sources=dynamics.build_sources())
-
-    a, b = run_once(), run_once()
+    a, b = run_failure_storm(seed), run_failure_storm(seed)
     problems = result_diffs(a, b, label="failure-storm")
     if a.metrics.event_log_jsonl() != b.metrics.event_log_jsonl():
         problems.append("failure-storm: serialized event logs are not "
