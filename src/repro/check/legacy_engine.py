@@ -105,8 +105,8 @@ def simulate_legacy(network: SensorNetwork, policy: ChargingPolicy,
                 f"policy requested dispatch at {t_policy} < current time {t}")
         t_next = min(horizon, t_boundary, max(t_policy, t))
 
-        deaths = state.drain(rates, t_next - t, t)
-        for sensor, when in deaths:
+        dead, times = state.drain(rates, t_next - t, t)
+        for sensor, when in zip(dead.tolist(), times.tolist()):
             metrics.deaths.append(DeathEvent(time=when, sensor=sensor))
             if strict:
                 raise SensorDeathError(

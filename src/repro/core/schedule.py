@@ -163,10 +163,16 @@ class SchedulePlan:
 
         Guards the serialisation workflow — replaying a plan against the
         wrong network file would otherwise fail late (or worse, charge the
-        wrong indices silently when sizes happen to align).
+        wrong indices silently when sizes happen to align). Each distinct
+        tour set (by identity) is checked once, at its first scheduling,
+        so an error names the earliest offending dispatch time.
         """
         n, n_nodes = network.n, network.n_nodes
+        seen: set[int] = set()
         for s in self.schedulings:
+            if id(s.tours) in seen:
+                continue
+            seen.add(id(s.tours))
             for tour in s.tours:
                 if not network.is_depot(tour.depot):
                     raise ScheduleError(

@@ -35,6 +35,7 @@ from repro.sim.events import (
     ChurnEvent,
     DeathEvent,
     DispatchEvent,
+    EventColumns,
     FleetEvent,
     RequestEvent,
 )
@@ -70,6 +71,7 @@ __all__ = [
     "DispatchEvent",
     "EnergyState",
     "Event",
+    "EventColumns",
     "EventLog",
     "EventQueue",
     "EventSource",

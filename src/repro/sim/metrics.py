@@ -1,10 +1,23 @@
 """Aggregate simulation metrics and the bounded event log.
 
-Metrics hold one :class:`EventLog` per event kind. A log behaves like the
-plain list it used to be (append / len / index / iterate), but can be
-bounded to a ring of the most recent events and/or spilled to JSONL via the
-:mod:`repro.obs.trace` encoding, so 100x-horizon runs keep flat memory
-while counts (``n_dispatches`` etc.) stay exact via ``EventLog.total``.
+Metrics hold one :class:`EventLog` per event kind. A log behaves like a
+plain list of event records (len / index / slice / iterate / compare), but
+stores chunks: one event object per :meth:`EventLog.append`, or one
+:class:`~repro.sim.events.EventColumns` batch per :meth:`EventLog.extend` —
+the engine logs each dispatch's charges and each drain interval's deaths
+that way, so the records are built only when the log is read
+(:meth:`Metrics.event_log_jsonl` included) and :meth:`EventLog.column`
+reads one field of every kept event without building any.
+
+A log can be bounded to a ring of the ``maxlen`` most recent events: whole
+leading chunks are dropped while the rest still holds ``maxlen`` events,
+and the surplus rows of the first kept chunk are hidden, so the log shows
+exactly what a ``deque(maxlen=...)`` of the records would, and holds at
+most one chunk beyond the bound. ``EventLog.total`` and ``dropped`` stay
+exact, and so do the counts (``n_dispatches`` etc.). A log can also spill
+every event to JSONL via the :mod:`repro.obs.trace` encoding; a batch
+spills its records in row order, so the file is byte-identical to logging
+them one at a time. Both keep 100x-horizon runs at flat memory.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from typing import IO, Any, Iterator
 import numpy as np
 
 from repro.obs.trace import TraceEvent
-from repro.sim.events import ChargeEvent
+from repro.sim.events import ChargeEvent, EventColumns
 
 __all__ = ["Metrics", "EventLog", "EventSpill"]
 
@@ -74,68 +87,117 @@ class EventLog:
     ----------
     maxlen:
         Keep only the most recent ``maxlen`` events in memory (``None`` =
-        unbounded, the default — exactly the old plain-list behaviour).
+        unbounded, the default).
     spill:
-        Optional :class:`EventSpill`; every appended event is also written
+        Optional :class:`EventSpill`; every logged event is also written
         there, bounded or not.
     name:
         Log name used in spill records and serialization.
 
-    ``total`` counts every append ever; ``len`` is what is still held.
+    The log is a sequence of chunks: :meth:`append` adds one event object,
+    :meth:`extend` one :class:`~repro.sim.events.EventColumns` batch, whose
+    records are built only when they are read (iteration, indexing,
+    comparison, serialization). A bounded log drops whole leading chunks
+    while the rest still holds ``maxlen`` events and hides the surplus
+    rows of the first kept chunk, so it shows exactly the last ``maxlen``
+    events and holds at most one chunk more. ``total`` counts every event
+    ever logged; ``len`` is what is still shown.
     """
 
-    __slots__ = ("_items", "_total", "_spill", "name", "maxlen")
+    __slots__ = ("_chunks", "_held", "_head", "_total", "_spill", "name", "maxlen")
 
     def __init__(self, maxlen: int | None = None,
                  spill: EventSpill | None = None, name: str = "") -> None:
         self.maxlen = maxlen
         self.name = name
-        self._items: Any = [] if maxlen is None else deque(maxlen=maxlen)
+        self._chunks: deque[tuple[Any, ...] | EventColumns] = deque()
+        self._held = 0   # rows in all chunks, hidden head rows included
+        self._head = 0   # hidden leading rows of the first chunk
         self._total = 0
         self._spill = spill
 
-    # --------------------------------------------------------- list protocol
+    # ----------------------------------------------------------- logging
     def append(self, event: Any) -> None:
-        self._total += 1
-        self._items.append(event)
+        """Log one event."""
+        self._add((event,))
         if self._spill is not None:
             self._spill.write(self.name, event)
 
+    def extend(self, batch: EventColumns) -> None:
+        """Log a batch of events, in row order."""
+        if len(batch) == 0:
+            return
+        self._add(batch)
+        if self._spill is not None:
+            for event in batch[:]:
+                self._spill.write(self.name, event)
+
+    def _add(self, chunk: tuple[Any, ...] | EventColumns) -> None:
+        size = len(chunk)
+        self._total += size
+        self._held += size
+        self._chunks.append(chunk)
+        if self.maxlen is None or self._held <= self.maxlen:
+            return
+        while self._chunks and self._held - len(self._chunks[0]) >= self.maxlen:
+            self._held -= len(self._chunks.popleft())
+        self._head = self._held - self.maxlen
+
+    # --------------------------------------------------------- list protocol
     def __len__(self) -> int:
-        return len(self._items)
+        return self._held - self._head
 
     def __bool__(self) -> bool:
-        return len(self._items) > 0
+        return len(self) > 0
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
+        start = self._head
+        for chunk in self._chunks:
+            yield from chunk[start:]
+            start = 0
 
-    def __getitem__(self, index: int) -> Any:
+    def __getitem__(self, index: int | slice) -> Any:
         if isinstance(index, slice):
-            return list(self._items)[index]
-        return self._items[index]
+            return list(self)[index]
+        i = range(len(self))[index] + self._head
+        for chunk in self._chunks:
+            if i < len(chunk):
+                return chunk[i]
+            i -= len(chunk)
+        raise AssertionError("unreachable: index was range-checked")
+
+    def column(self, name: str) -> np.ndarray:
+        """Field ``name`` of every shown event, as one array, without
+        building the event records of column batches."""
+        parts = []
+        start = self._head
+        for chunk in self._chunks:
+            if isinstance(chunk, EventColumns):
+                parts.append(chunk.column(name)[start:])
+            else:
+                parts.append(np.asarray([getattr(ev, name) for ev in chunk[start:]]))
+            start = 0
+        return np.concatenate(parts) if parts else np.empty(0)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventLog):
-            return list(self._items) == list(other._items)
-        if isinstance(other, (list, tuple)):
-            return list(self._items) == list(other)
+        if isinstance(other, (EventLog, list, tuple)):
+            return list(self) == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:
         bound = "" if self.maxlen is None else f", maxlen={self.maxlen}"
-        return f"EventLog({list(self._items)!r}{bound})"
+        return f"EventLog({list(self)!r}{bound})"
 
     # ------------------------------------------------------------- accounting
     @property
     def total(self) -> int:
-        """Number of events ever appended (>= ``len`` when bounded)."""
+        """Number of events ever logged (>= ``len`` when bounded)."""
         return self._total
 
     @property
     def dropped(self) -> int:
         """Events evicted from the in-memory window."""
-        return self._total - len(self._items)
+        return self._total - len(self)
 
 
 @dataclass
@@ -242,16 +304,18 @@ class Metrics:
 
     def closest_call(self) -> ChargeEvent | None:
         """The charge that arrived with the least energy remaining — how
-        tightly the policy cuts its margins (``None`` if no charges)."""
+        tightly the policy cuts its margins (``None`` if no charges; the
+        earliest of tied charges)."""
         if not self.charges:
             return None
-        return min(self.charges, key=lambda ev: ev.energy_before)
+        return self.charges[int(np.argmin(self.charges.column("energy_before")))]
 
     def charges_per_sensor(self, n: int) -> np.ndarray:
         """``(n,)`` number of times each sensor was charged."""
-        out = np.zeros(n, dtype=np.int64)
-        for c in self.charges:
-            out[c.sensor] += 1
+        sensors = self.charges.column("sensor").astype(np.intp)
+        out = np.bincount(sensors, minlength=n).astype(np.int64)
+        if out.shape != (n,):
+            raise IndexError(f"charges_per_sensor: a sensor id is >= n = {n}")
         return out
 
     def event_log_jsonl(self) -> str:

@@ -10,7 +10,11 @@ from repro.errors import SimulationError
 
 __all__ = ["EnergyState", "ChargerFleet"]
 
-#: Sensors whose energy reaches at least ``-_ABS_TOL * battery`` are treated
+#: What :meth:`EnergyState.drain` returns when nobody died (zero-length,
+#: so sharing it is safe).
+_NO_DEATHS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64))
+
+#: Sensors whose energy reaches at least ``-_REL_TOL * battery`` are treated
 #: as alive: "the battery hits zero exactly as the charger arrives" is a
 #: legal knife-edge in the paper's model (gaps may equal tau_i exactly).
 _REL_TOL = 1e-6
@@ -32,8 +36,8 @@ class EnergyState:
     sweeps running while still reporting every violation.
     """
 
-    __slots__ = ("_batteries", "_energy", "_ever_died", "_currently_dead",
-                 "_death_times", "_online", "_n_offline")
+    __slots__ = ("_batteries", "_energy", "_death_floor", "_ever_died",
+                 "_currently_dead", "_online", "_n_offline")
 
     def __init__(self, batteries: np.ndarray) -> None:
         b = np.asarray(batteries, dtype=np.float64)
@@ -43,11 +47,11 @@ class EnergyState:
             raise SimulationError("EnergyState: batteries must be positive")
         self._batteries = b.copy()
         self._energy = b.copy()
+        self._death_floor = -(b * _REL_TOL)
         self._ever_died = np.zeros(b.shape[0], dtype=bool)
         # Dead *now* (cleared by a charge); distinct from the historical
         # ever_died so a revived sensor's second death is reported again.
         self._currently_dead = np.zeros(b.shape[0], dtype=bool)
-        self._death_times: list[tuple[int, float]] = []
         # Membership overlay for churn scenarios: offline sensors neither
         # drain nor die nor accept charge. All-online is the static case and
         # must add zero work to it, hence the cached counter.
@@ -82,11 +86,6 @@ class EnergyState:
         """``(n,)`` time each sensor survives at the given drain rates."""
         r = np.asarray(rates, dtype=np.float64)
         return np.divide(self._energy, r, out=np.full(self.n, np.inf), where=r > 0)
-
-    @property
-    def deaths(self) -> list[tuple[int, float]]:
-        """All recorded ``(sensor, time)`` death events, in time order."""
-        return list(self._death_times)
 
     def ever_died(self) -> np.ndarray:
         """Boolean mask of sensors that died at least once."""
@@ -132,10 +131,12 @@ class EnergyState:
         return np.where(self._online, rates, 0.0)
 
     # ------------------------------------------------------------- transitions
-    def drain(self, rates: np.ndarray, duration: float, t_start: float) -> list[tuple[int, float]]:
+    def drain(self, rates: np.ndarray, duration: float,
+              t_start: float) -> tuple[np.ndarray, np.ndarray]:
         """Drain all sensors at ``rates`` for ``duration`` starting at
-        ``t_start``; returns the *new* death events ``(sensor, time)`` with
-        exact crossing times.
+        ``t_start``; returns the *new* deaths as ``(sensors, times)``
+        arrays with exact crossing times, stable-sorted by time (sensors
+        dying at one instant stay in ascending index order).
 
         A sensor already at zero that keeps a positive rate is not reported
         again (its death was recorded when it first crossed).
@@ -143,35 +144,35 @@ class EnergyState:
         if duration < 0:
             raise SimulationError(f"drain: negative duration {duration}")
         if duration == 0:
-            return []
+            return _NO_DEATHS
         r = np.asarray(rates, dtype=np.float64)
         if r.shape != (self.n,):
             raise SimulationError(f"drain: rates shape {r.shape} != ({self.n},)")
-        tol = self._batteries * _REL_TOL
-        before = self._energy.copy()
-        self._energy -= r * duration
+        after = self._energy - r * duration
         # A death is recorded whenever a not-currently-dead sensor ends the
         # interval strictly below zero. A sensor parked exactly at zero dies
         # at the *start* of the next draining interval (before/rate = 0), so
         # the knife-edge "charged exactly as it empties" stays alive while
         # "left at zero and kept draining" does not.
-        crossing = ~self._currently_dead & (self._energy < -tol)
-        new_deaths: list[tuple[int, float]] = []
-        if np.any(crossing):
-            idx = np.nonzero(crossing)[0]
-            times = t_start + before[idx] / r[idx]
-            for i, tt in sorted(zip(idx.tolist(), times.tolist()), key=lambda p: p[1]):
-                new_deaths.append((int(i), float(tt)))
-                self._ever_died[i] = True
-                self._currently_dead[i] = True
-            self._death_times.extend(new_deaths)
-        np.clip(self._energy, 0.0, None, out=self._energy)
-        return new_deaths
+        below = after < self._death_floor
+        deaths = _NO_DEATHS
+        if below.any():
+            idx = np.flatnonzero(below & ~self._currently_dead)
+            if idx.size:
+                times = t_start + self._energy[idx] / r[idx]
+                order = np.argsort(times, kind="stable")
+                self._ever_died[idx] = True
+                self._currently_dead[idx] = True
+                deaths = (idx[order], times[order])
+        np.maximum(after, 0.0, out=self._energy)  # the ufunc np.clip(after, 0.0, None) runs
+        return deaths
 
     def charge_full(self, sensors: Sequence[int] | np.ndarray) -> None:
         """Instantaneously restore the given sensors to full capacity
         (the paper's point-to-point charging model)."""
-        idx = np.asarray(list(sensors), dtype=np.intp)
+        if not isinstance(sensors, np.ndarray):
+            sensors = list(sensors)
+        idx = np.asarray(sensors, dtype=np.intp)
         if idx.size == 0:
             return
         if idx.min() < 0 or idx.max() >= self.n:

@@ -46,10 +46,13 @@ class TestEnergyStateProperties:
         total = float(b.max()) + 1.0
         dt = total / steps
         t = 0.0
+        deaths: dict[int, float] = {}
         for _ in range(steps):
-            s.drain(np.ones_like(b), dt, t)
+            sensors, times = s.drain(np.ones_like(b), dt, t)
+            for i, when in zip(sensors.tolist(), times.tolist()):
+                assert i not in deaths
+                deaths[i] = when
             t += dt
-        deaths = dict(s.deaths)
         assert len(deaths) == b.shape[0]
         for i, cap in enumerate(b):
             assert abs(deaths[i] - cap) < 1e-6

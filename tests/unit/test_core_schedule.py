@@ -134,6 +134,24 @@ class TestValidateFor:
         with pytest.raises(ScheduleError, match="out of range"):
             plan.validate_for(tiny_network)
 
+    def test_bad_set_first_referenced_late_is_reported_at_its_first_time(
+            self, tiny_network):
+        # Two shared tour sets: the good one dispatched first and often, the
+        # bad one (depot 6's tour visits depot 7) first used at t=4.0.
+        n = tiny_network.n
+        good = (Tour(depot=n, order=(n, 0, 1)), Tour.empty(n + 1))
+        bad = (Tour(depot=n, order=(n, 2, n + 1)),)
+        tours = [good, good, good, good, bad, good, bad]
+        plan = SchedulePlan(
+            schedulings=tuple(ChargingScheduling(time=float(t), tours=ts)
+                              for t, ts in enumerate(tours)),
+            horizon=10.0)
+        with pytest.raises(ScheduleError,
+                           match=rf"at t=4\.0 charges non-sensor nodes \[{n + 1}\]"):
+            plan.validate_for(tiny_network)
+        SchedulePlan(schedulings=plan.schedulings[:4], horizon=10.0).validate_for(
+            tiny_network)  # the good set alone is fine
+
     def test_cli_simulate_rejects_mismatched_files(self, tmp_path):
         from repro.cli import main
         from repro.core.mintotal import min_total_distance

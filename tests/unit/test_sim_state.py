@@ -32,41 +32,47 @@ class TestBasics:
 
 class TestDrain:
     def test_linear_drain(self, state):
-        deaths = state.drain(np.array([0.5, 0.5, 0.5]), 2.0, 0.0)
-        assert deaths == []
+        sensors, times = state.drain(np.array([0.5, 0.5, 0.5]), 2.0, 0.0)
+        assert sensors.size == 0 and times.size == 0
         np.testing.assert_allclose(state.energy, [0.0, 1.0, 3.0])
 
     def test_death_time_interpolated(self, state):
-        deaths = state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 10.0)
-        assert len(deaths) == 1
-        sensor, when = deaths[0]
-        assert sensor == 0 and when == pytest.approx(11.0)
+        sensors, times = state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 10.0)
+        assert sensors.tolist() == [0]
+        assert times[0] == pytest.approx(11.0)
 
     def test_energy_clamped_at_zero(self, state):
         state.drain(np.array([1.0, 0.0, 0.0]), 5.0, 0.0)
         assert state.energy[0] == 0.0
 
     def test_no_double_death_report(self, state):
-        state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 0.0)
-        again = state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 2.0)
-        assert again == []
-        assert len(state.deaths) == 1
+        first, _ = state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 0.0)
+        again, _ = state.drain(np.array([1.0, 0.0, 0.0]), 2.0, 2.0)
+        assert first.tolist() == [0]
+        assert again.size == 0
 
     def test_multiple_deaths_sorted_by_time(self):
         s = EnergyState(np.array([1.0, 2.0]))
-        deaths = s.drain(np.array([1.0, 4.0]), 1.5, 0.0)
+        sensors, times = s.drain(np.array([1.0, 4.0]), 1.5, 0.0)
         # sensor 1 dies at 2.0/4.0 = 0.5, sensor 0 at 1.0/1.0 = 1.0.
-        assert [d[0] for d in deaths] == [1, 0]
-        assert deaths[0][1] == pytest.approx(0.5)
-        assert deaths[1][1] == pytest.approx(1.0)
+        assert sensors.tolist() == [1, 0]
+        assert times[0] == pytest.approx(0.5)
+        assert times[1] == pytest.approx(1.0)
+
+    def test_simultaneous_deaths_keep_index_order(self):
+        s = EnergyState(np.array([2.0, 1.0, 1.0, 2.0]))
+        sensors, times = s.drain(np.array([2.0, 1.0, 1.0, 2.0]), 2.0, 0.0)
+        assert sensors.tolist() == [0, 1, 2, 3]
+        assert times.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_knife_edge_exact_zero_is_alive(self, state):
-        deaths = state.drain(np.array([0.5, 0.0, 0.0]), 2.0, 0.0)
-        assert deaths == []  # hits exactly 0.0 -> alive (paper's convention)
+        sensors, _ = state.drain(np.array([0.5, 0.0, 0.0]), 2.0, 0.0)
+        assert sensors.size == 0  # hits exactly 0.0 -> alive (paper's convention)
 
     def test_zero_duration_noop(self, state):
         before = state.energy.copy()
-        assert state.drain(np.array([1.0, 1.0, 1.0]), 0.0, 0.0) == []
+        sensors, times = state.drain(np.array([1.0, 1.0, 1.0]), 0.0, 0.0)
+        assert sensors.size == 0 and times.size == 0
         np.testing.assert_array_equal(state.energy, before)
 
     def test_negative_duration_raises(self, state):
