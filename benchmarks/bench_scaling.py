@@ -19,12 +19,15 @@ The pipeline benches at the bottom time the PR-level contracts of the
 staged planner (:mod:`repro.plan`): the plan-artifact cache must make the
 ``mtd-var`` replan pattern at least 2x faster with identical output, and
 the parallel experiment executor must stay byte-identical to the serial
-path. Their measurements are emitted to ``BENCH_pipeline.json`` in the
-working directory.
+path. ``test_cache_footprint`` records what one cold n=2000 plan leaves
+resident in a serve worker's artifact cache. Their measurements are
+emitted to ``BENCH_pipeline.json`` in the working directory.
 """
 
+import gc
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,7 @@ import pytest
 from repro.core.mintotal import min_total_distance
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_cell
+from repro.io.network_json import network_from_dict, network_to_dict
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
 from repro.plan import PlanArtifactCache
@@ -258,3 +262,43 @@ def test_executor_serial_vs_parallel(benchmark, pipeline_json):
     }
     print(f"\nexecutor: serial {t_serial:.2f}s, "
           f"parallel(jobs={jobs}) {t_parallel:.2f}s")
+
+
+def test_cache_footprint(benchmark, pipeline_json):
+    """Bytes a serve worker's artifact cache retains per cold n=2000 plan.
+
+    Six cold plans (fresh geometries, the plan-cold pattern) go through
+    ``execute_plan`` against one cache; :mod:`tracemalloc` counts what
+    clearing the cache afterwards frees. Recorded as
+    ``cache.bytes_per_cold_plan`` and held to the 250 KB bound of
+    ``tests/integration/test_cache_footprint.py``.
+    """
+    from repro.serve.worker import execute_plan
+
+    n, plans = 2000, 6
+    docs = [network_to_dict(build_paper_network(n=n, q=5, seed=s))
+            for s in range(plans)]
+    cache = PlanArtifactCache()
+
+    def cold_plans():
+        for doc in docs:
+            execute_plan(network_from_dict(doc), {"horizon": 300.0}, cache=cache)
+
+    tracemalloc.start()
+    try:
+        benchmark.pedantic(cold_plans, rounds=1, iterations=1)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        info = cache.info()
+        cache.clear()
+        gc.collect()
+        per_plan = (held - tracemalloc.get_traced_memory()[0]) / plans
+    finally:
+        tracemalloc.stop()
+
+    pipeline_json["cache"] = {
+        "n": n, "plans": plans, "entries": info["forests"] + info["tours"],
+        "bytes_per_cold_plan": round(per_plan),
+    }
+    print(f"\ncache footprint: {per_plan / 1e3:.0f} KB per cold n={n} plan")
+    assert per_plan <= 250_000

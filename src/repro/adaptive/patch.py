@@ -224,7 +224,7 @@ def build_patch(network: SensorNetwork, quant: Quantization,
                 continue
             built: tuple[Tour, ...] | None = None
             if incremental and j > 0 and cache is not None:
-                base_forest = cache.get_forest(fp, frozenset(base_sets[j]))
+                base_forest = cache.get_forest(fp, base_sets[j])
                 if base_forest is not None:
                     extended = extend_q_rooted_msf(
                         dist, sorted(base_sets[j]), base_forest,

@@ -164,6 +164,14 @@ class Quantization:
             level += 1
         return level
 
+    def level_members(self, v: int) -> np.ndarray:
+        """Sensor ids of coverage level ``v`` — the prefix union
+        ``V_0 ∪ ... ∪ V_v`` — in ascending order (the sorted form of
+        ``coverage_sets()[v]``)."""
+        if not (0 <= v <= self.K):
+            raise ScheduleError(f"coverage level {v} out of range 0..{self.K}")
+        return np.flatnonzero(self.k_of <= v)
+
     def coverage_sets(self) -> tuple[frozenset[int], ...]:
         """Stage-2 artifact of the planner pipeline: the ``K + 1`` distinct
         coverage sets, indexed by level.

@@ -129,15 +129,21 @@ class SchedulePlan:
         ``coords=``, from node coordinates, bit-identically and without
         building the matrix. Repeated tour sets are costed once and
         multiplied (Algorithm 3's plans repeat one block, so this is
-        typically ``2^K`` distinct costings, not ``len(plan)``).
+        typically ``K + 1`` distinct costings, not ``len(plan)``). Tour
+        sets are matched by identity first and hashed by value once per
+        distinct object.
         """
-        cache: dict[tuple[Tour, ...], float] = {}
+        cost_of: dict[tuple[Tour, ...], float] = {}
+        cost_of_id: dict[int, float] = {}
         total = 0.0
         for s in self.schedulings:
-            key = s.tours
-            if key not in cache:
-                cache[key] = s.cost(dist, coords=coords)
-            total += cache[key]
+            cost = cost_of_id.get(id(s.tours))
+            if cost is None:
+                cost = cost_of.get(s.tours)
+                if cost is None:
+                    cost = cost_of[s.tours] = s.cost(dist, coords=coords)
+                cost_of_id[id(s.tours)] = cost
+            total += cost
         return total
 
     # -------------------------------------------------------------- queries

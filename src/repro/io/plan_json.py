@@ -20,16 +20,27 @@ __all__ = ["plan_to_dict", "plan_from_dict", "save_plan", "load_plan"]
 
 
 def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
-    """Deduplicated plain-JSON representation of a plan."""
+    """Deduplicated plain-JSON representation of a plan.
+
+    Tour sets are matched by object identity first and by value once per
+    distinct object: planners share one tuple across all schedulings of a
+    level, so the table costs one tuple hash per distinct object instead of
+    one per scheduling. Equal but distinct tuples still share an entry.
+    """
     table: list[tuple[Tour, ...]] = []
     index_of: dict[tuple[Tour, ...], int] = {}
+    index_of_id: dict[int, int] = {}
     refs: list[dict[str, Any]] = []
     for s in plan.schedulings:
-        key = s.tours
-        if key not in index_of:
-            index_of[key] = len(table)
-            table.append(key)
-        refs.append({"time": s.time, "tours": index_of[key]})
+        tours = s.tours
+        idx = index_of_id.get(id(tours))
+        if idx is None:
+            idx = index_of.get(tours)
+            if idx is None:
+                idx = index_of[tours] = len(table)
+                table.append(tours)
+            index_of_id[id(tours)] = idx
+        refs.append({"time": s.time, "tours": idx})
     return {
         "horizon": plan.horizon,
         "tour_sets": [

@@ -31,25 +31,97 @@ workers all plan against one instance, so every store access is guarded by
 an internal :class:`threading.Lock` (``OrderedDict`` reorder-on-read plus
 eviction is not atomic under concurrent callers). Lookups and their
 hit/miss accounting happen in :func:`repro.plan.pipeline.plan_tours`.
+
+Representation
+--------------
+A serve worker keeps thousands of entries resident, so entries are stored
+as flat bytes and int arrays rather than as graphs of Python objects:
+
+* **Keys** — the coverage set is keyed by :func:`coverage_key`: its
+  members in ascending order as ``int32`` bytes (4 B per sensor plus a
+  ~33 B header). The key is exact, not a digest: two sets share a key iff
+  they are equal. Every method accepts either the set itself or its
+  precomputed key; hot callers compute the key once per coverage set and
+  per plan (:func:`~repro.plan.pipeline.build_levels` derives it from the
+  quantisation's already-sorted members) and pass the bytes, so no lookup
+  re-sorts a set.
+* **Forests** — one ``(m, 2)`` ``int32`` array of ``(u, v)`` edges per
+  tree, in discovery order (8 B per edge plus ~0.2 KB per tree), next to
+  the roots tuple. :meth:`PlanArtifactCache.get_forest` rebuilds a *fresh*
+  :class:`~repro.graphs.forest.RootedForest` that equals the stored one
+  edge for edge and passes the same validation.
+* **Tours** — kept as the very ``Tour`` tuples that were put (~36 B per
+  stop), so a tour hit is zero-copy: every plan built from the entry
+  shares the same objects.
+
+One cold n=2000 plan (K+1 = 6 coverage sets) retains about 190 KB here;
+``tests/integration/test_cache_footprint.py`` bounds it at 250 KB.
+:meth:`~PlanArtifactCache.keys` and :meth:`~PlanArtifactCache.snapshot`
+decode back to ``frozenset`` keys and ``RootedForest`` values, the shapes
+their consumers (the on-disk store's ``flush``, the :mod:`repro.check`
+harness) work with.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable
+from itertools import chain
+from typing import TYPE_CHECKING, Collection, Hashable
+
+import numpy as np
 
 from repro.errors import ConfigError
+from repro.graphs.forest import RootedForest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graphs.forest import RootedForest
     from repro.tsp.tour import Tour
 
-__all__ = ["PlanArtifactCache"]
+__all__ = ["PlanArtifactCache", "coverage_key"]
 
 #: Default LRU capacity (per artifact kind). Generous: a 2^K block holds at
 #: most K+1 distinct coverage sets, and mtd-var re-plans recycle them.
 _DEFAULT_MAX_ENTRIES = 4096
+
+#: Element type of coverage keys and stored forest edges. Graph indices of
+#: any network that fits in memory are far below 2^31.
+_INDEX = np.dtype(np.int32)
+
+
+def coverage_key(coverage: Collection[int] | np.ndarray) -> bytes:
+    """The exact cache key of a coverage set: its members, ascending, as
+    ``int32`` bytes.
+
+    Accepts any sized collection of sensor ids (a ``frozenset``, a list, an
+    integer array); equal sets give equal keys whatever their container or
+    order.
+    """
+    members = (coverage if isinstance(coverage, np.ndarray) else
+               np.fromiter(coverage, dtype=np.int64, count=len(coverage)))
+    return np.sort(members).astype(_INDEX).tobytes()
+
+
+def _key_of(coverage: Collection[int] | bytes) -> bytes:
+    return coverage if isinstance(coverage, bytes) else coverage_key(coverage)
+
+
+def _coverage_of(key: bytes) -> frozenset[int]:
+    return frozenset(np.frombuffer(key, dtype=_INDEX).tolist())
+
+
+def _pack_forest(forest: RootedForest) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
+    """``(roots, per-tree (m, 2) edge arrays)`` — the stored form."""
+    return forest.roots, tuple(
+        np.fromiter(chain.from_iterable(tree), dtype=_INDEX,
+                    count=2 * len(tree)).reshape(-1, 2)
+        for tree in forest.trees)
+
+
+def _unpack_forest(packed: tuple[tuple[int, ...], tuple[np.ndarray, ...]]) -> RootedForest:
+    roots, trees = packed
+    return RootedForest(
+        roots=roots,
+        trees=tuple(tuple(map(tuple, edges.tolist())) for edges in trees))
 
 
 class PlanArtifactCache:
@@ -64,12 +136,13 @@ class PlanArtifactCache:
 
     Notes
     -----
-    Artifacts are immutable (:class:`~repro.graphs.forest.RootedForest` and
-    :class:`~repro.tsp.tour.Tour` are frozen dataclasses; the MSF's arrays
-    are write-protected), so handing the same object to many callers is
-    safe. The cache itself keeps no instrumentation — the pipeline layer
-    owns the ``plan.cache.*`` counters — but tracks plain hit/miss tallies
-    for :meth:`info` and ``repr``.
+    Tours are immutable (:class:`~repro.tsp.tour.Tour` is a frozen
+    dataclass), so handing the same tuple to many callers is safe; forests
+    are stored packed and rebuilt per hit (see the module docstring). The
+    ``coverage`` argument of every method is the set or its
+    :func:`coverage_key`. The cache itself keeps no instrumentation — the
+    pipeline layer owns the ``plan.cache.*`` counters — but tracks plain
+    hit/miss tallies for :meth:`info` and ``repr``.
     """
 
     def __init__(self, max_entries: int | None = _DEFAULT_MAX_ENTRIES) -> None:
@@ -78,7 +151,7 @@ class PlanArtifactCache:
                 f"PlanArtifactCache: max_entries must be >= 1 or None, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._forests: OrderedDict[tuple, "RootedForest"] = OrderedDict()
+        self._forests: OrderedDict[tuple, tuple] = OrderedDict()
         self._tours: OrderedDict[tuple, tuple["Tour", ...]] = OrderedDict()
         self._hits = 0
         self._misses = 0
@@ -104,23 +177,29 @@ class PlanArtifactCache:
 
     # -------------------------------------------------------------- forests
     def get_forest(self, fingerprint: str,
-                   coverage: frozenset[int]) -> "RootedForest | None":
-        """Cached q-rooted MSF of ``coverage``, or ``None``."""
-        return self._get(self._forests, (fingerprint, coverage))
+                   coverage: Collection[int] | bytes) -> RootedForest | None:
+        """Cached q-rooted MSF of ``coverage`` (a fresh, equal forest), or
+        ``None``."""
+        packed = self._get(self._forests, (fingerprint, _key_of(coverage)))
+        return None if packed is None else _unpack_forest(packed)
 
-    def put_forest(self, fingerprint: str, coverage: frozenset[int],
-                   forest: "RootedForest") -> None:
-        self._put(self._forests, (fingerprint, coverage), forest)
+    def put_forest(self, fingerprint: str, coverage: Collection[int] | bytes,
+                   forest: RootedForest) -> None:
+        self._put(self._forests, (fingerprint, _key_of(coverage)),
+                  _pack_forest(forest))
 
     # ---------------------------------------------------------------- tours
-    def get_tours(self, fingerprint: str, coverage: frozenset[int],
+    def get_tours(self, fingerprint: str, coverage: Collection[int] | bytes,
                   refine: bool) -> "tuple[Tour, ...] | None":
-        """Cached tour set of ``coverage`` at the given refine level."""
-        return self._get(self._tours, (fingerprint, coverage, bool(refine)))
+        """Cached tour set of ``coverage`` at the given refine level (the
+        very tuple that was put)."""
+        return self._get(self._tours,
+                         (fingerprint, _key_of(coverage), bool(refine)))
 
-    def put_tours(self, fingerprint: str, coverage: frozenset[int],
+    def put_tours(self, fingerprint: str, coverage: Collection[int] | bytes,
                   refine: bool, tours: "tuple[Tour, ...]") -> None:
-        self._put(self._tours, (fingerprint, coverage, bool(refine)), tours)
+        self._put(self._tours, (fingerprint, _key_of(coverage), bool(refine)),
+                  tours)
 
     # ------------------------------------------------------------- lifecycle
     def clear(self) -> None:
@@ -145,10 +224,11 @@ class PlanArtifactCache:
         are copies and safe to iterate while the cache keeps serving.
         """
         with self._lock:
-            return {
-                "forests": list(self._forests.keys()),
-                "tours": list(self._tours.keys()),
-            }
+            forests, tours = list(self._forests), list(self._tours)
+        return {
+            "forests": [(fp, _coverage_of(key)) for fp, key in forests],
+            "tours": [(fp, _coverage_of(key), refine) for fp, key, refine in tours],
+        }
 
     def tally(self) -> tuple[int, int]:
         """``(hits, misses)`` read atomically under the lock.
@@ -175,18 +255,23 @@ class PlanArtifactCache:
             return self._misses
 
     def snapshot(self) -> dict[str, dict]:
-        """Point-in-time shallow copy of both stores (key → artifact).
+        """Point-in-time copy of both stores (key → artifact), with
+        ``frozenset`` coverage keys and ``RootedForest`` values.
 
-        Taken under the lock; the artifacts themselves are immutable, so
-        the copies are safe to serialise while the cache keeps serving.
+        The entries are copied under the lock and decoded outside it into
+        fresh keys and forests (tours are immutable and shared), so the
+        copy is safe to serialise while the cache keeps serving.
         :meth:`repro.plan.store.PlanArtifactStore.flush` uses this to
         persist a worker's cache on drain.
         """
         with self._lock:
-            return {
-                "forests": dict(self._forests),
-                "tours": dict(self._tours),
-            }
+            forests, tours = list(self._forests.items()), list(self._tours.items())
+        return {
+            "forests": {(fp, _coverage_of(key)): _unpack_forest(packed)
+                        for (fp, key), packed in forests},
+            "tours": {(fp, _coverage_of(key), refine): value
+                      for (fp, key, refine), value in tours},
+        }
 
     def info(self) -> dict[str, int]:
         """Size and traffic summary (used by tests and diagnostics).

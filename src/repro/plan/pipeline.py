@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from repro.core.quantize import Quantization
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
-from repro.plan.cache import PlanArtifactCache
+from repro.plan.cache import PlanArtifactCache, coverage_key
 from repro.rooted.msf import q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp
 from repro.rooted.refine import refine_tours
@@ -71,11 +71,19 @@ def distinct_coverage(quant: Quantization) -> tuple[frozenset[int], ...]:
     return tuple(seen)
 
 
+def _level_key(quant: Quantization, v: int,
+               cache: PlanArtifactCache | None) -> bytes | None:
+    """Cache key of coverage level ``v``, from its already-sorted members
+    (``None`` when there is no cache to key)."""
+    return None if cache is None else coverage_key(quant.level_members(v))
+
+
 def plan_tours(network: SensorNetwork, coverage: frozenset[int],
                *, refine: bool = False,
                cache: PlanArtifactCache | None = None,
                store: "PlanArtifactStore | None" = None,
-               obs: Instrumentation | None = None) -> tuple[Tour, ...]:
+               obs: Instrumentation | None = None,
+               key: bytes | None = None) -> tuple[Tour, ...]:
     """Stages 3–5 for one coverage set, with artifact reuse.
 
     Parameters
@@ -103,6 +111,11 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         ``plan.cache.*`` hit/miss counters documented in the module
         docstring (tier 2 adds ``plan.cache.disk.*``), and forwards to the
         stage implementations it runs.
+    key:
+        ``coverage``'s :func:`~repro.plan.cache.coverage_key`, when the
+        caller already has it (:func:`build_levels` derives it from the
+        quantisation); otherwise it is computed here, once, for all of this
+        call's tier-1 lookups.
 
     Returns
     -------
@@ -120,24 +133,26 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
 
     o = ensure(obs)
     fp = network.geometry_fingerprint
+    if cache is not None and key is None:
+        key = coverage_key(coverage)
 
     def lookup_tours(want_refine: bool) -> tuple[Tour, ...] | None:
         """Tier-1 then tier-2 lookup; promotes disk hits into memory."""
         if cache is not None:
-            hit = cache.get_tours(fp, coverage, want_refine)
+            hit = cache.get_tours(fp, key, want_refine)
             if hit is not None:
                 return hit
         if store is not None:
             hit = store.get_tours(fp, coverage, want_refine, obs=obs)
             if hit is not None:
                 if cache is not None:
-                    cache.put_tours(fp, coverage, want_refine, hit)
+                    cache.put_tours(fp, key, want_refine, hit)
                 return hit
         return None
 
     def save_tours(want_refine: bool, tours: tuple[Tour, ...]) -> None:
         if cache is not None:
-            cache.put_tours(fp, coverage, want_refine, tours)
+            cache.put_tours(fp, key, want_refine, tours)
         if store is not None:
             store.put_tours(fp, coverage, want_refine, tours, obs=obs)
 
@@ -152,17 +167,17 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         base = lookup_tours(False)
         o.incr("plan.cache.base.hit" if base is not None else "plan.cache.base.miss")
     if base is None:
-        forest = cache.get_forest(fp, coverage) if cache is not None else None
+        forest = cache.get_forest(fp, key) if cache is not None else None
         if forest is None and store is not None:
             forest = store.get_forest(fp, coverage, obs=obs)
             if forest is not None and cache is not None:
-                cache.put_forest(fp, coverage, forest)
+                cache.put_forest(fp, key, forest)
         if forest is None:
             o.incr("plan.cache.forest.miss")
             forest = q_rooted_msf(None, sorted(coverage), depots,
                                   coords=coords, obs=obs)
             if cache is not None:
-                cache.put_forest(fp, coverage, forest)
+                cache.put_forest(fp, key, forest)
             if store is not None:
                 store.put_forest(fp, coverage, forest, obs=obs)
         else:
@@ -200,10 +215,11 @@ def build_levels(network: SensorNetwork, quant: Quantization,
     resolved: dict[frozenset[int], tuple[Tour, ...]] = {}
     levels: list[tuple[Tour, ...]] = []
     with o.span("plan.block", levels=quant.K + 1):
-        for cov in quant.coverage_sets():
+        for v, cov in enumerate(quant.coverage_sets()):
             if cov not in resolved:
-                resolved[cov] = plan_tours(network, cov, refine=refine,
-                                           cache=cache, store=store, obs=obs)
+                resolved[cov] = plan_tours(
+                    network, cov, refine=refine, cache=cache, store=store,
+                    obs=obs, key=_level_key(quant, v, cache))
                 o.incr("plan.block.solved")
             else:
                 o.incr("plan.block.reused")
@@ -240,10 +256,12 @@ def build_block(network: SensorNetwork, quant: Quantization,
     block: list[tuple[Tour, ...]] = []
     with o.span("plan.block", block_size=n):
         for j in range(1, n + 1):
-            cov = level_sets[quant.level_of(j)]
+            v = quant.level_of(j)
+            cov = level_sets[v]
             if cov not in resolved:
-                resolved[cov] = plan_tours(network, cov, refine=refine,
-                                           cache=cache, store=store, obs=obs)
+                resolved[cov] = plan_tours(
+                    network, cov, refine=refine, cache=cache, store=store,
+                    obs=obs, key=_level_key(quant, v, cache))
                 o.incr("plan.block.solved")
             else:
                 o.incr("plan.block.reused")

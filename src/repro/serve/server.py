@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import os
+import pickle
 import signal
 import time
 from pathlib import Path
@@ -117,7 +118,11 @@ class ServeConfig:
         requests, so this bounds the accepted network size).
     cache_entries:
         Capacity handed to each worker's
-        :class:`~repro.plan.cache.PlanArtifactCache`.
+        :class:`~repro.plan.cache.PlanArtifactCache`, per artifact kind
+        (forests; tour sets). One cold n=2000 plan fills K+1 (about 6) of
+        each and retains ~190 KB of packed keys, forest edge arrays and
+        shared tours, so the default 4096 bounds a worker near 130 MB at
+        that size.
     cache_dir:
         Optional directory of a shared on-disk
         :class:`~repro.plan.store.PlanArtifactStore` (tier 2). Workers
@@ -127,8 +132,9 @@ class ServeConfig:
         ``None`` (default) keeps the service purely in-memory.
     plan_responses:
         Capacity of the parent-side LRU of completed ``plan`` response
-        documents (exact-repeat hits without touching a worker). ``0``
-        disables it.
+        documents (exact-repeat hits without touching a worker). Entries
+        are kept pickled (~17 KB at n=2000) and unpickled into a private
+        copy per hit. ``0`` disables it.
     max_trace_events:
         The server trims its own trace to this many events so a long-lived
         process does not grow memory with request count.
@@ -241,7 +247,7 @@ class PlanningServer(FrontEnd):
         self._shared_cache: PlanArtifactCache | None = None
         self._shared_store: PlanArtifactStore | None = None
         self._flights: dict[tuple, _Flight] = {}
-        self._responses: OrderedDict[tuple, dict[str, Any]] = OrderedDict()
+        self._responses: OrderedDict[tuple, bytes] = OrderedDict()
         self._jobs: set[asyncio.Task] = set()
         self._pending = 0
 
@@ -382,7 +388,9 @@ class PlanningServer(FrontEnd):
         if cached is not None:
             self._responses.move_to_end(key)
             self.obs.incr("serve.plan_cache.hit")
-            return ok_response(req.id, dict(cached, cached=True))
+            hit = pickle.loads(cached)  # a private copy per hit
+            hit["cached"] = True
+            return ok_response(req.id, hit)
 
         flight = self._flights.get(key)
         coalesced = flight is not None
@@ -530,9 +538,11 @@ class PlanningServer(FrontEnd):
             return error_response(req.id, INTERNAL, f"{type(exc).__name__}: {exc}")
 
     def _remember(self, key: tuple, result: dict[str, Any]) -> None:
+        """Keep ``result`` in the response LRU as pickled bytes: ~17 KB for
+        an n=2000 plan, where the dict graph itself holds ~200 KB."""
         if self.config.plan_responses <= 0:
             return
-        self._responses[key] = result
+        self._responses[key] = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
         self._responses.move_to_end(key)
         while len(self._responses) > self.config.plan_responses:
             self._responses.popitem(last=False)

@@ -90,6 +90,48 @@ class TestCommands:
                 assert stats["counters"]["serve.plan_cache.hit"] == 1
                 assert stats["counters"]["plan.calls"] == 1  # planner ran once
 
+    def test_response_cache_hit_encodes_like_the_miss(self, net):
+        """The LRU keeps pickled bytes; a hit's wire frame is the miss's
+        frame, byte for byte, plus the trailing ``"cached":true``."""
+        def line(rid):
+            return json.dumps({"id": rid, "type": "plan", "network": net,
+                               "horizon": 300.0}).encode() + b"\n"
+
+        with ServerThread(_config()) as srv:
+            with socket.create_connection(srv.address, timeout=60) as raw:
+                reader = raw.makefile("rb")
+                raw.sendall(line(7))
+                miss = reader.readline()
+                raw.sendall(line(8))  # ids may not repeat on a connection
+                hit = reader.readline()
+        assert miss.startswith(b'{"id":7,"ok":true,') and miss.endswith(b"}}\n")
+        assert b'"cached"' not in miss
+        assert hit == (b'{"id":8' + miss[len(b'{"id":7'):-3]
+                       + b',"cached":true}}\n')
+
+    def test_response_cache_hits_are_private_copies(self, net):
+        """Mutating one hit's document (nested parts included) must not
+        leak into the next hit."""
+        import asyncio
+
+        from repro.serve.protocol import decode_request
+        from repro.serve.server import PlanningServer, plan_key
+
+        req = decode_request(json.dumps(
+            {"id": 1, "type": "plan", "network": net, "horizon": 300.0}))
+        server = PlanningServer(_config())
+        doc = {"plan": {"schedulings": [{"time": 0.0, "tours": 0}]}, "K": 1}
+        server._remember(plan_key(req.params), doc)
+        doc["plan"]["schedulings"].clear()  # the caller's copy is not the entry
+        first = asyncio.run(server._plan(req))["result"]
+        assert first == {"plan": {"schedulings": [{"time": 0.0, "tours": 0}]},
+                         "K": 1, "cached": True}
+        first["plan"]["schedulings"].clear()
+        first["K"] = 99
+        second = asyncio.run(server._plan(req))["result"]
+        assert second == {"plan": {"schedulings": [{"time": 0.0, "tours": 0}]},
+                          "K": 1, "cached": True}
+
     def test_refined_variant_reuses_base_artifacts(self, net):
         with ServerThread(_config()) as srv:
             with ServeClient(*srv.address) as c:

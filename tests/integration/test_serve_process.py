@@ -7,7 +7,9 @@ the in-process library's exactly: the same plan bytes, ``K``, service cost
 and fingerprint, and the same replay metrics. n=600 puts the full
 coverage level above the Delaunay floor, so the worker runs the sparse
 MSF path as well as the local-matrix one. A thread-mode server must decode
-a ``plan`` request's network exactly once.
+a ``plan`` request's network exactly once. A process server with a
+``cache_dir`` flushes its workers' caches to disk on drain, and its
+successor replans from them byte-identically.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from repro.core.mintotal import min_total_distance
 from repro.io.network_json import network_from_dict, network_to_dict
 from repro.io.plan_json import plan_to_dict
 from repro.network.builder import build_paper_network
+from repro.plan.store import PlanArtifactStore
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.sim.engine import simulate
 from repro.sim.policies import PlannedPolicy
@@ -104,3 +107,36 @@ def test_thread_server_decodes_each_plan_request_once(monkeypatch):
                 client.plan(doc, horizon)
                 assert len(calls) == 1
                 calls.clear()
+
+
+def test_process_server_drains_to_disk_and_replans_warm(tmp_path):
+    """Plan, drain, restart, replan the same geometry at a new horizon.
+
+    The store is wiped between the plan and the drain, so the only way its
+    entries come back is the drain's ``flush_worker_cache`` job running in
+    the worker process. The restarted pool warm-loads them: the replan
+    solves nothing and its plan bytes equal the library's.
+    """
+    doc = network_to_dict(build_paper_network(n=120, q=3, seed=8))
+    net = network_from_dict(doc)
+    config = ServeConfig(executor="process", workers=1, default_deadline=120.0,
+                         drain_timeout=30.0, cache_dir=str(tmp_path))
+    store = PlanArtifactStore(tmp_path)
+    with ServerThread(config) as srv:
+        with ServeClient(*srv.address, timeout=180) as client:
+            client.plan(doc, HORIZON)
+        assert store.n_entries > 0  # written through while planning
+        store.clear()                 # only the worker's memory holds them now
+    flushed = store.n_entries
+    assert flushed > 0
+
+    with ServerThread(config) as srv:
+        with ServeClient(*srv.address, timeout=180) as client:
+            replan = client.plan(doc, 2 * HORIZON)
+            counters = client.stats()["counters"]
+    assert _sha256(replan["plan"]) == _sha256(
+        plan_to_dict(min_total_distance(net, 2 * HORIZON).plan))
+    assert counters["plan.cache.tours.hit"] >= 1
+    assert "plan.cache.tours.miss" not in counters
+    assert "plan.cache.forest.miss" not in counters
+    assert store.n_entries == flushed

@@ -120,6 +120,14 @@ class TestCoverageLevels:
             assert sets[q.level_of(j)] == frozenset(
                 int(s) for s in q.sensors_due_at(j))
 
+    def test_level_members_are_the_sorted_coverage_sets(self):
+        tau = np.random.default_rng(5).uniform(1, 50, 40)
+        q = quantize_cycles(tau)
+        for v, cov in enumerate(q.coverage_sets()):
+            assert q.level_members(v).tolist() == sorted(cov)
+        with pytest.raises(ScheduleError):
+            q.level_members(q.K + 1)
+
     def test_multiplicities_sum_to_block_size(self):
         for tau in ([1.0, 2.0, 4.0, 8.0], [1.0, 50.0], [5.0]):
             q = quantize_cycles(np.array(tau))

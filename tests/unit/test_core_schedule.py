@@ -68,6 +68,23 @@ class TestSchedulePlan:
         plan = self._plan(sched)
         assert plan.total_cost(dist) == pytest.approx(3 * sched.cost(dist))
 
+    def test_total_cost_costs_equal_distinct_tour_sets_once(self, sched, dist,
+                                                          monkeypatch):
+        """Tour sets are matched by identity, then by value: an equal but
+        distinct tuple reuses the first one's cost."""
+        twin = ChargingScheduling(time=8.0, tours=tuple(
+            Tour(depot=t.depot, order=tuple(t.order)) for t in sched.tours))
+        assert twin.tours == sched.tours and twin.tours is not sched.tours
+        plan = SchedulePlan(
+            schedulings=(sched.at_time(1.0), sched.at_time(2.0), twin),
+            horizon=10.0)
+        costed = []
+        real = ChargingScheduling.cost
+        monkeypatch.setattr(ChargingScheduling, "cost",
+                            lambda s, *a, **k: costed.append(s) or real(s, *a, **k))
+        assert plan.total_cost(dist) == 3 * real(sched, dist)
+        assert len(costed) == 1
+
     def test_charge_times_of(self, sched):
         plan = self._plan(sched)
         assert plan.charge_times_of(0) == [1.0, 2.0, 8.0]

@@ -99,6 +99,23 @@ class TestPlanRoundTrip:
         data = plan_to_dict(res.plan)
         assert len(data["tour_sets"]) < len(data["schedulings"])
 
+    def test_equal_distinct_tour_sets_share_one_entry(self, tiny_network):
+        """The table dedups by value, not only by object identity: a plan
+        whose schedulings carry equal but distinct tour tuples encodes
+        exactly like the one that shares a single tuple."""
+        from repro.core.schedule import ChargingScheduling, SchedulePlan
+        from repro.tsp.tour import Tour
+
+        plan = min_total_distance(tiny_network, horizon=64.0).plan
+        copied = SchedulePlan(schedulings=tuple(
+            ChargingScheduling(time=s.time, tours=tuple(
+                Tour(depot=t.depot, order=tuple(t.order)) for t in s.tours))
+            for s in plan), horizon=plan.horizon)
+        assert copied[0].tours == plan[0].tours
+        assert copied[0].tours is not plan[0].tours
+        assert plan_to_dict(copied) == plan_to_dict(plan)
+        assert len(plan_to_dict(copied)["tour_sets"]) < len(copied)
+
     def test_charge_semantics_survive(self, tiny_network, tmp_path):
         res = min_total_distance(tiny_network, horizon=16.0)
         loaded = load_plan(save_plan(res.plan, tmp_path / "plan.json"))

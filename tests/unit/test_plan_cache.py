@@ -1,6 +1,7 @@
 """Unit tests for the staged planner pipeline and its artifact cache.
 
-Covers :mod:`repro.plan.cache` (LRU mechanics) and
+Covers :mod:`repro.plan.cache` (LRU mechanics, the packed entry
+representation and its round trips) and
 :mod:`repro.plan.pipeline` (per-stage hit/miss accounting, base-tour
 sharing across refine variants, invalidation when cycle changes move
 sensors between quantisation classes). The cached-equals-uncached
@@ -13,10 +14,13 @@ import pytest
 
 from repro.core.mintotal import min_total_distance
 from repro.core.quantize import quantize_cycles
-from repro.errors import ConfigError
+from repro.errors import ConfigError, GraphError
+from repro.graphs.forest import RootedForest
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
 from repro.plan import PlanArtifactCache, build_block, distinct_coverage, plan_tours
+from repro.plan.cache import coverage_key
+from repro.rooted.msf import q_rooted_msf
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,75 @@ class TestCacheStore:
         c.clear()
         assert c.n_entries == 0
         assert c.hits == hits_before > 0
+
+
+class TestPackedEntries:
+    """Entries are stored as key bytes and edge arrays; every accessor
+    still hands back the historical shapes."""
+
+    def test_coverage_key_is_exact(self):
+        key = coverage_key(frozenset({5, 1, 300, 70000}))
+        assert key == coverage_key([70000, 300, 5, 1])
+        assert key == coverage_key(np.array([1, 5, 300, 70000]))
+        assert np.frombuffer(key, dtype=np.int32).tolist() == [1, 5, 300, 70000]
+        assert coverage_key(frozenset({1, 2})) != coverage_key(frozenset({1, 3}))
+        assert coverage_key(frozenset()) == b""
+
+    def test_set_and_key_address_the_same_entry(self, net):
+        c = PlanArtifactCache()
+        cov = frozenset({3, 1, 2})
+        tours = plan_tours(net, cov)
+        c.put_tours("fp", coverage_key(cov), False, tours)
+        assert c.get_tours("fp", cov, False) is tours
+        assert c.get_tours("fp", [1, 2, 3], False) is tours
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_get_forest_equals_put_forest(self, q):
+        net = build_paper_network(n=30, q=q, seed=5)
+        depots = [int(i) for i in net.depot_indices]
+        c = PlanArtifactCache()
+        for cov in (frozenset(range(30)), frozenset({0, 7}), frozenset()):
+            forest = q_rooted_msf(None, sorted(cov), depots,
+                                  coords=net.coordinates)
+            c.put_forest("fp", cov, forest)
+            back = c.get_forest("fp", cov)
+            assert back == forest and back is not forest
+            assert back.roots == forest.roots
+            for got, want in zip(back.trees, forest.trees):
+                assert got == want  # edge for edge, discovery order kept
+                assert all(type(u) is int and type(v) is int for u, v in got)
+            if not cov:
+                assert all(tree == () for tree in back.trees)
+
+    def test_get_forest_keeps_empty_trees_and_validation(self):
+        forest = RootedForest(roots=(10, 11, 12),
+                              trees=(((10, 0), (0, 1)), (), ((12, 2),)))
+        c = PlanArtifactCache()
+        c.put_forest("fp", frozenset({0, 1, 2}), forest)
+        back = c.get_forest("fp", frozenset({0, 1, 2}))
+        assert back == forest and back.trees[1] == ()
+        # The rebuild runs RootedForest's validation: a corrupted stored
+        # edge array that makes two trees share a node is refused.
+        (packed,) = c._forests.values()
+        packed[1][2][0, 1] = 1
+        with pytest.raises(GraphError):
+            c.get_forest("fp", frozenset({0, 1, 2}))
+
+    def test_keys_and_snapshot_decode_to_frozensets(self, net):
+        c = PlanArtifactCache()
+        cov = frozenset(range(12))
+        tours = plan_tours(net, cov, cache=c)
+        keys = c.keys()
+        assert keys == {"forests": [(net.geometry_fingerprint, cov)],
+                        "tours": [(net.geometry_fingerprint, cov, False)]}
+        assert all(type(k[1]) is frozenset for kind in keys.values() for k in kind)
+        snap = c.snapshot()
+        (fkey, forest), = snap["forests"].items()
+        assert fkey == (net.geometry_fingerprint, cov)
+        assert isinstance(forest, RootedForest)
+        assert forest == c.get_forest(*fkey)
+        assert snap["tours"] == {(net.geometry_fingerprint, cov, False): tours}
+        assert snap["tours"][(net.geometry_fingerprint, cov, False)] is tours
 
 
 class TestPlanToursCounters:
