@@ -25,8 +25,6 @@
     repro score --suite quick --update-golden    # re-bless the golden scorecard
     repro watch --port 7350                # live dashboard over a fleet/serve
     repro watch --port 7350 --svg dash.svg --jsonl frames.jsonl   # + sinks
-    repro score --jobs 2 --live progress.jsonl &   # pair with:
-    repro watch --port 7350 --score progress.jsonl # scoreboard deltas live
 
 Also available as ``python -m repro ...``.
 """
@@ -342,9 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the scorecard as an SVG table")
     score_p.add_argument("--quiet", action="store_true",
                          help="suppress per-scenario progress lines")
-    score_p.add_argument("--live", default=None, metavar="PATH",
-                         help="stream NDJSON progress events here while "
-                              "running (tail with 'repro watch --score PATH')")
 
     watch_p = sub.add_parser(
         "watch", help="live terminal dashboard over a serve/fleet 'watch' "
@@ -373,9 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument("--svg", default=None, metavar="PATH",
                          help="also rewrite the panel here as SVG on every "
                               "frame (CI artifact / README screenshot)")
-    watch_p.add_argument("--score", default=None, metavar="PATH",
-                         help="tail a 'repro score --live PATH' progress "
-                              "stream into the panel (with golden deltas)")
     return parser
 
 
@@ -625,8 +617,7 @@ def _cmd_score(args: argparse.Namespace, obs: Instrumentation | None) -> int:
     t0 = time.perf_counter()
     card = score_suite(args.suite,
                        tuple(args.policies) if args.policies else None,
-                       jobs=args.jobs, obs=obs, progress=progress,
-                       live=args.live)
+                       jobs=args.jobs, obs=obs, progress=progress)
     elapsed = time.perf_counter() - t0
     out = card.save(args.out)
     log.info("scored %d cells across %d scenarios in %.1fs -> %s",
@@ -673,7 +664,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.errors import ServeError
     from repro.reporting.dashboard import (
         DashboardState,
-        ScoreTail,
         render_dashboard,
         save_dashboard_svg,
     )
@@ -683,7 +673,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         raise ConfigError(f"--interval must be > 0, got {args.interval}")
     n_frames = 1 if args.once else args.frames
     state = DashboardState()
-    tail = ScoreTail(args.score) if args.score else None
     try:
         client = WatchClient(args.host, args.port, interval=args.interval)
     except (OSError, ServeError) as exc:
@@ -700,16 +689,14 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             if jsonl is not None:
                 jsonl.write(_json_line(frame.to_dict()))
                 jsonl.flush()
-            if tail is not None:
-                tail.poll()
-            panel = render_dashboard(state, score=tail)
+            panel = render_dashboard(state)
             if args.plain:
                 print(panel, end="\n\n", flush=True)
             else:
                 # Clear + home, then the panel: redraw in place.
                 print(f"\x1b[2J\x1b[H{panel}", flush=True)
             if args.svg:
-                save_dashboard_svg(state, args.svg, score=tail)
+                save_dashboard_svg(state, args.svg)
             if n_frames and state.n_frames >= n_frames:
                 break
             if deadline is not None and time.monotonic() >= deadline:

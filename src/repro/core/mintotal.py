@@ -4,12 +4,15 @@ Given fixed maximum charging cycles, the algorithm:
 
 1. Quantises cycles into power-of-two classes ``V_0 .. V_K``
    (:mod:`repro.core.quantize`), with base cycle ``tau_1``.
-2. Builds one *block* of ``2^K`` tour sets: scheduling ``j`` (dispatched at
-   ``j * tau_1``) covers ``R ∪ ⋃ {V_k : j mod 2^k = 0}``, each solved with
-   the q-rooted TSP 2-approximation (Algorithm 2).
+2. Builds one *block* of ``2^K`` schedulings: scheduling ``j`` (dispatched
+   at ``j * tau_1``) covers ``R ∪ ⋃ {V_k : j mod 2^k = 0}``, a prefix union
+   of classes, so the block needs at most ``K + 1`` distinct tour sets, one
+   per coverage level, each solved with the q-rooted TSP 2-approximation
+   (Algorithm 2).
 3. Repeats the block across the monitoring period: the scheduling at global
-   index ``j`` reuses tour set ``((j-1) mod 2^K) + 1``. No dispatch happens
-   at time ``T`` itself (nothing after it needs the charge).
+   index ``j`` reuses the tour set of its level ``level_of(j)``, which is
+   periodic in ``j`` with period ``2^K``. No dispatch happens at time ``T``
+   itself (nothing after it needs the charge).
 
 The cost guarantee (paper's Theorem 2) is ``2(K+2) * OPT`` with
 ``K = floor(log2(tau_max / tau_min))``; in practice the ratio against the
@@ -27,7 +30,6 @@ monitoring period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,14 +40,14 @@ from repro.errors import ScheduleError
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
-from repro.plan.pipeline import build_block, build_levels
+from repro.plan.pipeline import build_levels
 from repro.rooted.qtsp import tours_total_cost
 from repro.tsp.tour import Tour
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.store import PlanArtifactStore
 
-__all__ = ["MinTotalDistanceResult", "min_total_distance", "build_block"]
+__all__ = ["MinTotalDistanceResult", "min_total_distance"]
 
 
 @dataclass(frozen=True)
@@ -64,41 +66,12 @@ class MinTotalDistanceResult:
         within-block scheduling ``j`` uses
         ``levels[quantization.level_of(j)]``. Shared by reference into
         ``plan``. This stays O(K) even for astronomically wide cycle
-        spreads; :attr:`block` is the expanded per-scheduling view.
+        spreads.
     """
 
     plan: SchedulePlan
     quantization: Quantization
     levels: tuple[tuple[Tour, ...], ...]
-
-    @cached_property
-    def block(self) -> tuple[tuple[Tour, ...], ...]:
-        """The ``b^K`` tour sets of one block; ``block[j - 1]`` is the tour
-        tuple of within-block scheduling ``j`` (a view expanded from
-        :attr:`levels`, tuples shared by reference).
-
-        Raises :class:`~repro.errors.ScheduleError` when the block is too
-        large to enumerate — use :attr:`levels` with
-        :meth:`~repro.core.quantize.Quantization.level_of` instead.
-        """
-        q = self.quantization
-        n = q.enumerable_block_size()
-        return tuple(self.levels[q.level_of(j)] for j in range(1, n + 1))
-
-    def level_costs(self, dist: np.ndarray) -> np.ndarray:
-        """``(K + 1,)`` cost of each level's tour set."""
-        d = np.asarray(dist)
-        return np.asarray(
-            [sum(t.cost(d) for t in tours) for tours in self.levels],
-            dtype=np.float64)
-
-    def block_costs(self, dist: np.ndarray) -> np.ndarray:
-        """``(b^K,)`` cost of each within-block scheduling's tour set
-        (expanded from :meth:`level_costs`; guarded like :attr:`block`)."""
-        q = self.quantization
-        n = q.enumerable_block_size()
-        per_level = self.level_costs(dist)
-        return per_level[[q.level_of(j) for j in range(1, n + 1)]]
 
 
 def min_total_distance(network: SensorNetwork, horizon: float,

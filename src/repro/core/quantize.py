@@ -49,8 +49,8 @@ _MAX_K = 512
 
 #: Largest block a caller may *enumerate* scheduling-by-scheduling.
 #: ``block_size = b^K`` is a perfectly good integer at any K, but
-#: materialising per-scheduling structures (the unrolled block, patch
-#: tables) is O(b^K) memory; ``enumerable_block_size`` guards those paths.
+#: materialising per-scheduling structures (the adaptive patch tables) is
+#: O(b^K) memory; ``enumerable_block_size`` guards that path.
 _MAX_ENUMERABLE_BLOCK = 1 << 22
 
 
@@ -110,9 +110,10 @@ class Quantization:
             When one block holds more than ``limit`` schedulings. Wide cycle
             spreads (``tau_max/tau_1 = 2^40`` and beyond) are legal inputs —
             quantisation, the distinct coverage sets and the horizon-bounded
-            plan unroll all stay O(K) or O(T/tau_1) — but any code that
-            builds a per-scheduling structure of the whole block must refuse
-            instead of attempting a ``b^K``-element allocation.
+            plan unroll all stay O(K) or O(T/tau_1) — but code that builds
+            a per-scheduling structure of the whole block (the adaptive
+            patch tables, :func:`repro.adaptive.patch.build_patch`) must
+            refuse instead of attempting a ``b^K``-element allocation.
         """
         if self.block_size > limit:
             raise ScheduleError(
@@ -185,8 +186,7 @@ class Quantization:
 
         This used to materialise one set per scheduling — ``b^K`` of them —
         which attempted a ``2^40``-element tuple on a wide cycle spread.
-        The per-scheduling view is ``coverage_sets()[level_of(j)]`` with
-        :meth:`coverage_multiplicities` giving each set's within-block count.
+        The set of scheduling ``j`` is ``coverage_sets()[level_of(j)]``.
         """
         sets: list[frozenset[int]] = []
         acc: set[int] = set()
@@ -194,19 +194,6 @@ class Quantization:
             acc.update(int(s) for s in self.members(k))
             sets.append(frozenset(acc))
         return tuple(sets)
-
-    def coverage_multiplicities(self) -> tuple[int, ...]:
-        """Within-block multiplicity of each level's coverage set.
-
-        Element ``v`` counts the schedulings ``j in [1, b^K]`` with
-        ``level_of(j) == v``: ``b^(K-v) - b^(K-v-1)`` for ``v < K`` and
-        ``1`` for ``v = K``. The counts sum to ``block_size`` exactly
-        (plain Python ints, so arbitrarily wide spreads are fine).
-        """
-        b, K = self.base, self.K
-        return tuple(
-            (b ** (K - v) - b ** (K - v - 1)) if v < K else 1
-            for v in range(K + 1))
 
     def validate(self) -> None:
         """Assert the two defining inequalities ``tau_i/b < tau'_i <= tau_i``

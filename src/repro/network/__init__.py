@@ -11,11 +11,7 @@ This package is the paper's Section III ("Preliminaries") made concrete:
 * :mod:`~repro.network.deployment` — uniform random deployment in the
   1000 m x 1000 m area, one depot co-located with the central base station.
 * :mod:`~repro.network.cycles` — the two charging-cycle distributions of
-  Section VII (linear-in-distance and uniform-random), plus a
-  routing-derived distribution built on :mod:`~repro.network.routing`.
-* :mod:`~repro.network.routing` — unit-disk communication graph and
-  shortest-path-tree relay loads, the physical story behind the linear
-  distribution ("sensors near the base station relay more and drain faster").
+  Section VII (linear-in-distance and uniform-random).
 * :mod:`~repro.network.builder` — fluent builder + one-call constructors
   used by examples, tests and the experiment runner.
 """
@@ -26,18 +22,15 @@ from repro.network.cycles import (
     ExplicitCycles,
     LinearCycleDistribution,
     RandomCycleDistribution,
-    RoutingCycleDistribution,
 )
 from repro.network.deployment import deploy_sensors, place_depots
 from repro.network.depot import BaseStation, Depot
 from repro.network.energy import EnergyProfile, cycles_from_rates, rates_from_cycles
 from repro.network.model import SensorNetwork
-from repro.network.routing import CommunicationGraph, RoutingTree, relay_loads
 from repro.network.sensor import Sensor
 
 __all__ = [
     "BaseStation",
-    "CommunicationGraph",
     "CycleDistribution",
     "Depot",
     "EnergyProfile",
@@ -45,8 +38,6 @@ __all__ = [
     "LinearCycleDistribution",
     "NetworkBuilder",
     "RandomCycleDistribution",
-    "RoutingCycleDistribution",
-    "RoutingTree",
     "Sensor",
     "SensorNetwork",
     "build_paper_network",
@@ -54,5 +45,4 @@ __all__ = [
     "deploy_sensors",
     "place_depots",
     "rates_from_cycles",
-    "relay_loads",
 ]

@@ -11,9 +11,7 @@ Two distributions drive every experiment in the paper:
 
 Both are exposed behind the tiny :class:`CycleDistribution` protocol so
 workloads can resample them per time slot (the variable-cycle experiments),
-plus two extras: :class:`ExplicitCycles` for tests, and
-:class:`RoutingCycleDistribution` which *derives* cycles from the
-:mod:`repro.network.routing` relay-load model instead of postulating them.
+plus :class:`ExplicitCycles` for tests and replays.
 """
 
 from __future__ import annotations
@@ -26,14 +24,12 @@ import numpy as np
 
 from repro.errors import ConfigError, NetworkModelError
 from repro.geometry.rng import make_rng
-from repro.network.routing import CommunicationGraph, RoutingTree, relay_loads
 
 __all__ = [
     "CycleDistribution",
     "LinearCycleDistribution",
     "RandomCycleDistribution",
     "ExplicitCycles",
-    "RoutingCycleDistribution",
 ]
 
 
@@ -157,76 +153,3 @@ class ExplicitCycles:
             raise NetworkModelError(
                 f"ExplicitCycles: have {len(self.values)} values for n={n} sensors")
         return np.asarray(self.values, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class RoutingCycleDistribution:
-    """Cycles derived from a physical routing/energy model.
-
-    Builds the unit-disk graph over (sensors, base station), routes every
-    sensor to the sink along a shortest-path tree, computes per-sensor relay
-    load, converts load to an energy rate with a first-order radio model
-    (``rate = e_base + e_tx * load``), and returns
-    ``tau_i = battery / rate_i`` rescaled into ``[tau_min, tau_max]``.
-
-    The jitter ``sigma`` plays the same role as in the linear distribution.
-    Disconnected sensors (out of radio range of everyone) are assigned the
-    *shortest* cycle — a conservative stand-in for "we cannot predict them".
-
-    Parameters
-    ----------
-    comm_range:
-        Radio range in metres.
-    tau_min, tau_max:
-        Range the derived cycles are rescaled into (so experiments stay
-        comparable with the postulated distributions).
-    sigma:
-        Uniform jitter half-width applied after rescaling.
-    e_base, e_tx:
-        Radio-model constants: idle/sensing floor and per-packet relay cost.
-    """
-
-    comm_range: float = 150.0
-    tau_min: float = 1.0
-    tau_max: float = 50.0
-    sigma: float = 0.0
-    e_base: float = 1.0
-    e_tx: float = 1.0
-    #: coordinates of the base station, set at construction by the builder
-    base_position: tuple[float, float] = (500.0, 500.0)
-    #: sensor coordinates; required because relay load depends on the full
-    #: geometry, not just base distances.
-    coords: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        _check_bounds(self.tau_min, self.tau_max)
-        if self.comm_range <= 0:
-            raise ConfigError(f"comm_range must be positive, got {self.comm_range}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be non-negative, got {self.sigma}")
-        if self.e_base < 0 or self.e_tx < 0:
-            raise ConfigError("radio-model constants must be non-negative")
-
-    def sample(self, base_distances: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-        n = np.asarray(base_distances).shape[0]
-        if len(self.coords) != n:
-            raise NetworkModelError(
-                f"RoutingCycleDistribution: have {len(self.coords)} coords for n={n}")
-        gen = make_rng(rng)
-        pts = np.asarray(list(self.coords) + [self.base_position], dtype=np.float64)
-        graph = CommunicationGraph(coords=pts, comm_range=self.comm_range)
-        tree = RoutingTree.shortest_path(graph, metric="hops")
-        load = relay_loads(tree)
-        rate = self.e_base + self.e_tx * load
-        raw = 1.0 / rate  # battery=1; heavier relays -> shorter cycles
-        raw = np.where(tree.connected_mask(), raw, raw.min())
-        # Rescale monotonically into [tau_min, tau_max].
-        lo, hi = float(raw.min()), float(raw.max())
-        if hi > lo:
-            scaled = self.tau_min + (self.tau_max - self.tau_min) * (raw - lo) / (hi - lo)
-        else:
-            scaled = np.full_like(raw, self.tau_max)
-        if self.sigma > 0:
-            scaled = scaled + gen.uniform(-self.sigma, self.sigma, size=n)
-        return np.maximum(scaled, self.tau_min)

@@ -39,8 +39,7 @@ class BaseStation:
 
     The base station plays no direct role in the optimisation (chargers are
     rooted at depots) but anchors the *linear* charging-cycle distribution —
-    sensors close to it relay more traffic and so have shorter cycles — and
-    the routing substrate's shortest-path trees.
+    sensors close to it relay more traffic and so have shorter cycles.
     """
 
     position: Point

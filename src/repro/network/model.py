@@ -93,7 +93,7 @@ class SensorNetwork:
     batteries:
         ``(n,)`` battery capacities ``B_i``. Must be positive and finite.
     base_station:
-        The data sink (used by cycle distributions and the routing model).
+        The data sink (the linear cycle distribution's anchor).
     area:
         The deployment rectangle, kept for provenance and examples.
 
@@ -244,8 +244,7 @@ class SensorNetwork:
         The remaining users are the adaptive patch step
         (:mod:`repro.adaptive.patch`), the baselines
         (:mod:`repro.baselines`), the Lemma-3 bound (:mod:`repro.core.bounds`),
-        the routing energy model (:mod:`repro.network.routing`), the
-        timescale analysis behind ``repro simulate --speed``
+        the timescale analysis behind ``repro simulate --speed``
         (:mod:`repro.analysis.timescale`) and the ``repro check`` oracles.
         Planning and measuring pass :attr:`coordinates` as ``coords=``
         instead, which gives bit-identical forests, tours and lengths.

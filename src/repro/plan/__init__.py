@@ -21,13 +21,12 @@ design and how the parallel experiment executor builds on them.
 """
 
 from repro.plan.cache import PlanArtifactCache
-from repro.plan.pipeline import build_block, build_levels, distinct_coverage, plan_tours
+from repro.plan.pipeline import build_levels, distinct_coverage, plan_tours
 from repro.plan.store import PlanArtifactStore
 
 __all__ = [
     "PlanArtifactCache",
     "PlanArtifactStore",
-    "build_block",
     "build_levels",
     "distinct_coverage",
     "plan_tours",

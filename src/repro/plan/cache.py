@@ -56,9 +56,8 @@ as flat bytes and int arrays rather than as graphs of Python objects:
 
 One cold n=2000 plan (K+1 = 6 coverage sets) retains about 190 KB here;
 ``tests/integration/test_cache_footprint.py`` bounds it at 250 KB.
-:meth:`~PlanArtifactCache.keys` and :meth:`~PlanArtifactCache.snapshot`
-decode back to ``frozenset`` keys and ``RootedForest`` values, the shapes
-their consumers (the on-disk store's ``flush``, the :mod:`repro.check`
+:meth:`~PlanArtifactCache.keys` decodes back to ``frozenset`` keys, the
+shape its consumers (the on-disk store's ``flush``, the :mod:`repro.check`
 harness) work with.
 """
 
@@ -217,11 +216,13 @@ class PlanArtifactCache:
     def keys(self) -> dict[str, list[tuple]]:
         """Point-in-time snapshot of both stores' keys (LRU → MRU order).
 
-        Diagnostic accessor for the :mod:`repro.check` differential
-        harness, which uses it to plant poisoned entries under the exact
-        keys the pipeline will look up and to assert that a warm re-plan
-        created no new entries. Taken under the lock; the returned lists
-        are copies and safe to iterate while the cache keeps serving.
+        The :mod:`repro.check` differential harness uses it to plant
+        poisoned entries under the exact keys the pipeline will look up and
+        to assert that a warm re-plan created no new entries;
+        :meth:`repro.plan.store.PlanArtifactStore.flush` uses it to find
+        the entries not yet on disk before reading any artifact. Taken
+        under the lock; the returned lists are copies and safe to iterate
+        while the cache keeps serving.
         """
         with self._lock:
             forests, tours = list(self._forests), list(self._tours)
@@ -253,25 +254,6 @@ class PlanArtifactCache:
         """Lifetime cache misses (locked read; see :meth:`tally`)."""
         with self._lock:
             return self._misses
-
-    def snapshot(self) -> dict[str, dict]:
-        """Point-in-time copy of both stores (key → artifact), with
-        ``frozenset`` coverage keys and ``RootedForest`` values.
-
-        The entries are copied under the lock and decoded outside it into
-        fresh keys and forests (tours are immutable and shared), so the
-        copy is safe to serialise while the cache keeps serving.
-        :meth:`repro.plan.store.PlanArtifactStore.flush` uses this to
-        persist a worker's cache on drain.
-        """
-        with self._lock:
-            forests, tours = list(self._forests.items()), list(self._tours.items())
-        return {
-            "forests": {(fp, _coverage_of(key)): _unpack_forest(packed)
-                        for (fp, key), packed in forests},
-            "tours": {(fp, _coverage_of(key), refine): value
-                      for (fp, key, refine), value in tours},
-        }
 
     def info(self) -> dict[str, int]:
         """Size and traffic summary (used by tests and diagnostics).

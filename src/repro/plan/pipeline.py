@@ -54,7 +54,7 @@ from repro.tsp.tour import Tour
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.plan.store import PlanArtifactStore
 
-__all__ = ["plan_tours", "build_levels", "build_block", "distinct_coverage"]
+__all__ = ["plan_tours", "build_levels", "distinct_coverage"]
 
 
 def distinct_coverage(quant: Quantization) -> tuple[frozenset[int], ...]:
@@ -202,8 +202,7 @@ def build_levels(network: SensorNetwork, quant: Quantization,
     :meth:`~repro.core.quantize.Quantization.level_of`; element ``v`` here
     is the tour set of every scheduling at level ``v``, so the whole block —
     all ``b^K`` schedulings — is ``levels[quant.level_of(j)]`` without ever
-    materialising a per-scheduling structure. This is the planner's working
-    representation; :func:`build_block` is the (guarded) expanded view.
+    materialising a per-scheduling structure.
 
     Levels whose class is empty share the previous level's coverage set and
     therefore the same tour tuple, by reference. ``obs`` counts the solve
@@ -225,45 +224,3 @@ def build_levels(network: SensorNetwork, quant: Quantization,
                 o.incr("plan.block.reused")
             levels.append(resolved[cov])
     return tuple(levels)
-
-
-def build_block(network: SensorNetwork, quant: Quantization,
-                *, refine: bool = False,
-                cache: PlanArtifactCache | None = None,
-                store: "PlanArtifactStore | None" = None,
-                obs: Instrumentation | None = None) -> tuple[tuple[Tour, ...], ...]:
-    """The ``b^K`` tour sets of one scheduling block (stages 2–5), expanded.
-
-    Scheduling ``j`` covers every class whose assigned cycle divides
-    ``j * tau_1``; its tours come from :func:`plan_tours` on the frozen
-    coverage set. Identical sensor sets across different ``j`` (any two
-    ``j`` at the same coverage level) are resolved once and shared by
-    reference. ``obs`` counts the within-block structure
-    (``plan.block.solved`` / ``plan.block.reused``: one solve per distinct
-    set, one reuse per repeat scheduling) and times the whole construction
-    under the ``plan.block`` span; the ``plan.cache.*`` counters (cached
-    runs only) reveal how cheap each resolution was.
-
-    Raises :class:`~repro.errors.ScheduleError` when the block is too large
-    to enumerate (see
-    :meth:`~repro.core.quantize.Quantization.enumerable_block_size`);
-    planners should prefer :func:`build_levels`, which is O(K) always.
-    """
-    o = ensure(obs)
-    n = quant.enumerable_block_size()
-    level_sets = quant.coverage_sets()
-    resolved: dict[frozenset[int], tuple[Tour, ...]] = {}
-    block: list[tuple[Tour, ...]] = []
-    with o.span("plan.block", block_size=n):
-        for j in range(1, n + 1):
-            v = quant.level_of(j)
-            cov = level_sets[v]
-            if cov not in resolved:
-                resolved[cov] = plan_tours(
-                    network, cov, refine=refine, cache=cache, store=store,
-                    obs=obs, key=_level_key(quant, v, cache))
-                o.incr("plan.block.solved")
-            else:
-                o.incr("plan.block.reused")
-            block.append(resolved[cov])
-    return tuple(block)

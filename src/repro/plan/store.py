@@ -383,19 +383,27 @@ class PlanArtifactStore:
         """Write ``cache``'s artifacts to disk (drain path); returns the
         number of entries written. Entries already on disk are skipped —
         artifacts are content-addressed, so an existing entry is current by
-        construction."""
+        construction. The existence test runs on the cache's keys, so only
+        the artifacts actually written are read back (and, for forests,
+        rebuilt); each such read counts as a cache hit."""
         o = ensure(obs)
         written = 0
-        snap = cache.snapshot()
+        keys = cache.keys()
         with o.span("plan.store", op="flush"):
-            for (fp, cov), forest in snap["forests"].items():
-                if not self._path_of(self._digest(
+            for fp, cov in keys["forests"]:
+                if self._path_of(self._digest(
                         _key_dict(fp, cov, "forest", None))).exists():
+                    continue
+                forest = cache.get_forest(fp, cov)
+                if forest is not None:  # None: evicted since keys()
                     self.put_forest(fp, cov, forest, obs=obs)
                     written += 1
-            for (fp, cov, refine), tours in snap["tours"].items():
-                if not self._path_of(self._digest(
+            for fp, cov, refine in keys["tours"]:
+                if self._path_of(self._digest(
                         _key_dict(fp, cov, "tours", refine))).exists():
+                    continue
+                tours = cache.get_tours(fp, cov, refine)
+                if tours is not None:
                     self.put_tours(fp, cov, refine, tours, obs=obs)
                     written += 1
         return written

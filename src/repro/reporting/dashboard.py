@@ -7,26 +7,20 @@ plain-text panel showing fleet-wide request rate, plan-latency quantiles
 per-shard gauges, shard up/down state and recent membership events.
 Everything is stdlib: the consumer must run anywhere a terminal does.
 
-Pointed at a running ``repro score --jobs N --live progress.jsonl``,
-:class:`ScoreTail` folds the scoreboard's NDJSON progress stream into the
-same panel, with per-cell ``service_cost`` deltas against the checked-in
-golden scorecard when one exists.
-
 :func:`save_dashboard_svg` writes the same panel as a self-contained SVG
 (the :mod:`repro.reporting.svg` idiom) for READMEs and CI artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
 from repro.obs.live import LiveAggregator, WatchFrame
 
-__all__ = ["DashboardState", "ScoreTail", "render_dashboard",
-           "dashboard_svg", "save_dashboard_svg"]
+__all__ = ["DashboardState", "render_dashboard", "dashboard_svg",
+           "save_dashboard_svg"]
 
 #: The request-total counter used for the headline rate, first match wins
 #: (a fleet router counts ``fleet.requests``; a bare serve node only
@@ -123,100 +117,6 @@ class DashboardState:
         return list(self._rates)
 
 
-class ScoreTail:
-    """Incremental reader of a ``repro score --live`` NDJSON stream.
-
-    :meth:`poll` consumes whatever complete lines were appended since the
-    last call (a torn final line simply waits for the next poll). When the
-    stream names its suite and a golden scorecard exists for it, scored
-    cells are annotated with their ``service_cost`` delta vs the golden.
-    """
-
-    def __init__(self, path: str | Path,
-                 baseline_path: str | Path | None = None) -> None:
-        self.path = Path(path)
-        self.suite: str | None = None
-        self.done = 0
-        self.total = 0
-        self.scenarios_done = 0
-        self.scenarios_total = 0
-        self.current: str | None = None
-        self.finished = False
-        self.cells: dict[str, dict[str, dict | None]] = {}
-        self._offset = 0
-        self._baseline_path = baseline_path
-        self._baseline: Any = None
-        self._baseline_missing = False
-
-    def poll(self) -> bool:
-        """Consume new complete lines; True when anything changed."""
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                fh.seek(self._offset)
-                chunk = fh.read()
-        except OSError:
-            return False
-        if not chunk:
-            return False
-        lines = chunk.split("\n")
-        partial = lines.pop()  # "" when the chunk ended on a newline
-        consumed = len(chunk) - len(partial)
-        if consumed <= 0:
-            return False
-        self._offset += consumed
-        changed = False
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(data, dict) and data.get("stream") == "score":
-                self._apply(data)
-                changed = True
-        return changed
-
-    def _apply(self, data: Mapping[str, Any]) -> None:
-        event = data.get("event")
-        if event == "start":
-            self.suite = data.get("suite")
-            self.total = int(data.get("total_instances", 0))
-            self.scenarios_total = len(data.get("scenarios", []))
-        elif event == "instance":
-            self.done = int(data.get("done", self.done))
-            self.total = int(data.get("total", self.total))
-            self.current = data.get("scenario")
-        elif event == "scenario":
-            self.scenarios_done = int(data.get("index", self.scenarios_done))
-            name = str(data.get("scenario"))
-            self.cells[name] = data.get("cells") or {}
-        elif event == "done":
-            self.finished = True
-
-    def golden_cost(self, scenario: str, policy: str) -> float | None:
-        """The golden scorecard's ``service_cost`` for a cell, if any."""
-        if self._baseline is None and not self._baseline_missing:
-            try:
-                from repro.scenarios import Scorecard, default_baseline_path
-
-                path = (Path(self._baseline_path) if self._baseline_path
-                        else default_baseline_path(self.suite or "quick"))
-                if path.exists():
-                    self._baseline = Scorecard.load(path)
-                else:
-                    self._baseline_missing = True
-            except Exception:
-                self._baseline_missing = True
-        if self._baseline is None:
-            return None
-        metrics = self._baseline.metrics(scenario, policy)
-        if not metrics:
-            return None
-        value = metrics.get("service_cost")
-        return None if value is None else float(value)
-
-
 def _fmt_ms(seconds: float) -> str:
     return f"{seconds * 1e3:.1f}"
 
@@ -225,9 +125,7 @@ def _row(label: str, body: str, width: int) -> str:
     return f"{label:<14} {body}"[:width]
 
 
-def render_dashboard(state: DashboardState,
-                     score: ScoreTail | None = None,
-                     width: int = 96) -> str:
+def render_dashboard(state: DashboardState, width: int = 96) -> str:
     """The dashboard panel as plain text (one call per frame)."""
     lines: list[str] = []
     frame = state.frame
@@ -299,26 +197,6 @@ def render_dashboard(state: DashboardState,
         what = " ".join(f"{k}={v}" for k, v in event.items() if k != "t")
         lines.append(_row("event", what, width))
 
-    if score is not None:
-        lines.append("")
-        status = "done" if score.finished else "running"
-        lines.append(_row("score",
-                          f"suite {score.suite or '?'} [{status}]  "
-                          f"instances {score.done}/{score.total}  "
-                          f"scenarios {score.scenarios_done}/"
-                          f"{score.scenarios_total}", width))
-        for scenario in sorted(score.cells):
-            for policy, metrics in sorted((score.cells[scenario] or {}).items()):
-                if not metrics:
-                    continue
-                cost = metrics.get("service_cost")
-                if cost is None:
-                    continue
-                body = f"{scenario}/{policy:<14} cost {cost:10.1f}"
-                golden = score.golden_cost(scenario, policy)
-                if golden:
-                    body += f"  golden {golden:10.1f} ({100.0 * (cost - golden) / golden:+.2f}%)"
-                lines.append(_row("", body, width))
     return "\n".join(lines)
 
 
@@ -327,10 +205,9 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def dashboard_svg(state: DashboardState, score: ScoreTail | None = None,
-                  width: int = 860) -> str:
+def dashboard_svg(state: DashboardState, width: int = 860) -> str:
     """The current panel as a self-contained monospace SVG."""
-    text = render_dashboard(state, score=score, width=110)
+    text = render_dashboard(state, width=110)
     rows = text.split("\n")
     line_h = 18
     height = line_h * (len(rows) + 2)
@@ -349,10 +226,9 @@ def dashboard_svg(state: DashboardState, score: ScoreTail | None = None,
     return "\n".join(parts)
 
 
-def save_dashboard_svg(state: DashboardState, path: str | Path,
-                       score: ScoreTail | None = None) -> Path:
+def save_dashboard_svg(state: DashboardState, path: str | Path) -> Path:
     """Write :func:`dashboard_svg` to ``path`` (atomic enough: full rewrite)."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(dashboard_svg(state, score=score), encoding="utf-8")
+    out.write_text(dashboard_svg(state), encoding="utf-8")
     return out

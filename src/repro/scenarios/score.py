@@ -27,8 +27,6 @@ through the standard envelope (:mod:`repro.io.files`).
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -50,30 +48,6 @@ log = get_logger(__name__)
 
 #: Envelope kind of a serialised scorecard (see :mod:`repro.io.files`).
 SCORECARD_KIND = "scorecard"
-
-
-class _LiveSink:
-    """NDJSON progress stream for ``repro watch --score`` (no-op when
-    ``path`` is ``None``).
-
-    One ``{"stream": "score", "event": ..., "t": ...}`` object per line,
-    flushed per event so a tailing consumer sees progress while the pool
-    is still folding. Purely additive: the scorecard itself is unchanged
-    and the sink never gates."""
-
-    def __init__(self, path: str | Path | None) -> None:
-        self._fh = open(path, "w", encoding="utf-8") if path else None
-
-    def emit(self, event: str, **fields: Any) -> None:
-        if self._fh is None:
-            return
-        line = {"stream": "score", "event": event, "t": time.time(), **fields}
-        self._fh.write(json.dumps(line, separators=(",", ":")) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
 
 
 @dataclass(frozen=True)
@@ -151,8 +125,7 @@ def score_suite(suite: str = "quick",
                 policies: tuple[str, ...] | None = None, *,
                 jobs: int = 1,
                 obs: Instrumentation | None = None,
-                progress: Callable[[str], None] | None = None,
-                live: str | Path | None = None) -> Scorecard:
+                progress: Callable[[str], None] | None = None) -> Scorecard:
     """Run every (registered or selected) policy over the suite.
 
     Parameters
@@ -169,10 +142,6 @@ def score_suite(suite: str = "quick",
         ``score.cells`` and wraps the run in a ``score`` span.
     progress:
         Optional per-scenario progress callback.
-    live:
-        Optional path for a live NDJSON progress stream (``start`` /
-        ``instance`` / ``scenario`` / ``done`` events) that
-        ``repro watch --score`` tails while the run is in flight.
     """
     suite_spec = get_suite(suite)
     specs = suite_spec.members()
@@ -185,41 +154,27 @@ def score_suite(suite: str = "quick",
         raise ConfigError("score_suite: no policies selected")
     entries = tuple(POLICIES[name] for name in selected)
     runnable = [tuple(e for e in entries if e.compatible(spec)) for spec in specs]
-    total = sum(spec.config.n_topologies for spec in specs)
 
     o = ensure(obs)
-    sink = _LiveSink(live)
 
     def done(n_done: int, spec: ScenarioSpec, topology: int) -> None:
         o.incr("score.instances")
-        sink.emit("instance", done=n_done, total=total, scenario=spec.name,
-                  topology=topology)
 
-    try:
-        sink.emit("start", suite=suite, policies=list(selected),
-                  scenarios=[spec.name for spec in specs],
-                  total_instances=total)
-        with o.span("score", suite=suite, scenarios=len(specs),
-                    policies=len(entries), jobs=jobs):
-            table = run_table(
-                specs, [tuple(e.algorithm for e in ents) for ents in runnable],
-                jobs=jobs, obs=obs, on_done=done)
+    with o.span("score", suite=suite, scenarios=len(specs),
+                policies=len(entries), jobs=jobs):
+        table = run_table(
+            specs, [tuple(e.algorithm for e in ents) for ents in runnable],
+            jobs=jobs, obs=obs, on_done=done)
 
-        scenarios: dict[str, dict[str, dict[str, float | None] | None]] = {}
-        for i, (spec, ents) in enumerate(zip(specs, runnable)):
-            per_policy: dict[str, dict[str, float | None] | None] = \
-                dict.fromkeys(selected)
-            for entry in ents:
-                per_policy[entry.name] = table.metrics(spec, entry.algorithm)
-                o.incr("score.cells")
-            scenarios[spec.name] = per_policy
-            sink.emit("scenario", index=i + 1, total=len(specs),
-                      scenario=spec.name, cells=per_policy)
-            if progress is not None:
-                progress(f"[{i + 1}/{len(specs)}] {spec.name}: "
-                         f"{len(ents)}/{len(entries)} policies scored")
-        card = Scorecard(suite=suite, policies=selected, scenarios=scenarios)
-        sink.emit("done", cells=card.n_cells)
-        return card
-    finally:
-        sink.close()
+    scenarios: dict[str, dict[str, dict[str, float | None] | None]] = {}
+    for i, (spec, ents) in enumerate(zip(specs, runnable)):
+        per_policy: dict[str, dict[str, float | None] | None] = \
+            dict.fromkeys(selected)
+        for entry in ents:
+            per_policy[entry.name] = table.metrics(spec, entry.algorithm)
+            o.incr("score.cells")
+        scenarios[spec.name] = per_policy
+        if progress is not None:
+            progress(f"[{i + 1}/{len(specs)}] {spec.name}: "
+                     f"{len(ents)}/{len(entries)} policies scored")
+    return Scorecard(suite=suite, policies=selected, scenarios=scenarios)

@@ -142,7 +142,7 @@ def execute_plan(net: SensorNetwork, payload: dict[str, Any],
     (a process pool ships it as its columns); ``payload`` carries
     ``horizon`` and optional ``refine``/``base``/``delay``. Planning goes
     through Algorithm 3 (:func:`~repro.core.mintotal.min_total_distance`,
-    i.e. the staged :func:`~repro.plan.pipeline.build_block` pipeline)
+    i.e. the staged :func:`~repro.plan.pipeline.build_levels` pipeline)
     against the worker's resident cache (``cache`` overrides the
     process-global one — the thread-mode server passes its shared instance
     here). Library errors (e.g. a bad horizon) propagate as

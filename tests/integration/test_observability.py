@@ -2,13 +2,12 @@
 
 The contracts a profiling run relies on: one ``dispatch`` span per executed
 scheduling, one ``plan.tour_length`` sample per planned scheduling, per-cell
-timing from the experiment runner, the distance-matrix reuse counter, and a
-CLI ``--profile --trace`` round trip.
+timing from the experiment runner, and a CLI ``--profile --trace`` round
+trip.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -17,7 +16,6 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_cell
 from repro.network.builder import build_paper_network
 from repro.network.cycles import LinearCycleDistribution
-from repro.network.routing import CommunicationGraph, n_matrix_builds
 from repro.obs import Instrumentation
 from repro.sim.engine import simulate
 from repro.sim.policies import PlannedPolicy
@@ -81,32 +79,6 @@ class TestRunnerSpans:
         assert obs.timers["cell.mtd"].count == 2   # one per topology
         assert obs.timers["cell.greedy"].count == 2
         assert obs.timers["simulate"].count == 4   # 2 algorithms x 2 topologies
-
-
-class TestDistanceMatrixReuse:
-    def test_from_network_reuses_cached_blocks(self, small_net):
-        obs = Instrumentation()
-        small_net.dist  # materialise the network's cache
-        builds_before = n_matrix_builds()
-        g1 = CommunicationGraph.from_network(small_net, comm_range=400.0,
-                                             obs=obs)
-        g2 = CommunicationGraph.from_network(small_net, comm_range=200.0,
-                                             obs=obs)
-        d1, d2 = g1.dist, g2.dist
-        assert n_matrix_builds() == builds_before  # nothing recomputed
-        assert obs.counters["routing.dist_matrix_reused"] == 2
-        assert d1.shape == (small_net.n + 1, small_net.n + 1)
-
-        # The seeded matrix matches a from-scratch graph exactly.
-        fresh = CommunicationGraph(coords=g1.coords, comm_range=400.0)
-        np.testing.assert_allclose(fresh.dist, d1)
-        assert n_matrix_builds() == builds_before + 1  # the fresh one built
-
-    def test_masking_respects_comm_range(self, small_net):
-        g = CommunicationGraph.from_network(small_net, comm_range=100.0)
-        d = np.asarray(g.dist)
-        finite = d[np.isfinite(d)]
-        assert finite.max() <= 100.0
 
 
 class TestCliProfile:

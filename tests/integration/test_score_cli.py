@@ -28,8 +28,7 @@ def scored(tmp_path_factory):
     code = main(["score", "--suite", "quick", "--jobs", "2", "--quiet",
                  "--out", str(out), "--baseline", str(GOLDEN),
                  "--markdown", str(out_dir / "scorecard.md"),
-                 "--svg", str(out_dir / "scorecard.svg"),
-                 "--live", str(out_dir / "live.jsonl")])
+                 "--svg", str(out_dir / "scorecard.svg")])
     return code, out_dir, out
 
 
@@ -118,26 +117,3 @@ def test_unknown_suite_and_policy_are_usage_errors(tmp_path, capsys):
     assert main(["score", "--suite", "quick", "--policies", "nope",
                  "--out", str(tmp_path / "s.json")]) == 2
     assert "unknown policies" in capsys.readouterr().err
-
-
-def test_live_stream_is_complete_and_tailable(scored):
-    """--live writes a start/instance/scenario/done NDJSON stream that
-    ScoreTail (the `repro watch --score` consumer) follows to the end."""
-    from repro.reporting.dashboard import ScoreTail
-
-    _, out_dir, _ = scored
-    path = out_dir / "live.jsonl"
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert all(line["stream"] == "score" for line in lines)
-    events = [line["event"] for line in lines]
-    assert events[0] == "start"
-    assert events[-1] == "done"
-    start = lines[0]
-    assert events.count("instance") == start["total_instances"]
-    assert events.count("scenario") == len(start["scenarios"])
-
-    tail = ScoreTail(path)
-    assert tail.poll() is True
-    assert tail.finished is True
-    assert tail.done == tail.total == start["total_instances"]
-    assert set(tail.cells) == set(start["scenarios"])

@@ -153,17 +153,16 @@ class TestWatchParser:
         assert (args.command, args.host, args.port) == ("watch", "127.0.0.1", 7350)
         assert (args.interval, args.duration, args.frames) == (1.0, 0.0, 0)
         assert (args.once, args.plain) == (False, False)
-        assert (args.jsonl, args.svg, args.score) == (None, None, None)
+        assert (args.jsonl, args.svg) == (None, None)
 
     def test_flags(self):
         args = build_parser().parse_args(
             ["watch", "--port", "7351", "--interval", "0.25", "--frames", "5",
              "--duration", "30", "--once", "--plain", "--jsonl", "f.jsonl",
-             "--svg", "d.svg", "--score", "live.jsonl"])
+             "--svg", "d.svg"])
         assert (args.port, args.interval, args.frames) == (7351, 0.25, 5)
         assert (args.duration, args.once, args.plain) == (30.0, True, True)
-        assert (args.jsonl, args.svg, args.score) == (
-            "f.jsonl", "d.svg", "live.jsonl")
+        assert (args.jsonl, args.svg) == ("f.jsonl", "d.svg")
 
     def test_nonpositive_interval_is_a_usage_error(self, capsys):
         assert main(["watch", "--interval", "0"]) == 2

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.feasibility import check_feasibility
-from repro.core.mintotal import build_block, min_total_distance
+from repro.core.mintotal import min_total_distance
 from repro.core.quantize import quantize_cycles
 from repro.errors import ScheduleError
+from repro.plan import build_levels
 
 
 class TestPlanStructure:
@@ -64,16 +65,21 @@ class TestFeasibility:
 
 class TestBlockCosts:
     def test_block_costs_monotone_in_coverage(self, tiny_network):
-        # The full-coverage scheduling costs at least the V0-only one.
+        # Level v covers V0 ∪ ... ∪ Vv, so a higher level never costs less.
         res = min_total_distance(tiny_network, horizon=16.0)
-        costs = res.block_costs(tiny_network.dist)
-        assert costs[-1] >= costs[0] - 1e-9
+        d = tiny_network.dist
+        costs = [sum(t.cost(d) for t in tours) for tours in res.levels]
+        assert len(costs) == res.quantization.K + 1
+        assert all(b >= a - 1e-9 for a, b in zip(costs, costs[1:]))
 
-    def test_build_block_caches_identical_sets(self, tiny_network):
-        quant = quantize_cycles(tiny_network.cycles)
-        block = build_block(tiny_network, quant)
-        # Schedulings 1,3,5,7 all cover exactly V0 -> same tuple object.
-        assert block[0] is block[2] is block[4] is block[6]
+    def test_build_levels_caches_identical_sets(self, tiny_network):
+        # Cycles [1, 1, 4, 4, 1, 4] leave V1 empty: levels 0 and 1 cover the
+        # same set, so they share one tuple object.
+        quant = quantize_cycles(np.array([1.0, 1.0, 4.0, 4.0, 1.0, 4.0]))
+        assert quant.K == 2 and quant.members(1).size == 0
+        levels = build_levels(tiny_network, quant)
+        assert levels[0] is levels[1]
+        assert levels[2] is not levels[0]
 
     def test_refine_never_worsens_block(self, paper_network_small):
         plain = min_total_distance(paper_network_small, horizon=64.0)

@@ -129,16 +129,18 @@ class TestCoverageLevels:
             q.level_members(q.K + 1)
 
     def test_multiplicities_sum_to_block_size(self):
-        for tau in ([1.0, 2.0, 4.0, 8.0], [1.0, 50.0], [5.0]):
-            q = quantize_cycles(np.array(tau))
-            mult = q.coverage_multiplicities()
-            assert len(mult) == q.K + 1
-            assert sum(mult) == q.block_size
-            # Multiplicity of level v = #{j in [1, b^K] : level_of(j) == v}.
-            counts = [0] * (q.K + 1)
-            for j in range(1, q.block_size + 1):
-                counts[q.level_of(j)] += 1
-            assert tuple(counts) == mult
+        # #{j in [1, b^K] : level_of(j) == v} is b^(K-v) - b^(K-v-1) for
+        # v < K and 1 for v = K; the counts sum to the block size.
+        for tau in ([1.0, 2.0, 4.0, 8.0], [1.0, 50.0], [5.0], [1.0, 9.0]):
+            for base in (2, 3):
+                q = quantize_cycles(np.array(tau), base=base)
+                counts = [0] * (q.K + 1)
+                for j in range(1, q.block_size + 1):
+                    counts[q.level_of(j)] += 1
+                b, K = q.base, q.K
+                assert counts == [b ** (K - v) - b ** (K - v - 1)
+                                  for v in range(K)] + [1]
+                assert sum(counts) == q.block_size
 
     def test_huge_spread_no_materialization(self):
         # Regression: tau_max/tau_1 = 2^40 used to attempt a 2^40-element
@@ -150,7 +152,6 @@ class TestCoverageLevels:
         assert len(sets) == 41
         assert sets[0] == frozenset({0})
         assert sets[-1] == frozenset({0, 1})
-        assert sum(q.coverage_multiplicities()) == 2 ** 40
         assert q.level_of(2 ** 40) == 40
 
     def test_absurd_spread_rejected(self):

@@ -1,13 +1,10 @@
-"""Dashboard state folding, panel rendering, and the score tail."""
+"""Dashboard state folding and panel rendering."""
 
 from __future__ import annotations
-
-import json
 
 from repro.obs.live import WatchFrame
 from repro.reporting.dashboard import (
     DashboardState,
-    ScoreTail,
     dashboard_svg,
     render_dashboard,
     save_dashboard_svg,
@@ -101,78 +98,3 @@ class TestRender:
         state.ingest(_aggregate(1, 1.0, events=[{"event": "<oops>"}]))
         assert "<oops>" not in dashboard_svg(state)
         assert "&lt;oops&gt;" in dashboard_svg(state)
-
-
-class TestScoreTail:
-    def _line(self, event, **fields):
-        return json.dumps({"stream": "score", "event": event, "t": 0.0,
-                           **fields}) + "\n"
-
-    def test_incremental_poll(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        path.write_text(self._line("start", suite="quick",
-                                   scenarios=["s1", "s2"],
-                                   total_instances=4))
-        tail = ScoreTail(path)
-        assert tail.poll() is True
-        assert tail.suite == "quick"
-        assert tail.total == 4
-        assert tail.scenarios_total == 2
-        with open(path, "a") as fh:
-            fh.write(self._line("instance", done=1, total=4, scenario="s1",
-                                topology=0))
-            fh.write(self._line("scenario", index=1, total=2, scenario="s1",
-                                cells={"greedy": {"service_cost": 10.0}}))
-        assert tail.poll() is True
-        assert tail.done == 1
-        assert tail.cells["s1"]["greedy"]["service_cost"] == 10.0
-        assert tail.poll() is False  # nothing new
-
-    def test_torn_final_line_waits_for_completion(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        path.write_text(self._line("start", suite="quick", scenarios=[],
-                                   total_instances=1)
-                        + '{"stream": "score", "event": "ins')  # torn
-        tail = ScoreTail(path)
-        tail.poll()
-        assert tail.suite == "quick"
-        assert tail.done == 0
-        # The writer finishes the line; the tail picks it up whole.
-        with open(path, "a") as fh:
-            fh.write('tance", "done": 1, "total": 1}\n')
-        assert tail.poll() is True
-        assert tail.done == 1
-
-    def test_done_marks_finished(self, tmp_path):
-        path = tmp_path / "live.jsonl"
-        path.write_text(self._line("done", cells=6))
-        tail = ScoreTail(path)
-        tail.poll()
-        assert tail.finished is True
-
-    def test_missing_file_is_not_an_error(self, tmp_path):
-        tail = ScoreTail(tmp_path / "not-yet.jsonl")
-        assert tail.poll() is False
-
-    def test_golden_deltas_in_panel(self, tmp_path):
-        from repro.scenarios import Scorecard
-
-        golden = Scorecard(suite="quick", policies=("greedy",),
-                           scenarios={"s1": {"greedy": {
-                               "service_cost": 100.0}}})
-        golden_path = tmp_path / "golden.json"
-        golden.save(golden_path)
-        live = tmp_path / "live.jsonl"
-        live.write_text(
-            self._line("start", suite="quick", scenarios=["s1"],
-                       total_instances=1)
-            + self._line("scenario", index=1, total=1, scenario="s1",
-                         cells={"greedy": {"service_cost": 110.0}}))
-        tail = ScoreTail(live, baseline_path=golden_path)
-        tail.poll()
-        assert tail.golden_cost("s1", "greedy") == 100.0
-        state = DashboardState()
-        state.ingest(_aggregate(1, 1.0))
-        panel = render_dashboard(state, score=tail)
-        assert "suite quick" in panel
-        assert "+10.00%" in panel

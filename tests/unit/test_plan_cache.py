@@ -18,7 +18,7 @@ from repro.errors import ConfigError, GraphError
 from repro.graphs.forest import RootedForest
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
-from repro.plan import PlanArtifactCache, build_block, distinct_coverage, plan_tours
+from repro.plan import PlanArtifactCache, build_levels, distinct_coverage, plan_tours
 from repro.plan.cache import coverage_key
 from repro.rooted.msf import q_rooted_msf
 
@@ -127,7 +127,7 @@ class TestPackedEntries:
         with pytest.raises(GraphError):
             c.get_forest("fp", frozenset({0, 1, 2}))
 
-    def test_keys_and_snapshot_decode_to_frozensets(self, net):
+    def test_keys_decode_to_frozensets(self, net):
         c = PlanArtifactCache()
         cov = frozenset(range(12))
         tours = plan_tours(net, cov, cache=c)
@@ -135,13 +135,15 @@ class TestPackedEntries:
         assert keys == {"forests": [(net.geometry_fingerprint, cov)],
                         "tours": [(net.geometry_fingerprint, cov, False)]}
         assert all(type(k[1]) is frozenset for kind in keys.values() for k in kind)
-        snap = c.snapshot()
-        (fkey, forest), = snap["forests"].items()
-        assert fkey == (net.geometry_fingerprint, cov)
+        # Each decoded key addresses its entry.
+        (fkey,) = keys["forests"]
+        forest = c.get_forest(*fkey)
         assert isinstance(forest, RootedForest)
-        assert forest == c.get_forest(*fkey)
-        assert snap["tours"] == {(net.geometry_fingerprint, cov, False): tours}
-        assert snap["tours"][(net.geometry_fingerprint, cov, False)] is tours
+        assert forest == q_rooted_msf(
+            None, sorted(cov), [int(i) for i in net.depot_indices],
+            coords=net.coordinates)
+        (tkey,) = keys["tours"]
+        assert c.get_tours(*tkey) is tours
 
 
 class TestPlanToursCounters:
@@ -204,11 +206,11 @@ class TestBlockAndInvalidation:
     def test_block_solves_each_coverage_once(self, net):
         quant = quantize_cycles(net.cycles)
         obs = Instrumentation()
-        block = build_block(net, quant, cache=PlanArtifactCache(), obs=obs)
-        assert len(block) == quant.block_size
+        levels = build_levels(net, quant, cache=PlanArtifactCache(), obs=obs)
+        assert len(levels) == quant.K + 1
         assert obs.counters["plan.block.solved"] == len(distinct_coverage(quant))
         assert obs.counters.get("plan.block.reused", 0) == \
-            quant.block_size - len(distinct_coverage(quant))
+            quant.K + 1 - len(distinct_coverage(quant))
         # Within one block the dedup map resolves repeats before the cache
         # is ever consulted, so every cache lookup was a (tours) miss.
         assert obs.counters["plan.cache.tours.miss"] == \
@@ -219,9 +221,9 @@ class TestBlockAndInvalidation:
         answered from the cache for every coverage set."""
         cache, obs = PlanArtifactCache(), Instrumentation()
         quant = quantize_cycles(net.cycles)
-        first = build_block(net, quant, cache=cache, obs=obs)
+        first = build_levels(net, quant, cache=cache, obs=obs)
         obs2 = Instrumentation()
-        second = build_block(net, quant, cache=cache, obs=obs2)
+        second = build_levels(net, quant, cache=cache, obs=obs2)
         assert second == first
         assert obs2.counters["plan.cache.tours.hit"] == \
             obs2.counters["plan.block.solved"]
@@ -233,7 +235,7 @@ class TestBlockAndInvalidation:
         while untouched sets still hit."""
         cache = PlanArtifactCache()
         quant = quantize_cycles(net.cycles)
-        build_block(net, quant, cache=cache)
+        build_levels(net, quant, cache=cache)
 
         # Pull one top-class sensor down a class. (Never the base-cycle
         # minimum, so tau_1 and everyone else's class stay put.)
@@ -246,7 +248,7 @@ class TestBlockAndInvalidation:
         assert int(quant2.k_of[idx]) == k - 1
 
         obs = Instrumentation()
-        build_block(net, quant2, cache=cache, obs=obs)
+        build_levels(net, quant2, cache=cache, obs=obs)
         changed = set(quant2.coverage_sets()) - set(quant.coverage_sets())
         assert changed  # the move really altered some coverage sets
         assert obs.counters["plan.cache.tours.miss"] == len(changed)
@@ -273,12 +275,12 @@ class TestMinTotalDistanceWithCache:
         obs = Instrumentation()
         base = min_total_distance(net, 200.0)
         warm1 = min_total_distance(net, 200.0, cache=cache, obs=obs)
-        assert warm1.block == base.block
+        assert warm1.levels == base.levels
         assert [s.time for s in warm1.plan] == [s.time for s in base.plan]
         # Second plan over the same geometry + cycles: zero solves.
         obs2 = Instrumentation()
         warm2 = min_total_distance(net, 150.0, cache=cache, obs=obs2)
-        assert warm2.block == base.block
+        assert warm2.levels == base.levels
         assert "plan.cache.tours.miss" not in obs2.counters
 
     def test_refine_variant_shares_base(self, net):
@@ -289,8 +291,8 @@ class TestMinTotalDistanceWithCache:
         assert obs.counters["plan.cache.base.hit"] >= 1
         assert "plan.cache.forest.hit" not in obs.counters  # never re-walked
         d = net.dist
-        for bt, rt in zip(plain.block_costs(d), refined.block_costs(d)):
-            assert rt <= bt + 1e-9
+        for bt, rt in zip(plain.levels, refined.levels, strict=True):
+            assert sum(t.cost(d) for t in rt) <= sum(t.cost(d) for t in bt) + 1e-9
 
 
 class TestCacheThreadSafety:
@@ -396,7 +398,7 @@ class TestCacheThreadSafety:
                 start.wait(timeout=10)
                 for _ in range(5):
                     result = min_total_distance(net, 150.0, cache=cache)
-                    outputs.append(result.block)
+                    outputs.append(result.levels)
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 failures.append(exc)
 
@@ -407,4 +409,4 @@ class TestCacheThreadSafety:
             t.join(timeout=120)
         assert not failures
         assert len(outputs) == 30
-        assert all(block == reference.block for block in outputs)
+        assert all(levels == reference.levels for levels in outputs)

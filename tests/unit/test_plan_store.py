@@ -236,6 +236,27 @@ class TestBulkOps:
         assert store.flush(cache) == cache.n_entries > 0
         assert store.n_entries == cache.n_entries
 
+    def test_flush_of_a_persisted_cache_rebuilds_no_forest(
+            self, net, tmp_path, monkeypatch):
+        """Draining a write-through cache decides on the keys: nothing is
+        written and no packed forest is rebuilt into a RootedForest."""
+        import repro.plan.cache as cache_mod
+
+        store, cache = self._populated(net, tmp_path)
+        assert cache.info()["forests"] > 0
+        unpacked = []
+        real = cache_mod._unpack_forest
+        monkeypatch.setattr(cache_mod, "_unpack_forest",
+                            lambda packed: unpacked.append(1) or real(packed))
+        assert store.flush(cache) == 0
+        assert unpacked == []
+        # A missing forest entry is rebuilt once, to be written.
+        next(p for p in _entry_paths(store)
+             if json.loads(p.read_bytes())["key"]["artifact"] == "forest"
+             ).unlink()
+        assert store.flush(cache) == 1
+        assert len(unpacked) == 1
+
     def test_verify_clean_and_corrupt(self, net, tmp_path):
         store, _ = self._populated(net, tmp_path)
         n = store.n_entries
