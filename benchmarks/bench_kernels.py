@@ -2,10 +2,9 @@
 
 Times the production 2-opt (:func:`repro.tsp.improve.two_opt`) against
 the full-matrix scan it must reproduce
-(:func:`repro.tsp.improve.two_opt_scan`) at n in {500, 2000, 5000}, the
-incremental q-rooted MSF extension against a from-scratch Algorithm 1
-rebuild, and Algorithm 1 from coordinates (the Delaunay candidate graph)
-against dense Prim over the full matrix. Every timed pair also
+(:func:`repro.tsp.improve.two_opt_scan`) at n in {500, 2000, 5000}, and
+Algorithm 1 from coordinates (the Delaunay candidate graph) against dense
+Prim over the full matrix. Every timed pair also
 cross-checks outputs: the accelerations are *exact*, so speed never
 trades answers.
 
@@ -18,12 +17,8 @@ pruned scan's neighbour lists and don't-look bits are engineered for
 improves, the full-matrix scan wins instead).
 
 Measurements are emitted to ``BENCH_kernels.json`` in the working
-directory. Acceptance bars:
-
-* production 2-opt >= 5x the full-scan oracle at n = 5000;
-* incremental forest extension >= 3x the from-scratch rebuild.
-
-The Delaunay-vs-dense pair only records its speedup; it has no bar.
+directory. Acceptance bar: production 2-opt >= 5x the full-scan oracle
+at n = 5000. The Delaunay-vs-dense pair only records its speedup; it has no bar.
 """
 
 import json
@@ -34,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import distance_matrix
-from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import DELAUNAY_MIN_SENSORS, q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp
 from repro.tsp.improve import two_opt, two_opt_scan
@@ -91,31 +85,6 @@ def test_two_opt_vs_oracle(kernels_json):
             assert speedup >= 5.0, (
                 f"2-opt speedup {speedup:.2f}x over the full scan at n={n} "
                 f"is below the 5x acceptance bar")
-
-
-def test_incremental_replan(kernels_json):
-    """Extending a cached forest vs re-running Algorithm 1 from scratch
-    (the adaptive patch step's re-tour path on a grown scheduling)."""
-    n, q, n_added = 5000, 4, 25
-    rng = np.random.default_rng(42)
-    dist = distance_matrix(rng.uniform(0, 1000, size=(n + q, 2)))
-    depots = list(range(n, n + q))
-    added = sorted(rng.choice(n, size=n_added, replace=False).tolist())
-    base = sorted(set(range(n)) - set(added))
-    base_forest = q_rooted_msf(dist, base, depots)
-
-    t_full, scratch = _best_of(
-        lambda: q_rooted_msf(dist, list(range(n)), depots), 3)
-    t_inc, extended = _best_of(
-        lambda: extend_q_rooted_msf(dist, base, base_forest, added, depots), 3)
-    assert extended is not None and extended == scratch
-    speedup = t_full / t_inc if t_inc > 0 else float("inf")
-    kernels_json[f"incremental_msf_n{n}_add{n_added}"] = {
-        "full_rebuild_s": t_full, "incremental_s": t_inc, "speedup": speedup,
-    }
-    assert speedup >= 3.0, (
-        f"incremental replan speedup {speedup:.2f}x is below the 3x "
-        f"acceptance bar")
 
 
 def test_delaunay_msf_vs_dense(kernels_json):

@@ -20,8 +20,10 @@ staged planner (:mod:`repro.plan`): the plan-artifact cache must make the
 ``mtd-var`` replan pattern at least 2x faster with identical output, and
 the parallel experiment executor must stay byte-identical to the serial
 path. ``test_cache_footprint`` records what one cold n=2000 plan leaves
-resident in a serve worker's artifact cache. Their measurements are
-emitted to ``BENCH_pipeline.json`` in the working directory.
+resident in a serve worker's artifact cache, and
+``test_variable_replan_wall`` records the variable-cycle repair step's
+real traffic (no bar). Their measurements are emitted to
+``BENCH_pipeline.json`` in the working directory.
 """
 
 import gc
@@ -34,7 +36,8 @@ import pytest
 
 from repro.core.mintotal import min_total_distance
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_cell
+from repro.experiments.figures import get_figure
+from repro.experiments.runner import build_instance, run_cell, run_policy
 from repro.io.network_json import network_from_dict, network_to_dict
 from repro.network.builder import build_paper_network
 from repro.obs import Instrumentation
@@ -302,3 +305,39 @@ def test_cache_footprint(benchmark, pipeline_json):
     }
     print(f"\ncache footprint: {per_plan / 1e3:.0f} KB per cold n={n} plan")
     assert per_plan <= 250_000
+
+
+def test_variable_replan_wall(benchmark, pipeline_json):
+    """``run_policy`` wall time of ``mtd-var`` and ``mtd-var-defer`` on
+    fig5's ΔT = 1, n = 200 cell (topology 0), where nearly every slot
+    replans and runs the repair step.
+
+    Recorded with each run's ``plan.cache.tours`` hit/miss counts and
+    replan count; the trajectory has no bar.
+    """
+    spec = next(p for p in get_figure("fig5").points()
+                if p.config.slot_duration == 1.0)
+    inst = build_instance(spec, 0)
+
+    def run_both():
+        cells = {}
+        for algorithm in ("mtd-var", "mtd-var-defer"):
+            t0 = time.perf_counter()
+            row, _ = run_policy(inst, algorithm)
+            cells[algorithm] = {
+                "wall_s": round(time.perf_counter() - t0, 3),
+                "replans": len(row.replan_durs),
+                "tours_hit": row.cache_hits, "tours_miss": row.cache_misses,
+                "deaths": row.deaths,
+            }
+        return cells
+
+    cells = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    pipeline_json["variable_replan"] = {
+        "figure": "fig5", "slot_duration": 1.0, "n": inst.network.n,
+        "topology": 0, **cells,
+    }
+    for algorithm, cell in cells.items():
+        print(f"\n{algorithm}: {cell['wall_s']:.2f}s over "
+              f"{cell['replans']} replans, tours cache "
+              f"{cell['tours_hit']} hit / {cell['tours_miss']} miss")

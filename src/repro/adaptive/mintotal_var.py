@@ -67,21 +67,16 @@ class MinTotalDistanceVarPolicy:
         (Fig. 5, ``ΔT = 1``). ``"defer"`` is this library's improvement:
         measurably cheaper under instability with identical safety (the
         ``abl-tiebreak`` bench quantifies it).
-    patch_incremental:
-        Forwarded to :func:`repro.adaptive.patch.build_patch`: re-tour
-        grown schedulings by extending their cached base forest instead of
-        rebuilding from scratch. Pure accelerator — tours are identical
-        either way. On by default.
     cache:
-        Plan-artifact reuse across re-plans. ``True`` (default) gives the
+        Plan-artifact reuse across re-plans. ``None`` (default) gives the
         policy a private :class:`~repro.plan.cache.PlanArtifactCache`,
         created fresh at every :meth:`reset`: successive re-plans over the
         same fixed geometry then skip Algorithms 1–2 for every coverage set
         already solved (the replanned plans are tour-for-tour identical to
-        the uncached ones — caching is a pure accelerator). ``False``
-        disables reuse. Passing a :class:`PlanArtifactCache` instance
-        shares it across resets/policies (keys carry the geometry
-        fingerprint, so cross-topology sharing is safe).
+        the uncached ones — caching is a pure accelerator). Passing a
+        :class:`PlanArtifactCache` instance shares it across
+        resets/policies (keys carry the geometry fingerprint, so
+        cross-topology sharing is safe).
     instrumentation:
         Optional :class:`~repro.obs.instrument.Instrumentation` context.
         Each rebuild runs under a ``replan`` span; triggers are classified
@@ -99,8 +94,7 @@ class MinTotalDistanceVarPolicy:
 
     def __init__(self, *, gamma: float = 1.0, report_threshold: float = 0.0,
                  refine: bool = False, patch_tie_break: str = "immediate",
-                 patch_incremental: bool = True,
-                 cache: PlanArtifactCache | bool = True,
+                 cache: PlanArtifactCache | None = None,
                  instrumentation: Instrumentation | None = None) -> None:
         if patch_tie_break not in ("defer", "immediate"):
             raise ConfigError(
@@ -110,10 +104,8 @@ class MinTotalDistanceVarPolicy:
         self.report_threshold = report_threshold
         self.refine = refine
         self.patch_tie_break = patch_tie_break
-        self.patch_incremental = patch_incremental
-        self._cache_policy = cache
-        self._cache: PlanArtifactCache | None = (
-            cache if isinstance(cache, PlanArtifactCache) else None)
+        self._shared_cache = cache
+        self._cache = cache
         self.n_replans = 0
         self._net: SensorNetwork | None = None
         self._horizon = math.inf
@@ -129,11 +121,10 @@ class MinTotalDistanceVarPolicy:
     def reset(self, network: SensorNetwork, horizon: float) -> None:
         self._net = network
         self._horizon = horizon
-        if self._cache_policy is True:
-            self._cache = PlanArtifactCache()  # private, per run
-        elif self._cache_policy is False:
-            self._cache = None
-        # else: a shared cache instance was injected; keep it across resets.
+        # A shared cache instance is kept across resets; otherwise a
+        # private one per run.
+        self._cache = (self._shared_cache if self._shared_cache is not None
+                       else PlanArtifactCache())
         self._pred = EwmaRatePredictor(self.gamma)
         self._monitor = VariationMonitor(self.report_threshold)
         self._queue = []
@@ -262,7 +253,6 @@ class MinTotalDistanceVarPolicy:
                                       where=rates > 0)
                 patch = build_patch(self._net, quant, lifetimes, refine=self.refine,
                                     tie_break=self.patch_tie_break,
-                                    incremental=self.patch_incremental,
                                     cache=self._cache,
                                     obs=self._obs)
                 patched_tours = patch.tours

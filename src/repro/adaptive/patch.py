@@ -19,12 +19,8 @@ than their first scheduled charge would die in the gap. The paper's repair:
   so later classes can attach through sensors patched earlier, exactly as
   the paper's iterative construction ``V(C^(k+1)_j)`` does.
 
-Finally, every scheduling whose node set grew gets fresh tours from
-Algorithm 2 — by default via the *incremental* forest extension
-(:mod:`repro.rooted.incremental`), which patches the cached base forest by
-edge swaps over the incremental-MST candidate set instead of re-running
-the dense contraction, and provably yields the identical tours (falling
-back to the from-scratch pipeline whenever exactness cannot be certified).
+Finally, every scheduling whose node set grew (and a non-empty ``C'_0``)
+gets fresh tours from Algorithms 1–2 (:func:`~repro.plan.pipeline.plan_tours`).
 """
 
 from __future__ import annotations
@@ -39,10 +35,7 @@ from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
 from repro.plan.pipeline import plan_tours
-from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import rooted_msf
-from repro.rooted.refine import refine_tours
-from repro.tsp.construct import tours_from_forest
 from repro.tsp.tour import Tour
 
 __all__ = ["PatchResult", "build_patch"]
@@ -84,7 +77,6 @@ def build_patch(network: SensorNetwork, quant: Quantization,
                 lifetimes: np.ndarray, *, refine: bool = False,
                 tie_break: str = "immediate",
                 cache: PlanArtifactCache | None = None,
-                incremental: bool = True,
                 obs: Instrumentation | None = None) -> PatchResult:
     """Run the repair step against a freshly computed plan.
 
@@ -110,25 +102,15 @@ def build_patch(network: SensorNetwork, quant: Quantization,
         re-plan, measurably cheaper under extreme workload instability; see
         EXPERIMENTS.md and the ``abl-tiebreak`` bench).
     cache:
-        Optional plan-artifact cache. Patched node sets go through the same
-        staged pipeline as base schedulings, so a set that recurs across
-        re-plans (or coincides with a base coverage set) reuses its forest
-        and tours instead of re-solving Algorithms 1–2.
-    incremental:
-        Re-tour grown schedulings by *extending* their cached base forest
-        (:func:`repro.rooted.incremental.extend_q_rooted_msf`) instead of
-        rebuilding it from scratch. A pure accelerator: the extension is
-        used only when it is certifiably identical to the from-scratch
-        forest (distinct candidate weights) and silently falls back to the
-        full pipeline otherwise, so tours are identical either way (the
-        ``patch`` differential in :mod:`repro.check` holds it to that).
-        Only applies when a ``cache`` holding the base forests is present.
+        Optional plan-artifact cache for the immediate scheduling ``C'_0``.
+        Grown schedulings ``j >= 1`` are re-toured without it: their sets
+        almost never recur, so lookups would only dilute the hit rate.
+        Tours are identical either way (the ``patch`` differential in
+        :mod:`repro.check` holds it to that).
     obs:
         Optional instrumentation context: ``patch`` span plus the
         ``patch.calls`` / ``patch.urgent`` / ``patch.immediate`` /
-        ``patch.retoured`` counters (injections into the base plan) and
-        the ``patch.msf.incremental`` / ``patch.msf.full`` split of how
-        re-toured forests were obtained.
+        ``patch.retoured`` counters (injections into the base plan).
 
     Returns
     -------
@@ -208,37 +190,15 @@ def build_patch(network: SensorNetwork, quant: Quantization,
             for local, owner in enumerate(assignment.owner):
                 sets[col_to_sched[int(owner)]].add(int(s_idx[local]))
 
-        # Re-tour every scheduling whose set changed (and the immediate one).
-        # Grown schedulings (j > 0) whose base forest is cached are patched
-        # incrementally: extend the forest by edge swaps on the candidate
-        # set instead of re-running the dense Algorithm 1; fall back to the
-        # full pipeline whenever exactness cannot be certified.
-        fp = network.geometry_fingerprint if cache is not None else ""
-        tours: list[tuple[Tour, ...] | None] = []
-        for j in range(n_sched):
-            if j == 0 and not sets[0]:
-                tours.append(None)
-                continue
-            if j > 0 and sets[j] == base_sets[j]:
-                tours.append(None)
-                continue
-            built: tuple[Tour, ...] | None = None
-            if incremental and j > 0 and cache is not None:
-                base_forest = cache.get_forest(fp, base_sets[j])
-                if base_forest is not None:
-                    extended = extend_q_rooted_msf(
-                        dist, sorted(base_sets[j]), base_forest,
-                        sorted(sets[j] - base_sets[j]), depots, obs=obs)
-                    if extended is not None:
-                        o.incr("patch.msf.incremental")
-                        built = tuple(tours_from_forest(extended))
-                        if refine:
-                            built = tuple(refine_tours(dist, built, obs=obs))
-            if built is None:
-                o.incr("patch.msf.full")
-                built = plan_tours(network, frozenset(sets[j]), refine=refine,
-                                   cache=cache, obs=obs)
-            tours.append(built)
+        # Re-tour every scheduling whose set grew (base_sets[0] is empty, so
+        # that includes a non-empty C'_0). Grown sets j >= 1 skip the cache:
+        # a base set plus this replan's urgent sensors almost never recurs
+        # (at fig5's ΔT = 1, ~3,000 extra lookups would yield ~130 hits and
+        # only drag the tour hit rate down).
+        tours = [None if sets[j] == base_sets[j]
+                 else plan_tours(network, frozenset(sets[j]), refine=refine,
+                                 cache=cache if j == 0 else None, obs=obs)
+                 for j in range(n_sched)]
         retoured = sum(1 for t in tours if t is not None)
         o.incr("patch.retoured", retoured)
         sp.set(retoured=retoured)

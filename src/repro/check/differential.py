@@ -53,10 +53,10 @@ each other on one :class:`~repro.check.scenario.Scenario`:
     :data:`~repro.rooted.msf.DELAUNAY_MIN_SENSORS` sensors, whose full
     levels take the Delaunay path.
 ``patch``
-    :func:`~repro.adaptive.patch.build_patch` with the incremental forest
-    extension (``incremental=True`` over a warm cache) must produce
-    *exactly* the sets and tours of the from-scratch repair — the
-    incremental path is a pure accelerator, never a semantic switch.
+    :func:`~repro.adaptive.patch.build_patch` over a cache warmed by the
+    plan must produce *exactly* the sets and tours of the uncached repair
+    (``cache=None``) under both tie-breaks — the cache is a pure
+    accelerator of the repair step too, never a semantic switch.
 ``serve``
     A plan/simulate answered over the :mod:`repro.serve` wire must match
     the in-process computation byte-for-byte (plan document) and
@@ -540,29 +540,19 @@ class ScenarioChecker:
         rng = np.random.default_rng(scenario.stable_digest())
         lifetimes = quant.assigned * rng.uniform(0.1, 2.5, size=net.n)
 
+        cache = PlanArtifactCache()
+        min_total_distance(net, scenario.horizon, refine=scenario.refine,
+                           base=scenario.base, cache=cache)
         for tie_break in ("immediate", "defer"):
-            results = {}
-            for incremental in (True, False):
-                # Each side gets its own identically warmed cache: the
-                # incremental path extends the base forests this plan put
-                # there, the from-scratch side must not see the other
-                # side's insertions.
-                cache = PlanArtifactCache()
-                min_total_distance(net, scenario.horizon,
-                                   refine=scenario.refine,
-                                   base=scenario.base, cache=cache)
-                results[incremental] = build_patch(
-                    net, quant, lifetimes, refine=scenario.refine,
-                    tie_break=tie_break, cache=cache,
-                    incremental=incremental)
-            inc, full = results[True], results[False]
+            warm, cold = (build_patch(net, quant, lifetimes,
+                                      refine=scenario.refine,
+                                      tie_break=tie_break, cache=c)
+                          for c in (cache, None))
             for attr in ("sets", "tours", "urgent"):
-                if getattr(inc, attr) != getattr(full, attr):
+                if getattr(warm, attr) != getattr(cold, attr):
                     failures.append(CheckFailure(
-                        "patch", f"incremental patch {attr} differ from the "
-                                 f"from-scratch repair "
-                                 f"(tie_break={tie_break!r}) — the forest "
-                                 f"extension changed the answer"))
+                        "patch", f"warm-cache patch {attr} differ from the "
+                                 f"uncached repair (tie_break={tie_break!r})"))
         return failures
 
     def _check_serve(self, scenario: Scenario) -> list[CheckFailure]:

@@ -128,10 +128,6 @@ class Quantization:
             raise ScheduleError(f"class index {k} out of range 0..{self.K}")
         return np.nonzero(self.k_of == k)[0]
 
-    def classes(self) -> list[np.ndarray]:
-        """All classes ``[V_0, ..., V_K]`` as sensor-id arrays."""
-        return [self.members(k) for k in range(self.K + 1)]
-
     def sensors_due_at(self, j: int) -> np.ndarray:
         """Sensor ids that scheduling ``j`` (1-based within a block) must
         charge: the union of all ``V_k`` with ``j mod b^k == 0``.

@@ -109,13 +109,12 @@ def make_policy(name: str, config: ExperimentConfig,
                                     cache=cache, store=store, obs=obs)
         return PlannedPolicy(result.plan)
     if base == "mtd-var":
-        return MinTotalDistanceVarPolicy(
-            refine=refine, cache=cache if cache is not None else True,
-            instrumentation=obs)
+        return MinTotalDistanceVarPolicy(refine=refine, cache=cache,
+                                         instrumentation=obs)
     if base == "mtd-var-defer":
         return MinTotalDistanceVarPolicy(
-            refine=refine, patch_tie_break="defer",
-            cache=cache if cache is not None else True, instrumentation=obs)
+            refine=refine, patch_tie_break="defer", cache=cache,
+            instrumentation=obs)
     if base == "greedy":
         # The paper's Δl is the distribution parameter tau_min (not the
         # realised minimum of one topology): under variable workloads a

@@ -11,14 +11,9 @@
   DFS preorder walk.
 * :func:`~repro.rooted.refine.refine_tours` — optional 2-opt/Or-opt
   post-pass (never worsens a tour, so the 2x guarantee is preserved).
-* :func:`~repro.rooted.incremental.extend_q_rooted_msf` — exact incremental
-  extension of a forest after sensors are added (the adaptive patch phase's
-  fast re-plan path; falls back to from-scratch when it cannot certify
-  identity).
 """
 
 from repro.rooted.exact import exact_q_rooted_tsp
-from repro.rooted.incremental import extend_q_rooted_msf
 from repro.rooted.msf import MsfAssignment, q_rooted_msf, rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp, tours_total_cost
 from repro.rooted.refine import refine_tours
@@ -26,7 +21,6 @@ from repro.rooted.refine import refine_tours
 __all__ = [
     "MsfAssignment",
     "exact_q_rooted_tsp",
-    "extend_q_rooted_msf",
     "q_rooted_msf",
     "q_rooted_tsp",
     "refine_tours",

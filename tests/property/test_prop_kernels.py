@@ -11,8 +11,7 @@ Two families:
   oracles (the full-matrix scan and :mod:`repro.check.oracles`) on tours
   drawn across the 2-opt's neighbour-list width, over matrices exactly the
   tour's size and over subsets of larger ones, on uniform and tie-heavy
-  integer-lattice points. The incremental forest extension must either
-  reproduce the from-scratch forest exactly or refuse (return ``None``).
+  integer-lattice points.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from hypothesis import strategies as st
 from repro.geometry.distance import distance_matrix
 from repro.graphs.mst import kruskal_mst, mst_weight, prim_mst
 from repro.check.oracles import or_opt_reference
-from repro.rooted.incremental import extend_q_rooted_msf
-from repro.rooted.msf import q_rooted_msf
 from repro.tsp.improve import or_opt, two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
@@ -64,19 +61,6 @@ def tour_instances(draw, min_stops=3, max_stops=95):
     return distance_matrix(pts), Tour(depot=order[0], order=order)
 
 
-@st.composite
-def incremental_instances(draw):
-    """A metric plus a (base, added, depots) split of its nodes."""
-    n = draw(st.integers(3, 14))
-    q = draw(st.integers(1, 3))
-    dist = draw(point_metrics(min_n=n + q, max_n=n + q))
-    n_added = draw(st.integers(1, n - 1))
-    added = sorted(draw(st.permutations(list(range(n))))[:n_added])
-    base = sorted(set(range(n)) - set(added))
-    depots = list(range(n, n + q))
-    return dist, base, added, depots
-
-
 class TestPrimVsKruskal:
     @given(point_metrics())
     @settings(max_examples=80, deadline=None)
@@ -106,16 +90,3 @@ class TestFastBackendExact:
         dist, tour = instance
         assert or_opt(dist, tour) == or_opt_reference(dist, tour)
 
-
-class TestIncrementalMsfExact:
-    @given(incremental_instances())
-    @settings(max_examples=60, deadline=None)
-    def test_extension_exact_or_refuses(self, instance):
-        dist, base, added, depots = instance
-        if not base:
-            return
-        base_forest = q_rooted_msf(dist, base, depots)
-        extended = extend_q_rooted_msf(dist, base, base_forest, added, depots)
-        if extended is not None:
-            scratch = q_rooted_msf(dist, sorted(base + added), depots)
-            assert extended == scratch

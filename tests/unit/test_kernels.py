@@ -1,24 +1,19 @@
 """Unit tests for the planner's kernels: the exact 2-opt / Or-opt against
-their oracles, the kernel spans and counters, and the incremental MSF
-extension.
+their oracles and the kernel spans and counters.
 
 The exactness tests here are seeded spot checks around the 2-opt's
 neighbour-list width and its blocked-scan cutoff; the property-based
 sweeps live in
 ``tests/property/test_prop_kernels.py`` and the whole-pipeline
-differential in :mod:`repro.check` (``kernels`` / ``patch`` checks).
+differential in :mod:`repro.check` (the ``kernels`` check).
 """
 
 import numpy as np
-import pytest
 
 from repro.check.oracles import or_opt_reference
 from repro.core.mintotal import min_total_distance
-from repro.errors import GraphError
 from repro.geometry.distance import distance_matrix
 from repro.obs.instrument import Instrumentation
-from repro.rooted.incremental import extend_q_rooted_msf
-from repro.rooted.msf import q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp
 from repro.rooted.refine import refine_tours
 from repro.tsp.improve import _LARGE_K, or_opt, two_opt, two_opt_scan
@@ -94,77 +89,3 @@ class TestKernelObservability:
             assert len(spans) == counters[f"kernel.{kernel}.calls"]
             assert "backend" not in spans[0].attrs
 
-
-class TestExtendQRootedMsf:
-    """The incremental forest extension is exact-or-refuses."""
-
-    def _setup(self, rng, n, q):
-        pts = rng.uniform(0, 100, size=(n + q, 2))
-        dist = distance_matrix(pts)
-        depots = list(range(n, n + q))
-        return dist, depots
-
-    def test_matches_from_scratch_forest(self, rng):
-        for trial in range(25):
-            n = int(rng.integers(6, 30))
-            q = int(rng.integers(1, 4))
-            dist, depots = self._setup(rng, n, q)
-            sensors = list(range(n))
-            n_added = int(rng.integers(1, max(2, n // 3)))
-            added = sorted(rng.choice(n, size=n_added, replace=False).tolist())
-            base = sorted(set(sensors) - set(added))
-            if not base:
-                continue
-            base_forest = q_rooted_msf(dist, base, depots)
-            extended = extend_q_rooted_msf(dist, base, base_forest,
-                                           added, depots)
-            # Float-uniform coordinates: ties are measure zero, so the
-            # extension must essentially always certify.
-            assert extended is not None
-            assert extended == q_rooted_msf(dist, sensors, depots)
-
-    def test_added_empty_returns_base_forest(self, rng):
-        dist, depots = self._setup(rng, 8, 2)
-        base = list(range(8))
-        forest = q_rooted_msf(dist, base, depots)
-        assert extend_q_rooted_msf(dist, base, forest, [], depots) is forest
-
-    def test_tie_gate_refuses_degenerate_metrics(self):
-        # Integer grid: massively tied weights. The extension must refuse
-        # (return None) rather than risk a forest that differs from the
-        # from-scratch tie-breaks.
-        xs, ys = np.meshgrid(np.arange(4.0), np.arange(4.0))
-        pts = np.column_stack([xs.ravel(), ys.ravel()])
-        dist = distance_matrix(pts)
-        depots = [15]
-        base = list(range(10))
-        forest = q_rooted_msf(dist, base, depots)
-        assert extend_q_rooted_msf(dist, base, forest, [10, 11], depots) is None
-
-    def test_counts_calls(self, rng):
-        dist, depots = self._setup(rng, 8, 2)
-        base = list(range(6))
-        forest = q_rooted_msf(dist, base, depots)
-        obs = Instrumentation()
-        extend_q_rooted_msf(dist, base, forest, [6, 7], depots, obs=obs)
-        assert obs.snapshot().counters["msf.incremental.calls"] == 1
-
-    def test_rejects_depot_mismatch(self, rng):
-        dist, depots = self._setup(rng, 6, 2)
-        base = list(range(5))
-        forest = q_rooted_msf(dist, base, depots)
-        with pytest.raises(GraphError):
-            extend_q_rooted_msf(dist, base, forest, [5], list(reversed(depots)))
-
-    def test_rejects_overlapping_added(self, rng):
-        dist, depots = self._setup(rng, 6, 2)
-        base = list(range(5))
-        forest = q_rooted_msf(dist, base, depots)
-        with pytest.raises(GraphError):
-            extend_q_rooted_msf(dist, base, forest, [4, 5], depots)
-
-    def test_rejects_forest_not_spanning_base(self, rng):
-        dist, depots = self._setup(rng, 6, 2)
-        forest = q_rooted_msf(dist, list(range(4)), depots)
-        with pytest.raises(GraphError):
-            extend_q_rooted_msf(dist, list(range(5)), forest, [5], depots)
