@@ -260,15 +260,12 @@ class MinTotalDistanceVarPolicy:
                     queue.append(ChargingScheduling(time=t, tours=patch.tours[0]))
                 self.n_replans += 1
 
-            j = 1
-            while True:
-                tj = t + j * quant.tau1
-                if tj >= self._horizon - _TOL:
+            for j, sched in enumerate(result.plan.schedulings, start=1):
+                if sched.time >= self._horizon - _TOL:
                     break
                 override = patched_tours[j] if j < len(patched_tours) else None
-                tours = override if override is not None else result.levels[quant.level_of(j)]
-                queue.append(ChargingScheduling(time=tj, tours=tours))
-                j += 1
+                queue.append(sched if override is None
+                             else ChargingScheduling(time=sched.time, tours=override))
             sp.set(schedulings=len(queue))
 
         self._queue = queue

@@ -6,7 +6,7 @@ powers of two so co-scheduled classes *nest* and tours share distance. This
 baseline keeps (1) but drops (2): each sensor ``i`` is charged every
 ``floor(tau_i / tau_1) * tau_1`` — the longest grid-aligned period that is
 still safe — and sensors due at the same grid tick share one q-rooted tour
-set. Comparing it against Algorithm 3 (``benchmarks/bench_ablation_base.py``)
+set. Comparing it against Algorithm 3 (the ``abl-baselines`` panel)
 isolates the value of the geometric class structure.
 """
 

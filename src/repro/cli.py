@@ -390,7 +390,7 @@ def _cmd_run(args: argparse.Namespace, obs: Instrumentation | None) -> int:
                       overrides=_dynamics_overrides(args))
     elapsed = time.perf_counter() - t0
     print()
-    print(figure_markdown(spec, result))
+    print(figure_markdown(spec, result, spec.check(result)))
     log.info("(completed in %.1fs)", elapsed)
     if args.csv:
         path = sweep_to_csv(result, args.csv)

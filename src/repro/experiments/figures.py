@@ -2,9 +2,10 @@
 
 The paper's evaluation (Section VII) consists of six figures / eight
 panels; each has a :class:`FigureSpec` here capturing its sweep, fixed
-parameters and the qualitative claim the reproduction must match. Benches
-in ``benchmarks/`` and the CLI both resolve figures through this registry,
-so the definition of every experiment lives in exactly one place.
+parameters, the qualitative claim the reproduction must match and the
+checks that hold a finished sweep to it. The CLI and the panel benchmark
+(``benchmarks/bench_figures.py``) both resolve figures through this
+registry, so the definition of every experiment lives in exactly one place.
 
 A panel resolves to scenario specs, one point per swept value
 (:meth:`FigureSpec.points`), and runs them through the same executor and
@@ -19,8 +20,12 @@ dense version — the estimator is identical either way.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig, ScenarioSpec
@@ -30,6 +35,7 @@ from repro.obs.instrument import Instrumentation
 __all__ = ["FigureSpec", "FIGURES", "get_figure"]
 
 ProgressFn = Callable[[str], None]
+Check = Callable[[SweepResult], list[str]]
 
 
 @dataclass(frozen=True)
@@ -49,8 +55,10 @@ class FigureSpec:
     paper_claim:
         The qualitative result the paper reports for this panel.
     check:
-        Optional predicate over the finished sweep encoding the claim
-        (used by integration tests and EXPERIMENTS.md generation).
+        The claim as checks on the finished sweep: returns the claims it
+        breaks, each naming its quantity, bound and measured value (an
+        empty list is a PASS). ``repro run``, ``repro report`` and
+        ``benchmarks/bench_figures.py`` all print or assert this verdict.
     """
 
     figure_id: str
@@ -60,7 +68,7 @@ class FigureSpec:
     values_full: tuple
     base: ExperimentConfig
     paper_claim: str
-    check: Callable[[SweepResult], bool] | None = None
+    check: Check
 
     def points(self, *, n_topologies: int | None = None, full: bool = False,
                overrides: dict | None = None) -> tuple[ScenarioSpec, ...]:
@@ -100,24 +108,101 @@ class FigureSpec:
             progress=progress, obs=obs, jobs=jobs, cache_dir=cache_dir)
 
 
-def _ratio_band(num: str, den: str, lo: float, hi: float,
-                *, values: Sequence | None = None):
-    """Predicate: mean ratio num/den across the sweep lies in [lo, hi]."""
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+        "==": operator.eq, "in": lambda got, band: band[0] < got < band[1]}
 
-    def check(result: SweepResult) -> bool:
-        import numpy as np
 
-        r = result.ratio_series(num, den)
-        if values is not None:
-            mask = np.isin(np.asarray(result.values), np.asarray(list(values)))
-            r = r[mask]
-        if r.size == 0:
-            # The sweep did not visit the values the claim is about
-            # (shrunken smoke runs): vacuously true, no evidence against.
-            return True
-        return bool(lo <= float(np.mean(r)) <= hi)
+class _Unvisited(Exception):
+    """A claim is about sweep values the run did not visit."""
+
+
+def _at(result: SweepResult, where: str | None = None) -> np.ndarray:
+    """Mask of the sweep values ``where`` names (``"tau_max>=35"``,
+    ``"deployment=grid"``; all values when ``None``). Raises
+    :class:`_Unvisited` when the sweep visited none of them."""
+    values = np.asarray(result.values)
+    if where is None:
+        return np.ones(values.shape, dtype=bool)
+    name, op, value = re.fullmatch(r"(\w+)(<=|>=|<|>|=)(.+)", where).groups()
+    if name != result.parameter:
+        raise ConfigError(f"claim at {where!r} on a sweep over {result.parameter!r}")
+    value = value if values.dtype.kind == "U" else float(value)
+    mask = _OPS["==" if op == "=" else op](values, value)
+    if not mask.any():
+        raise _Unvisited(where)
+    return mask
+
+
+def _deaths(result: SweepResult) -> np.ndarray:
+    """Deaths per sweep value, summed over the algorithms."""
+    return sum(result.deaths(a) for a in result.algorithms)
+
+
+def _cost(result: SweepResult, algorithm: str, where: str) -> float:
+    """``algorithm``'s mean cost over the sweep values ``where`` names."""
+    return result.series(algorithm)[1][_at(result, where)].mean()
+
+
+def _deaths_per_rate(result: SweepResult) -> np.ndarray:
+    """Deaths per unit failure rate at each nonzero swept rate."""
+    nonzero = _at(result, "failure_rate>0")
+    return _deaths(result)[nonzero] / np.asarray(result.values)[nonzero]
+
+
+def _steps(a: np.ndarray, *, rel: bool = False) -> np.ndarray:
+    """The change between neighbouring sweep values, ``a[i+1] - a[i]`` (the
+    quotient when ``rel``); a one-value sweep has none."""
+    if a.size < 2:
+        raise _Unvisited("a second sweep value")
+    return a[1:] / a[:-1] if rel else np.diff(a)
+
+
+def _claims(*claims: tuple) -> Check:
+    """A panel check from ``(text, measure, op, bound)`` claims: it returns
+    ``"<text> <op> <bound> (got <measured>)"`` for every claim the finished
+    sweep breaks, so an empty list is a PASS. A claim about sweep values the
+    run did not visit (shrunken smoke runs) is skipped: no evidence against
+    it. ``op`` ``"in"`` is the open band ``(lo, hi)``."""
+
+    def check(result: SweepResult) -> list[str]:
+        broken = []
+        for text, measure, op, bound in claims:
+            try:
+                got = float(measure(result))
+            except _Unvisited:
+                continue
+            if not _OPS[op](got, bound):
+                shown = f"({bound[0]}, {bound[1]})" if op == "in" else bound
+                broken.append(f"{text} {op} {shown} (got {got:.4g})")
+        return broken
 
     return check
+
+
+def _ratio(stat: str, num: str, den: str, op: str, bound, at: str | None = None) -> tuple:
+    """Claim on the ``stat`` (mean/max/min) of the ``num/den`` cost ratio
+    across the sweep, or at the values ``at`` names."""
+    return (f"{stat} {num}/{den}" + (f" at {at}" if at else ""),
+            lambda r: getattr(r.ratio_series(num, den)[_at(r, at)], stat)(), op, bound)
+
+
+def _gap(num: str, den: str, at: str, ref: str, op: str, bound) -> tuple:
+    """Claim on the mean ``num/den`` cost ratio at ``at`` minus that at ``ref``."""
+    return (f"mean {num}/{den} at {at} - at {ref}",
+            lambda r: (r.ratio_series(num, den)[_at(r, at)].mean()
+                       - r.ratio_series(num, den)[_at(r, ref)].mean()),
+            op, bound)
+
+
+def _grows(algorithm: str, lo: str, hi: str, factor: float = 1.0) -> tuple:
+    """Claim: ``algorithm``'s mean cost at ``hi`` is more than ``factor``
+    times its mean cost at ``lo``."""
+    return (f"mean {algorithm} cost at {hi} / at {lo}",
+            lambda r: _cost(r, algorithm, hi) / _cost(r, algorithm, lo),
+            ">", factor)
+
+
+_NO_DEATHS = ("deaths", lambda r: _deaths(r).sum(), "==", 0)
 
 
 # --------------------------------------------------------------------------
@@ -154,7 +239,9 @@ _register(FigureSpec(
     parameter="n", values=_N_VALUES, values_full=_N_VALUES,
     base=_FIXED_LINEAR,
     paper_claim="MinTotalDistance costs 55-60% of Greedy across n = 100..500",
-    check=_ratio_band("mtd", "greedy", 0.45, 0.70),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd", "greedy", "in", (0.45, 0.70)),
+        _grows("mtd", "n=100", "n=500"), _grows("greedy", "n=100", "n=500")),
 ))
 
 _register(FigureSpec(
@@ -163,7 +250,7 @@ _register(FigureSpec(
     parameter="n", values=_N_VALUES, values_full=_N_VALUES,
     base=_FIXED_RANDOM,
     paper_claim="MinTotalDistance costs 87-93% of Greedy across n = 100..500",
-    check=_ratio_band("mtd", "greedy", 0.75, 1.02),
+    check=_claims(_NO_DEATHS, _ratio("mean", "mtd", "greedy", "in", (0.75, 1.02))),
 ))
 
 _register(FigureSpec(
@@ -173,7 +260,9 @@ _register(FigureSpec(
     base=_FIXED_LINEAR.with_(n=200),
     paper_claim=("near-identical for tau_max <= 10, MinTotalDistance wins "
                  "increasingly beyond; gap grows with tau_max"),
-    check=_ratio_band("mtd", "greedy", 0.40, 0.75, values=(35, 50)),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd", "greedy", "in", (0.40, 0.70), at="tau_max>=35"),
+        _ratio("mean", "mtd", "greedy", ">", 0.85, at="tau_max<=10")),
 ))
 
 _register(FigureSpec(
@@ -182,7 +271,8 @@ _register(FigureSpec(
     parameter="tau_max", values=_TAU_VALUES, values_full=_TAU_VALUES_FULL,
     base=_FIXED_RANDOM.with_(n=200),
     paper_claim="the two algorithms differ only marginally at all tau_max",
-    check=_ratio_band("mtd", "greedy", 0.75, 1.05),
+    check=_claims(_NO_DEATHS, _ratio("mean", "mtd", "greedy", ">", 0.75),
+                  _ratio("max", "mtd", "greedy", "<=", 1.05)),
 ))
 
 _register(FigureSpec(
@@ -191,7 +281,8 @@ _register(FigureSpec(
     parameter="n", values=_N_VALUES, values_full=_N_VALUES,
     base=_VAR_LINEAR,
     paper_claim="MinTotalDistance-var stays clearly cheaper than Greedy",
-    check=_ratio_band("mtd-var", "greedy", 0.45, 0.80),
+    check=_claims(_NO_DEATHS, _ratio("mean", "mtd-var", "greedy", "in", (0.45, 0.80)),
+                  _grows("mtd-var", "n=100", "n=500")),
 ))
 
 _register(FigureSpec(
@@ -200,7 +291,10 @@ _register(FigureSpec(
     parameter="tau_max", values=_TAU_VALUES, values_full=_TAU_VALUES_FULL,
     base=_VAR_LINEAR.with_(n=200),
     paper_claim="like Fig 2(a): parity at small tau_max, growing win after",
-    check=_ratio_band("mtd-var", "greedy", 0.40, 0.85, values=(35, 50)),
+    check=_claims(
+        _NO_DEATHS,
+        _ratio("mean", "mtd-var", "greedy", "in", (0.40, 0.80), at="tau_max>=35"),
+        _gap("mtd-var", "greedy", "tau_max>=35", "tau_max<=10", "<", 0)),
 ))
 
 _register(FigureSpec(
@@ -211,7 +305,14 @@ _register(FigureSpec(
     paper_claim=("near-identical to Greedy at ΔT=1 (extreme instability); "
                  "costs fall and the gap opens as ΔT grows; already clearly "
                  "ahead by ΔT=4"),
-    check=None,  # shape is checked in tests via explicit endpoints
+    check=_claims(
+        _NO_DEATHS,
+        _ratio("mean", "mtd-var", "greedy", ">", 0.75, at="slot_duration=1"),
+        _ratio("mean", "mtd-var", "greedy", "<", 0.70, at="slot_duration>=10"),
+        _gap("mtd-var", "greedy", "slot_duration>=10", "slot_duration=1", "<", -0.15),
+        ("largest rise of mtd-var/greedy between neighbouring slot_duration values",
+         lambda r: _steps(r.ratio_series("mtd-var", "greedy")).max(), "<=", 0.05),
+        _grows("mtd-var", "slot_duration>=10", "slot_duration=1")),
 ))
 
 _register(FigureSpec(
@@ -221,7 +322,11 @@ _register(FigureSpec(
     base=_VAR_LINEAR.with_(n=200),
     paper_claim=("both costs increase with sigma; MinTotalDistance-var "
                  "approaches Greedy as sigma reaches 50"),
-    check=None,
+    check=_claims(
+        _NO_DEATHS, _grows("mtd-var", "sigma=0", "sigma=50", 1.5),
+        _grows("greedy", "sigma=0", "sigma=50", 1.5),
+        _ratio("mean", "mtd-var", "greedy", ">", 0.85, at="sigma=50"),
+        _gap("mtd-var", "greedy", "sigma=50", "sigma<=2", ">", 0)),
 ))
 
 # --------------------------------------------------------------------------
@@ -234,7 +339,11 @@ _register(FigureSpec(
     parameter="n", values=(100, 200, 300), values_full=_N_VALUES,
     base=_FIXED_LINEAR.with_(algorithms=("mtd", "mtd+2opt", "greedy", "greedy+2opt")),
     paper_claim="(beyond paper) refinement shrinks costs without breaking feasibility",
-    check=_ratio_band("mtd+2opt", "mtd", 0.5, 1.0),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd+2opt", "mtd", "in", (0.5, 0.97)),
+        _ratio("max", "mtd+2opt", "mtd", "<=", 1 + 1e-9),
+        _ratio("max", "greedy+2opt", "greedy", "<=", 1 + 1e-9),
+        _ratio("mean", "mtd+2opt", "greedy+2opt", "<", 0.80)),
 ))
 
 _register(FigureSpec(
@@ -243,7 +352,13 @@ _register(FigureSpec(
     parameter="q", values=(1, 2, 5, 8, 10), values_full=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
     base=_FIXED_LINEAR.with_(n=200),
     paper_claim="(beyond paper) more depots reduce cost with diminishing returns",
-    check=None,
+    check=_claims(
+        _NO_DEATHS, _ratio("max", "mtd", "greedy", "<", 0.9),
+        ("mtd cost max/min",
+         lambda r: r.series("mtd")[1].max() / r.series("mtd")[1].min(), "<", 1.15),
+        ("greedy cost at q=1 / at q=10, over mtd's",
+         lambda r: (_cost(r, "greedy", "q=1") / _cost(r, "greedy", "q=10")
+                    / (_cost(r, "mtd", "q=1") / _cost(r, "mtd", "q=10"))), ">=", 0.98)),
 ))
 
 _register(FigureSpec(
@@ -255,7 +370,11 @@ _register(FigureSpec(
     paper_claim=("(beyond paper) the win should survive non-uniform layouts: "
                  "the class structure depends on cycles, not on where "
                  "sensors stand"),
-    check=_ratio_band("mtd", "greedy", 0.30, 0.80),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd", "greedy", "in", (0.30, 0.80)),
+        _ratio("max", "mtd", "greedy", "<", 0.80),
+        _gap("mtd", "greedy", "deployment=clustered", "deployment=uniform", "in", (-0.25, 0.25)),
+        _gap("mtd", "greedy", "deployment=grid", "deployment=uniform", "in", (-0.25, 0.25))),
 ))
 
 _register(FigureSpec(
@@ -266,7 +385,14 @@ _register(FigureSpec(
     paper_claim=("(beyond paper) a larger base means fewer classes but cruder "
                  "rounding (up to a factor b of over-charging); b=2 should be "
                  "at or near the sweet spot"),
-    check=None,
+    check=_claims(
+        _NO_DEATHS,
+        ("greedy cost max/min - 1",
+         lambda r: r.series("greedy")[1].max() / r.series("greedy")[1].min() - 1, "<=", 1e-9),
+        ("smallest step ratio of mtd cost as quantization_base grows",
+         lambda r: _steps(r.series("mtd")[1], rel=True).min(), ">=", 0.98),
+        _ratio("mean", "mtd", "greedy", "<", 0.70, at="quantization_base=2"),
+        _ratio("mean", "mtd", "greedy", "<", 1.0, at="quantization_base=4")),
 ))
 
 _register(FigureSpec(
@@ -278,7 +404,11 @@ _register(FigureSpec(
     paper_claim=("(beyond paper) deferring equal-cost patch attachments keeps "
                  "the adaptive policy well below Greedy even at ΔT=1, where "
                  "the paper-faithful tie-break degrades to parity"),
-    check=_ratio_band("mtd-var-defer", "mtd-var", 0.3, 1.0),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd-var-defer", "mtd-var", "in", (0.3, 1.0)),
+        _ratio("max", "mtd-var-defer", "mtd-var", "<=", 1.02),
+        _ratio("mean", "mtd-var-defer", "mtd-var", "<", 0.75, at="slot_duration=1"),
+        _ratio("max", "mtd-var-defer", "greedy", "<", 0.85)),
 ))
 
 _register(FigureSpec(
@@ -288,7 +418,11 @@ _register(FigureSpec(
     base=_FIXED_LINEAR.with_(algorithms=("mtd", "greedy", "naive", "periodic")),
     paper_claim=("(beyond paper) naive charge-all is far worse than everything; "
                  "periodic-without-merging matches greedy under defaults"),
-    check=_ratio_band("mtd", "naive", 0.0, 0.5),
+    check=_claims(
+        _NO_DEATHS, _ratio("mean", "mtd", "naive", "in", (0.0, 0.5)),
+        _ratio("max", "mtd", "naive", "<", 0.5), _ratio("min", "naive", "greedy", ">", 2.0),
+        ("max distance of periodic/greedy from 1",
+         lambda r: np.abs(r.ratio_series("periodic", "greedy") - 1).max(), "<=", 1e-6)),
 ))
 
 _register(FigureSpec(
@@ -298,10 +432,16 @@ _register(FigureSpec(
     values_full=(0.0, 0.002, 0.005, 0.01, 0.02, 0.05),
     base=_FIXED_LINEAR.with_(n=200, failure_mttr=5.0),
     paper_claim=("(beyond paper) the offline plan degrades gracefully under "
-                 "charger breakdowns: skipped tours raise deaths/cost "
-                 "smoothly with the failure rate, with no cliff — and the "
-                 "rate-0 endpoint is bit-identical to the static fig2a cell"),
-    check=None,
+                 "charger breakdowns: deaths rise with the failure rate "
+                 "roughly in proportion, with no cliff, while mtd's cost falls "
+                 "because skipped tours cost nothing — and the rate-0 endpoint "
+                 "equals the static n=200 cell of fig1a"),
+    check=_claims(
+        ("deaths at failure_rate=0", lambda r: _deaths(r)[_at(r, "failure_rate=0")].sum(), "==", 0),
+        ("smallest step of deaths as failure_rate grows",
+         lambda r: _steps(_deaths(r)).min(), ">=", 0),
+        ("largest step ratio of deaths per unit failure_rate",
+         lambda r: _steps(_deaths_per_rate(r), rel=True).max(), "<=", 1.25)),
 ))
 
 

@@ -116,8 +116,14 @@ def _markdown_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines)
 
 
-def figure_markdown(spec: FigureSpec, result: SweepResult) -> str:
-    """One panel's paper-vs-measured markdown section."""
+def _verdict(broken: list[str]) -> str:
+    """A panel's shape-check verdict from the claims its sweep breaks."""
+    return "FAIL: " + "; ".join(broken) if broken else "PASS"
+
+
+def figure_markdown(spec: FigureSpec, result: SweepResult, broken: list[str]) -> str:
+    """One panel's paper-vs-measured markdown section; ``broken`` is
+    ``spec.check(result)``."""
     setup = result.points[0].config if result.points else spec.base
     pair = headline_pair(result)
 
@@ -145,9 +151,7 @@ def figure_markdown(spec: FigureSpec, result: SweepResult) -> str:
     out.append("*Perpetuity:* no sensor ever ran out of energy."
                if deaths == 0 else
                f"*Perpetuity:* **{deaths} deaths recorded** (violation!).")
-    if spec.check is not None:
-        verdict = "**PASS**" if spec.check(result) else "**FAIL**"
-        out.append(f"*Registered shape check:* {verdict}.")
+    out.append(f"*Registered shape check:* **{_verdict(broken)}**.")
     note = DISCUSSION.get(spec.figure_id)
     if note:
         out.append(f"*Notes:* {note}")
@@ -176,19 +180,18 @@ def experiments_markdown(
         result = spec.run(n_topologies=n_topologies, full=full,
                           progress=progress, obs=obs, jobs=jobs)
         elapsed = time.perf_counter() - t0
-        sections.append(figure_markdown(spec, result)
+        broken = spec.check(result)
+        sections.append(figure_markdown(spec, result, broken)
                         + f"*(run time {elapsed:.0f}s)*\n")
 
         pair = headline_pair(result)
         ratio = (f"{float(np.mean(result.ratio_series(*pair))):.3f} "
                  f"({pair[0]}/{pair[1]})" if pair else "—")
         deaths = sum(int(result.deaths(a).sum()) for a in result.algorithms)
-        verdict = ("PASS" if spec.check is not None and spec.check(result)
-                   else "FAIL" if spec.check is not None else "—")
         alive = "yes" if deaths == 0 else f"NO ({deaths} deaths)"
         summary_rows.append(
             f"| [{fid}](#{_anchor(_heading(spec))}) | {ratio} | {alive} "
-            f"| {verdict} |")
+            f"| {_verdict(broken)} |")
 
     reps = n_topologies if n_topologies is not None else "figure defaults"
     head = [

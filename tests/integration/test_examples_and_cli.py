@@ -4,6 +4,7 @@ Examples are executed in-process (imported as modules and ``main()``
 invoked) so failures produce real tracebacks and coverage counts them.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -50,11 +51,8 @@ class TestCli:
         from repro.experiments import figures as figs
 
         spec = figs.FIGURES["fig1a"]
-        small = figs.FigureSpec(
-            figure_id=spec.figure_id, title=spec.title,
-            parameter=spec.parameter, values=(20,), values_full=(20,),
-            base=spec.base.with_(horizon=60.0), paper_claim=spec.paper_claim,
-            check=None)
+        small = dataclasses.replace(spec, values=(20,), values_full=(20,),
+                                    base=spec.base.with_(horizon=60.0))
         monkeypatch.setitem(figs.FIGURES, "fig1a", small)
         csv_path = tmp_path / "fig1a.csv"
         assert main(["run", "fig1a", "--reps", "1", "--quiet",

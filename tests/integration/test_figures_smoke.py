@@ -1,9 +1,11 @@
 """Tiny-scale smoke runs of the figure registry.
 
-The benches run the registered figures at paper scale; these tests run
-shrunken versions (small n, short horizon, one topology) so ``pytest
+``benchmarks/bench_figures.py`` runs the registered panels at the reported
+scale and asserts their shape checks; these tests run shrunken versions
+(small n, short horizon, one topology, one sweep value) so ``pytest
 tests/`` alone exercises every figure's *machinery* — config composition,
-sweep, aggregation, reporting — end to end, for each registered figure id.
+sweep, aggregation, shape check, reporting — end to end, for each
+registered figure id.
 """
 
 import pytest
@@ -41,7 +43,12 @@ def test_figure_machinery_smoke(figure_id):
         if not dynamic:
             assert result.deaths(alg)[0] == 0
 
-    # The reporting layer renders without error (checks are NOT asserted at
-    # this scale — shapes are a property of paper-scale instances).
-    text = figure_markdown(spec, result)
+    # The check evaluates on a one-value sweep (claims about values it did
+    # not visit are skipped) and the reporting layer renders its verdict.
+    # The verdict itself is NOT asserted at this scale: shapes are a
+    # property of paper-scale instances.
+    broken = spec.check(result)
+    assert all(isinstance(claim, str) for claim in broken)
+    text = figure_markdown(spec, result, broken)
     assert text.startswith(f"### {figure_id} — ")
+    assert "*Registered shape check:* **" in text

@@ -9,6 +9,8 @@ that contract on tiny cells (the scaling numbers live in
 ``benchmarks/bench_scaling.py``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,11 +109,8 @@ class TestParallelSweepAndCli:
         from repro.experiments import figures as figs
 
         spec = figs.FIGURES["fig1a"]
-        small = figs.FigureSpec(
-            figure_id=spec.figure_id, title=spec.title,
-            parameter=spec.parameter, values=(20,), values_full=(20,),
-            base=spec.base.with_(horizon=60.0), paper_claim=spec.paper_claim,
-            check=None)
+        small = dataclasses.replace(spec, values=(20,), values_full=(20,),
+                                    base=spec.base.with_(horizon=60.0))
         monkeypatch.setitem(figs.FIGURES, "fig1a", small)
         csv_serial = tmp_path / "serial.csv"
         csv_jobs = tmp_path / "jobs.csv"

@@ -1,5 +1,6 @@
 """Unit tests for :mod:`repro.reporting.experiments_md` and the report CLI."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -25,13 +26,22 @@ def tiny_sweep():
 class TestFigureMarkdown:
     def test_contains_claim_table_and_verdict(self, tiny_sweep):
         spec = get_figure("fig1a")
-        md = figure_markdown(spec, tiny_sweep)
+        md = figure_markdown(spec, tiny_sweep, spec.check(tiny_sweep))
         assert md.startswith("### fig1a")
         assert "Paper claim" in md
         assert "| n |" in md  # markdown table header
         assert "mtd/greedy" in md
         assert "Registered shape check" in md
         assert "no sensor ever ran out of energy" in md
+
+    def test_verdict_line_names_each_broken_claim(self, tiny_sweep):
+        spec = get_figure("fig1a")
+        assert "*Registered shape check:* **PASS**." in figure_markdown(
+            spec, tiny_sweep, [])
+        md = figure_markdown(spec, tiny_sweep, ["deaths == 0 (got 3)",
+                                                "mean mtd/greedy > 0.75 (got 0.71)"])
+        assert ("*Registered shape check:* **FAIL: deaths == 0 (got 3); "
+                "mean mtd/greedy > 0.75 (got 0.71)**." in md)
 
     def test_paper_panels_constant(self):
         assert PAPER_PANELS == ("fig1a", "fig1b", "fig2a", "fig2b",
@@ -53,6 +63,28 @@ class TestExperimentsMarkdown:
         assert md.startswith("# EXPERIMENTS")
         assert "### fig1a" in md
         assert "run time" in md
+
+    def test_summary_and_section_share_one_verdict(self, monkeypatch, tiny_sweep):
+        from repro.experiments import figures as figs
+
+        calls = []
+
+        def check(result):
+            calls.append(result)
+            return ["mean mtd/greedy in (0.45, 0.7) (got 0.9)"]
+
+        failing = dataclasses.replace(figs.FIGURES["fig1a"], check=check)
+        monkeypatch.setitem(figs.FIGURES, "fig1a", failing)
+        monkeypatch.setattr(
+            figs.FigureSpec, "run",
+            lambda self, *, n_topologies=None, full=False, progress=None,
+            obs=None, jobs=1: tiny_sweep)
+        md = experiments_markdown(["fig1a"])
+        assert len(calls) == 1  # one evaluation feeds both renderings
+        assert re.search(r"^\| \[fig1a\].* \| FAIL: mean mtd/greedy in "
+                         r"\(0\.45, 0\.7\) \(got 0\.9\) \|$", md, flags=re.M)
+        assert ("*Registered shape check:* **FAIL: mean mtd/greedy in "
+                "(0.45, 0.7) (got 0.9)**." in md)
 
     def test_cli_report_writes_file(self, monkeypatch, tmp_path, tiny_sweep, capsys):
         from repro.cli import main
@@ -106,6 +138,9 @@ class TestSummaryLinks:
             lambda self, *, n_topologies=None, full=False, progress=None,
             obs=None, jobs=1: tiny_sweep)
         ids = ["fig1a", "fig5", "abl-q", "abl-base"]
+        for fid in ids:  # their claims are about other sweeps than tiny_sweep
+            monkeypatch.setitem(figs.FIGURES, fid, dataclasses.replace(
+                figs.FIGURES[fid], check=lambda result: []))
         targets = _assert_summary_links_resolve(experiments_markdown(ids))
         assert len(targets) == len(ids)
         assert targets[0] == ("fig1a--service-cost-vs-network-size-n-linear-"
