@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.bounds import empirical_ratio, lemma3_lower_bound
-from repro.core.cost import service_cost
 from repro.core.mintotal import min_total_distance
 from repro.network.builder import build_paper_network
 from repro.reporting.table import format_table
@@ -22,7 +21,7 @@ HORIZON = 1000.0
 def _one_instance(n: int, seed: int) -> tuple[float, float, int]:
     net = build_paper_network(n=n, q=5, seed=seed)
     res = min_total_distance(net, HORIZON)
-    cost = service_cost(net.dist, res.plan)
+    cost = res.plan.total_cost(net.dist)
     lb = lemma3_lower_bound(net, HORIZON)
     return cost, lb.bound, res.quantization.K
 

@@ -47,7 +47,6 @@ from repro.core import (
     lemma3_lower_bound,
     min_total_distance,
     quantize_cycles,
-    service_cost,
 )
 from repro.errors import ReproError
 from repro.experiments import ExperimentConfig, run_cell, sweep
@@ -104,7 +103,6 @@ __all__ = [
     "run_cell",
     "save_network",
     "save_plan",
-    "service_cost",
     "simulate",
     "sweep",
     "validate_timescales",

@@ -30,13 +30,13 @@ from repro.adaptive.monitor import VariationMonitor
 from repro.adaptive.patch import build_patch
 from repro.adaptive.predictor import EwmaRatePredictor
 from repro.core.mintotal import min_total_distance
-from repro.core.schedule import ChargingScheduling
+from repro.core.schedule import SchedulePlan
 from repro.errors import ConfigError
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.obs.log import get_logger
 from repro.plan.cache import PlanArtifactCache
-from repro.sim.policies import SimulationView
+from repro.sim.policies import PlannedPolicy, SimulationView
 
 __all__ = ["MinTotalDistanceVarPolicy"]
 
@@ -45,7 +45,7 @@ _TOL = 1e-9
 log = get_logger(__name__)
 
 
-class MinTotalDistanceVarPolicy:
+class MinTotalDistanceVarPolicy(PlannedPolicy):
     """Adaptive multi-charger scheduling under variable charging cycles.
 
     Parameters
@@ -90,6 +90,8 @@ class MinTotalDistanceVarPolicy:
     n_replans:
         How many times the policy rebuilt its plan (diagnostics; the
         ``fig5`` bench correlates this with workload stability).
+    plan:
+        The active plan, ``C'_0`` and patched slots included.
     """
 
     def __init__(self, *, gamma: float = 1.0, report_threshold: float = 0.0,
@@ -111,8 +113,8 @@ class MinTotalDistanceVarPolicy:
         self._horizon = math.inf
         self._pred = EwmaRatePredictor(gamma)
         self._monitor = VariationMonitor(report_threshold)
-        # Current plan state.
-        self._queue: list[ChargingScheduling] = []
+        # Current plan state; reset installs an empty plan over the horizon.
+        self._plan: SchedulePlan | None = None
         self._cursor = 0
         self._assigned: np.ndarray | None = None  # tau'_i of the active plan
         self._anchor = 0.0                        # start time of the active plan
@@ -127,19 +129,11 @@ class MinTotalDistanceVarPolicy:
                        else PlanArtifactCache())
         self._pred = EwmaRatePredictor(self.gamma)
         self._monitor = VariationMonitor(self.report_threshold)
-        self._queue = []
+        self._plan = SchedulePlan(horizon=horizon)
         self._cursor = 0
         self._assigned = None
         self._anchor = 0.0
         self.n_replans = 0
-
-    def next_dispatch_time(self, now: float) -> float | None:
-        while (self._cursor < len(self._queue)
-               and self._queue[self._cursor].time < now - _TOL):
-            self._cursor += 1
-        if self._cursor >= len(self._queue):
-            return None
-        return self._queue[self._cursor].time
 
     def observe(self, view: SimulationView) -> None:
         assert self._net is not None, "observe before reset"
@@ -177,13 +171,6 @@ class MinTotalDistanceVarPolicy:
         self._obs.event("replan.trigger", reason=reason, time=float(view.time))
         log.debug("replan at t=%.3f (%s)", view.time, reason)
         self._install_plan(view, reported, initial=False)
-
-    def dispatch(self, view: SimulationView) -> ChargingScheduling | None:
-        if self._cursor >= len(self._queue):
-            return None
-        sched = self._queue[self._cursor]
-        self._cursor += 1
-        return sched
 
     # ---------------------------------------------------------------- internals
     def _replan_reason(self, view: SimulationView, reported: np.ndarray) -> str | None:
@@ -231,11 +218,14 @@ class MinTotalDistanceVarPolicy:
     def _install_plan(self, view: SimulationView, cycles: np.ndarray,
                       *, initial: bool) -> None:
         """Run Algorithm 3 from ``view.time``, repair with the patch step,
-        and materialise the dispatch queue."""
+        and install the result as the active plan: the patch's ``C'_0`` at
+        ``view.time`` (if any), then the new plan's dispatches before the
+        horizon, each patched slot re-pointed to its grown tour set."""
         assert self._net is not None
         t = view.time
+        self._cursor = 0
         if t >= self._horizon - _TOL:
-            self._queue, self._cursor = [], 0
+            self._plan = SchedulePlan(horizon=self._horizon)
             return
         with self._obs.span("replan", initial=initial, time=float(t)) as sp:
             result = min_total_distance(self._net, self._horizon, cycles=cycles,
@@ -243,9 +233,12 @@ class MinTotalDistanceVarPolicy:
                                         cache=self._cache,
                                         obs=self._obs)
             quant = result.quantization
-            queue: list[ChargingScheduling] = []
+            base = result.plan
+            keep = int(np.count_nonzero(base.times < self._horizon - _TOL))
+            tour_sets = list(base.tour_sets)
+            times = base.times[:keep]
+            refs = base.refs[:keep].copy()
 
-            patched_tours: tuple = ()  # patch.tours when patched; index past end = no override
             if not initial:
                 rates = self._pred.conservative_rates()
                 lifetimes = np.divide(view.energy, rates,
@@ -255,20 +248,19 @@ class MinTotalDistanceVarPolicy:
                                     tie_break=self.patch_tie_break,
                                     cache=self._cache,
                                     obs=self._obs)
-                patched_tours = patch.tours
+                for j in range(1, min(len(patch.tours), keep + 1)):
+                    if patch.tours[j] is not None:  # dispatch j is refs[j - 1]
+                        refs[j - 1] = len(tour_sets)
+                        tour_sets.append(patch.tours[j])
                 if patch.tours[0] is not None:
-                    queue.append(ChargingScheduling(time=t, tours=patch.tours[0]))
+                    times = np.concatenate(([t], times))
+                    refs = np.concatenate(([len(tour_sets)], refs))
+                    tour_sets.append(patch.tours[0])
                 self.n_replans += 1
 
-            for j, sched in enumerate(result.plan.schedulings, start=1):
-                if sched.time >= self._horizon - _TOL:
-                    break
-                override = patched_tours[j] if j < len(patched_tours) else None
-                queue.append(sched if override is None
-                             else ChargingScheduling(time=sched.time, tours=override))
-            sp.set(schedulings=len(queue))
+            self._plan = SchedulePlan(horizon=self._horizon, tour_sets=tuple(tour_sets),
+                                      times=times, refs=refs)
+            sp.set(schedulings=len(self._plan))
 
-        self._queue = queue
-        self._cursor = 0
         self._assigned = quant.assigned.copy()
         self._anchor = t

@@ -139,18 +139,19 @@ def build_patch(network: SensorNetwork, quant: Quantization,
     urgent = np.nonzero(urgent_mask)[0]
     o.incr("patch.urgent", int(urgent.size))
 
-    # Base node sets: sets[0] empty for now, sets[j] = sensors due at j.
-    base_sets: list[set[int]] = [set()]
-    for j in range(1, n_sched):
-        base_sets.append({int(s) for s in quant.sensors_due_at(j)})
-    sets = [set(s) for s in base_sets]
+    # Base node sets: sets[0] empty for now, sets[j] = sensors due at j,
+    # which depends on j only through its coverage level.
+    level_sets = [frozenset(quant.level_members(v).tolist()) for v in range(K + 1)]
+    base_sets: list[frozenset[int]] = [frozenset()]
+    base_sets += [level_sets[quant.level_of(j)] for j in range(1, n_sched)]
 
     if urgent.size == 0:
         return PatchResult(
-            sets=tuple(frozenset(s) for s in sets),
+            sets=tuple(base_sets),
             tours=tuple(None for _ in range(n_sched)),
             urgent=frozenset(),
         )
+    sets = [set(s) for s in base_sets]
 
     with o.span("patch", urgent=int(urgent.size)) as sp:
         # Class partition of the urgent sensors by residual lifetime.

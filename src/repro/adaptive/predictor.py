@@ -70,13 +70,6 @@ class EwmaRatePredictor:
             raise ConfigError("predictor queried before any observation")
         return self._rho_hat.copy()
 
-    @property
-    def last_observed(self) -> np.ndarray:
-        """The most recent raw observation (copy)."""
-        if self._last_observed is None:
-            raise ConfigError("predictor queried before any observation")
-        return self._last_observed.copy()
-
     def conservative_rates(self) -> np.ndarray:
         """Element-wise ``max(prediction, last observation)``.
 

@@ -65,7 +65,7 @@ class TimescaleReport:
                 f"at t={self.worst_time:g} ({verdict})")
 
 
-def validate_timescales(plan: SchedulePlan, dist: np.ndarray,
+def validate_timescales(plan: SchedulePlan, coords: np.ndarray,
                         cycles: np.ndarray, *, speed: float,
                         charge_time: float = 0.0) -> TimescaleReport:
     """Measure the travel-time / charging-cycle separation of ``plan``.
@@ -74,8 +74,9 @@ def validate_timescales(plan: SchedulePlan, dist: np.ndarray,
     ----------
     plan:
         The charging plan to validate.
-    dist:
-        Full distance matrix (same units as ``speed``'s numerator).
+    coords:
+        ``(n_nodes, 2)`` node coordinates (same units as ``speed``'s
+        numerator); tour lengths are measured from them.
     cycles:
         ``(n,)`` maximum charging cycles, indexed by sensor id, in the same
         time unit the plan uses.
@@ -94,22 +95,19 @@ def validate_timescales(plan: SchedulePlan, dist: np.ndarray,
         raise ConfigError(f"speed must be positive, got {speed}")
     if charge_time < 0:
         raise ConfigError(f"charge_time must be non-negative, got {charge_time}")
-    d = np.asarray(dist)
+    c = np.asarray(coords)
     tau = np.asarray(cycles, dtype=np.float64)
-
-    durations = np.zeros(len(plan))
-    deadlines = np.full(len(plan), np.inf)
-    for i, sched in enumerate(plan.schedulings):
-        # Chargers drive in parallel: the round lasts as long as its
-        # longest tour (travel plus per-stop charging).
-        longest = 0.0
-        for tour in sched.tours:
-            t_travel = tour.cost(d) / speed
-            longest = max(longest, t_travel + charge_time * tour.n_stops)
-        durations[i] = longest
-        charged = sorted(sched.charged_sensors)
-        if charged:
-            deadlines[i] = float(tau[np.asarray(charged, dtype=np.intp)].min())
+    # Per table entry, then per dispatch. Chargers drive in parallel: a round
+    # lasts as long as its longest tour (travel plus per-stop charging), and
+    # its deadline is the tightest cycle among the sensors it charges.
+    entry_durations = np.asarray(
+        [max(tour.cost(coords=c) / speed + charge_time * tour.n_stops for tour in tours)
+         for tours in plan.tour_sets], dtype=np.float64)
+    entry_deadlines = np.asarray(
+        [float(tau[list(charged)].min()) if charged else np.inf
+         for charged in plan.charged_sets], dtype=np.float64)
+    durations = entry_durations[plan.refs]
+    deadlines = entry_deadlines[plan.refs]
 
     with np.errstate(invalid="ignore"):
         ratios = np.where(deadlines > 0, durations / deadlines, np.inf)
@@ -119,5 +117,5 @@ def validate_timescales(plan: SchedulePlan, dist: np.ndarray,
     worst = int(np.argmax(ratios))
     return TimescaleReport(
         max_ratio=float(ratios[worst]),
-        worst_time=float(plan.schedulings[worst].time),
+        worst_time=float(plan.times[worst]),
         round_durations=durations, deadlines=deadlines)

@@ -99,7 +99,7 @@ class GreedyOnDemandPolicy:
         due = np.nonzero(lifetimes <= self.threshold * (1 + 1e-12))[0]
         if due.size == 0:
             return None
-        tours = q_rooted_tsp(self._net.dist, [int(s) for s in due],
+        tours = q_rooted_tsp(None, [int(s) for s in due],
                              [int(i) for i in self._net.depot_indices],
-                             refine=self.refine)
+                             refine=self.refine, coords=self._net.coordinates)
         return ChargingScheduling(time=view.time, tours=tuple(tours))

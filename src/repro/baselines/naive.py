@@ -62,8 +62,8 @@ class NaiveChargeAllPolicy:
                          else self.threshold)
         self._epoch = 1
         self._tours = tuple(q_rooted_tsp(
-            network.dist, [int(i) for i in network.sensor_indices],
-            [int(i) for i in network.depot_indices]))
+            None, [int(i) for i in network.sensor_indices],
+            [int(i) for i in network.depot_indices], coords=network.coordinates))
 
     def next_dispatch_time(self, now: float) -> float | None:
         t = self._epoch * self.interval

@@ -12,10 +12,9 @@ isolates the value of the geometric class structure.
 
 from __future__ import annotations
 
-
 import numpy as np
 
-from repro.core.schedule import ChargingScheduling, SchedulePlan
+from repro.core.schedule import SchedulePlan
 from repro.errors import ScheduleError
 from repro.network.model import SensorNetwork
 from repro.rooted.qtsp import q_rooted_tsp
@@ -68,16 +67,22 @@ def periodic_per_sensor_plan(network: SensorNetwork, horizon: float,
     ticks = np.maximum(np.floor(tau / tau1 * (1 + 1e-12)).astype(np.int64), 1)
 
     depots = [int(i) for i in network.depot_indices]
-    cache: dict[frozenset[int], tuple] = {}
-    schedulings: list[ChargingScheduling] = []
+    index_of: dict[frozenset[int], int] = {}  # due set -> its table entry
+    tour_sets: list[tuple] = []
+    times: list[float] = []
+    refs: list[int] = []
     j = 1
     while j * tau1 < horizon:
         due = np.nonzero(j % ticks == 0)[0]
         if due.size:
             key = frozenset(int(s) for s in due)
-            if key not in cache:
-                cache[key] = tuple(q_rooted_tsp(network.dist, sorted(key), depots,
-                                                refine=refine))
-            schedulings.append(ChargingScheduling(time=j * tau1, tours=cache[key]))
+            if key not in index_of:
+                index_of[key] = len(tour_sets)
+                tour_sets.append(tuple(q_rooted_tsp(
+                    None, sorted(key), depots, refine=refine,
+                    coords=network.coordinates)))
+            times.append(j * tau1)
+            refs.append(index_of[key])
         j += 1
-    return SchedulePlan(schedulings=tuple(schedulings), horizon=horizon)
+    return SchedulePlan(horizon=horizon, tour_sets=tuple(tour_sets),
+                        times=times, refs=refs)

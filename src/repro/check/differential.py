@@ -462,9 +462,10 @@ class ScenarioChecker:
         plain, refined = (min_total_distance(
             net, scenario.horizon, refine=refine, base=scenario.base).plan
             for refine in (False, True))
-        expected = [tuple(two_opt_scan(dist, t) for t in s.tours)
-                    for s in plain.schedulings]
-        if [s.tours for s in refined.schedulings] != expected:
+        expected = [tuple(two_opt_scan(dist, t) for t in tours)
+                    for tours in plain.tour_sets]
+        if (list(refined.tour_sets) != expected
+                or not np.array_equal(refined.refs, plain.refs)):
             failures.append(CheckFailure(
                 "kernels", "refined plan differs from the 2-opt oracle "
                            "applied to the unrefined plan's tours"))

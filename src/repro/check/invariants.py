@@ -29,7 +29,8 @@ Checked invariants:
   effective rate is zero) and must not be charged.
 * **service cost** — the metrics' accumulated cost equals the sum of tour
   costs this checker measured, and matches
-  :func:`repro.core.cost.service_cost` over the observed plan.
+  :meth:`repro.core.schedule.SchedulePlan.total_cost` over the observed
+  plan.
 
 Violations are collected on :attr:`InvariantChecker.violations`; by
 default the first one also raises :class:`~repro.errors.CheckError`, so a
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import service_cost
 from repro.core.schedule import ChargingScheduling, SchedulePlan
 from repro.errors import CheckError, ScheduleError
 from repro.network.model import SensorNetwork
@@ -316,23 +316,21 @@ class InvariantChecker(SimulationHooks):
                        f"metrics report service cost {m.service_cost!r}; the "
                        f"observed tours sum to {self._expected_cost!r}")
 
-        # Cross-check against the cost module over the observed plan. Only
-        # possible when the dispatch times form a legal SchedulePlan
-        # (strictly increasing, within the horizon) — always true for the
+        # Cross-check against the plan's own costing over the observed
+        # dispatches. Only possible when the dispatch times form a legal
+        # SchedulePlan (distinct, within the horizon) — always true for the
         # planned policies this harness drives.
         if self._schedulings:
             try:
-                plan = SchedulePlan(schedulings=tuple(self._schedulings),
-                                    horizon=self._horizon)
+                plan = SchedulePlan.from_schedulings(self._schedulings, self._horizon)
             except ScheduleError:
                 plan = None
             if plan is not None:
-                via_module = service_cost(None, plan,
-                                          coords=self.network.coordinates)
-                if abs(via_module - m.service_cost) > cost_slack:
+                via_plan = plan.total_cost(coords=self.network.coordinates)
+                if abs(via_plan - m.service_cost) > cost_slack:
                     self._fail(
                         "cost", self._horizon,
-                        f"core.cost.service_cost computes {via_module!r} for "
+                        f"SchedulePlan.total_cost computes {via_plan!r} for "
                         f"the observed plan; metrics say {m.service_cost!r}")
 
         reported = {s for s, _ in self._reported_deaths}

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report", help="run figures and write a paper-vs-measured markdown report")
     report.add_argument("--figures", nargs="+", default=None, metavar="ID",
-                        help="figure ids to include (default: the 8 paper panels)")
+                        help="figure ids to include (default: every registered panel)")
     report.add_argument("--reps", type=int, default=None,
                         help="topologies per point (default: figure settings)")
     report.add_argument("--full", action="store_true",
@@ -438,9 +438,9 @@ def _cmd_report(args: argparse.Namespace, obs: Instrumentation | None) -> int:
     _require_positive(args.jobs, "--jobs")
     from pathlib import Path
 
-    from repro.reporting.experiments_md import PAPER_PANELS, experiments_markdown
+    from repro.reporting.experiments_md import experiments_markdown
 
-    ids = args.figures if args.figures else list(PAPER_PANELS)
+    ids = args.figures if args.figures else list(FIGURES)
     for fid in ids:
         get_figure(fid)  # validate before the long run
     progress = None if args.quiet else log.info
@@ -517,7 +517,7 @@ def _cmd_simulate(args: argparse.Namespace, obs: Instrumentation | None) -> int:
     if args.speed is not None:
         from repro.analysis.timescale import validate_timescales
 
-        report = validate_timescales(plan, net.dist, net.cycles,
+        report = validate_timescales(plan, net.coordinates, net.cycles,
                                      speed=args.speed)
         print(report.summary())
     return 0 if out.metrics.perpetual else 1

@@ -105,13 +105,14 @@ def check_feasibility(plan: SchedulePlan, cycles: np.ndarray,
     tau = np.asarray(cycles, dtype=np.float64)
     ids = np.arange(tau.shape[0]) if sensors is None else np.asarray(sensors, dtype=np.intp)
 
-    # One pass over the plan to collect charge times per sensor.
+    # One pass over the plan to collect charge times per sensor; each
+    # table entry's charged set is intersected with ``ids`` once.
     charges: dict[int, list[float]] = {int(i): [] for i in ids}
     wanted = set(charges)
-    for s in plan.schedulings:
-        hit = wanted & s.charged_sensors
-        for i in hit:
-            charges[i].append(s.time)
+    hits = [wanted & charged for charged in plan.charged_sets]
+    for t, r in zip(plan.times.tolist(), plan.refs.tolist()):
+        for i in hits[r]:
+            charges[i].append(t)
 
     violations: list[FeasibilityViolation] = []
     for i in ids:

@@ -9,10 +9,11 @@ Given fixed maximum charging cycles, the algorithm:
    of classes, so the block needs at most ``K + 1`` distinct tour sets, one
    per coverage level, each solved with the q-rooted TSP 2-approximation
    (Algorithm 2).
-3. Repeats the block across the monitoring period: the scheduling at global
-   index ``j`` reuses the tour set of its level ``level_of(j)``, which is
-   periodic in ``j`` with period ``2^K``. No dispatch happens at time ``T``
-   itself (nothing after it needs the charge).
+3. Repeats the block across the monitoring period as a dispatch table
+   (:class:`~repro.core.schedule.SchedulePlan`): dispatch ``j`` refers to
+   the tour set of its level ``level_of(j)``, which is periodic in ``j``
+   with period ``2^K``. No dispatch happens at time ``T`` itself (nothing
+   after it needs the charge).
 
 The cost guarantee (paper's Theorem 2) is ``2(K+2) * OPT`` with
 ``K = floor(log2(tau_max / tau_min))``; in practice the ratio against the
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.quantize import Quantization, quantize_cycles
-from repro.core.schedule import ChargingScheduling, SchedulePlan
+from repro.core.schedule import SchedulePlan
 from repro.errors import ScheduleError
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
@@ -57,7 +58,8 @@ class MinTotalDistanceResult:
     Parameters
     ----------
     plan:
-        The full series of charging schedulings for the period.
+        The full series of charging schedulings for the period, as a
+        dispatch table over the distinct levels.
     quantization:
         The class structure the plan is built on (exposed for analysis and
         for the adaptive heuristic, which reuses it).
@@ -142,26 +144,42 @@ def min_total_distance(network: SensorNetwork, horizon: float,
         levels = build_levels(network, quant, refine=refine, cache=cache,
                               store=store, obs=obs)
 
-        schedulings: list[ChargingScheduling] = []
-        j = 1
-        while True:
-            t = start_time + j * quant.tau1
-            if t >= horizon:
-                break
-            tours = levels[quant.level_of(j)]
-            schedulings.append(ChargingScheduling(time=t, tours=tours))
-            j += 1
-        plan = SchedulePlan(schedulings=tuple(schedulings), horizon=horizon)
-        sp.set(K=quant.K, schedulings=len(schedulings))
+        plan = _unroll(levels, quant, start_time, horizon)
+        sp.set(K=quant.K, schedulings=len(plan))
 
     if o.enabled:
         o.incr("plan.calls")
         o.incr("plan.K", quant.K)
-        o.incr("plan.schedulings", len(schedulings))
+        o.incr("plan.schedulings", len(plan))
         for k in range(quant.K + 1):  # class coverage of the quantisation
             o.observe("plan.class_size", int(quant.members(k).size))
-        level_costs = [tours_total_cost(None, tours, coords=network.coordinates)
-                       for tours in levels]
-        for idx in range(len(schedulings)):  # per-scheduling tour-set length
-            o.observe("plan.tour_length", level_costs[quant.level_of(idx + 1)])
+        entry_costs = [tours_total_cost(None, tours, coords=network.coordinates)
+                       for tours in plan.tour_sets]
+        for r in plan.refs.tolist():  # per-scheduling tour-set length
+            o.observe("plan.tour_length", entry_costs[r])
     return MinTotalDistanceResult(plan=plan, quantization=quant, levels=levels)
+
+
+def _unroll(levels: tuple[tuple[Tour, ...], ...], quant: Quantization,
+            start_time: float, horizon: float) -> SchedulePlan:
+    """The block repeated from ``start_time`` as a dispatch table: dispatch
+    ``j >= 1`` runs at ``start_time + j * tau_1`` while that is before
+    ``horizon``, with the tours of level ``min(v_b(j), K)``. Levels equal by
+    value share an entry; level ``v`` is first used at ``j = b^v``, so the
+    table is in first-reference order."""
+    bound = int((horizon - start_time) // quant.tau1) + 2
+    times = start_time + np.arange(1, bound + 1) * quant.tau1
+    times = times[:int(np.count_nonzero(times < horizon))]
+    js = np.arange(1, times.size + 1)
+    level = np.zeros(times.size, dtype=np.intp)
+    step = quant.base
+    for _ in range(quant.K):  # b^k | j for k = 1 .. K; b^k past the last j divides none
+        if step > times.size:
+            break
+        level += js % step == 0
+        step *= quant.base
+    index_of: dict[tuple[Tour, ...], int] = {}
+    slot = [index_of.setdefault(tours, len(index_of))
+            for tours in levels[:int(level.max()) + 1 if level.size else 0]]
+    return SchedulePlan(horizon=horizon, tour_sets=tuple(index_of),
+                        times=times, refs=np.asarray(slot, dtype=np.intp)[level])

@@ -1,9 +1,9 @@
 """JSON round-trip for :class:`~repro.core.schedule.SchedulePlan`.
 
-Algorithm 3's plans repeat one block of tour sets over the whole period, so
-the natural encoding deduplicates: distinct tour *sets* are stored once in
-a table and schedulings reference them by index. Loading restores the
-sharing, so a reloaded plan costs as fast as a fresh one.
+The encoding is the plan's own dispatch table: the distinct tour *sets*
+are stored once in ``tour_sets`` and each entry of ``schedulings`` is a
+``(time, tours)`` pair whose ``tours`` indexes that table. Loading
+restores the sharing, so a reloaded plan costs as fast as a fresh one.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.core.schedule import ChargingScheduling, SchedulePlan
+from repro.core.schedule import SchedulePlan
 from repro.errors import ReproError
 from repro.io.files import load_json, save_json
 from repro.tsp.tour import Tour
@@ -20,34 +20,15 @@ __all__ = ["plan_to_dict", "plan_from_dict", "save_plan", "load_plan"]
 
 
 def plan_to_dict(plan: SchedulePlan) -> dict[str, Any]:
-    """Deduplicated plain-JSON representation of a plan.
-
-    Tour sets are matched by object identity first and by value once per
-    distinct object: planners share one tuple across all schedulings of a
-    level, so the table costs one tuple hash per distinct object instead of
-    one per scheduling. Equal but distinct tuples still share an entry.
-    """
-    table: list[tuple[Tour, ...]] = []
-    index_of: dict[tuple[Tour, ...], int] = {}
-    index_of_id: dict[int, int] = {}
-    refs: list[dict[str, Any]] = []
-    for s in plan.schedulings:
-        tours = s.tours
-        idx = index_of_id.get(id(tours))
-        if idx is None:
-            idx = index_of.get(tours)
-            if idx is None:
-                idx = index_of[tours] = len(table)
-                table.append(tours)
-            index_of_id[id(tours)] = idx
-        refs.append({"time": s.time, "tours": idx})
+    """Plain-JSON representation of a plan: its dispatch table as stored."""
     return {
         "horizon": plan.horizon,
         "tour_sets": [
             [{"depot": t.depot, "order": list(t.order)} for t in tours]
-            for tours in table
+            for tours in plan.tour_sets
         ],
-        "schedulings": refs,
+        "schedulings": [{"time": t, "tours": r}
+                        for t, r in zip(plan.times.tolist(), plan.refs.tolist())],
     }
 
 
@@ -57,8 +38,10 @@ def plan_from_dict(data: dict[str, Any]) -> SchedulePlan:
     Raises
     ------
     ReproError
-        On malformed input; the underlying schedule validators also run, so
-        a structurally valid but semantically broken file (duplicate depots,
+        On malformed input, including a ``tours`` ref that is not an
+        integer index into ``tour_sets`` (booleans and floats are
+        rejected, not truncated); the plan's own validators also run, so a
+        structurally valid but semantically broken file (duplicate depots,
         unsorted times) is rejected too.
     """
     try:
@@ -67,14 +50,17 @@ def plan_from_dict(data: dict[str, Any]) -> SchedulePlan:
                   for t in tours)
             for tours in data["tour_sets"]
         )
-        schedulings = tuple(
-            ChargingScheduling(time=float(ref["time"]), tours=table[int(ref["tours"])])
-            for ref in data["schedulings"]
-        )
+        times = [float(ref["time"]) for ref in data["schedulings"]]
+        refs = [ref["tours"] for ref in data["schedulings"]]
         horizon = float(data["horizon"])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"plan_from_dict: malformed plan data ({exc})") from exc
-    return SchedulePlan(schedulings=schedulings, horizon=horizon)
+    for r in refs:
+        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r < len(table):
+            raise ReproError(f"plan_from_dict: malformed plan data (tour-set ref "
+                             f"{r!r} is not an index into the {len(table)}-entry "
+                             f"tour_sets table)")
+    return SchedulePlan(horizon=horizon, tour_sets=table, times=times, refs=refs)
 
 
 def save_plan(plan: SchedulePlan, path: str | Path) -> Path:

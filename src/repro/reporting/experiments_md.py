@@ -147,10 +147,11 @@ def figure_markdown(spec: FigureSpec, result: SweepResult, broken: list[str]) ->
         out.append(f"*Measured:* mean {pair[0]}/{pair[1]} cost ratio "
                    f"**{float(np.mean(ratios)):.3f}** "
                    f"(min {ratios.min():.3f}, max {ratios.max():.3f}).")
+    # Stated, not judged: abl-failures measures deaths; the shape check
+    # below carries each panel's verdict.
     deaths = sum(int(result.deaths(a).sum()) for a in result.algorithms)
     out.append("*Perpetuity:* no sensor ever ran out of energy."
-               if deaths == 0 else
-               f"*Perpetuity:* **{deaths} deaths recorded** (violation!).")
+               if deaths == 0 else f"*Perpetuity:* {deaths} deaths recorded.")
     out.append(f"*Registered shape check:* **{_verdict(broken)}**.")
     note = DISCUSSION.get(spec.figure_id)
     if note:
@@ -188,7 +189,7 @@ def experiments_markdown(
         ratio = (f"{float(np.mean(result.ratio_series(*pair))):.3f} "
                  f"({pair[0]}/{pair[1]})" if pair else "—")
         deaths = sum(int(result.deaths(a).sum()) for a in result.algorithms)
-        alive = "yes" if deaths == 0 else f"NO ({deaths} deaths)"
+        alive = "yes" if deaths == 0 else f"no ({deaths} deaths)"
         summary_rows.append(
             f"| [{fid}](#{_anchor(_heading(spec))}) | {ratio} | {alive} "
             f"| {_verdict(broken)} |")

@@ -78,10 +78,6 @@ class MsfAssignment:
     owner: np.ndarray
     weight: float
 
-    def sensors_of(self, root: int) -> np.ndarray:
-        """Local indices of the sensors assigned to ``root``."""
-        return np.nonzero(self.owner == root)[0]
-
 
 def rooted_msf(sensor_dist: np.ndarray, root_costs: np.ndarray,
                *, obs: Instrumentation | None = None) -> MsfAssignment:

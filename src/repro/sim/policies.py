@@ -107,6 +107,7 @@ class PlannedPolicy:
     plan:
         The offline plan; its schedulings are dispatched at exactly their
         recorded times, regardless of anything the simulation observes.
+        (``mtd-var`` reuses this cursor and swaps in a new plan per re-plan.)
     """
 
     def __init__(self, plan: SchedulePlan) -> None:
@@ -121,13 +122,13 @@ class PlannedPolicy:
         self._cursor = 0
 
     def next_dispatch_time(self, now: float) -> float | None:
+        times = self._plan.times
         # Skip anything strictly in the past (robustness to re-entry).
-        while (self._cursor < len(self._plan)
-               and self._plan[self._cursor].time < now - 1e-12):
+        while self._cursor < times.shape[0] and times[self._cursor] < now - 1e-12:
             self._cursor += 1
-        if self._cursor >= len(self._plan):
+        if self._cursor >= times.shape[0]:
             return None
-        return self._plan[self._cursor].time
+        return float(times[self._cursor])
 
     def observe(self, view: SimulationView) -> None:  # offline: ignores it
         return None

@@ -102,9 +102,6 @@ class Event:
     source: Any = None
     cancelled: bool = field(default=False, compare=False)
 
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
 
 class EventQueue:
     """Binary-heap priority queue over ``(time, priority, seq)``.

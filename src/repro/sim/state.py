@@ -104,9 +104,6 @@ class EnergyState:
         """True when at least one sensor is currently offline."""
         return self._n_offline > 0
 
-    def is_online(self, sensor: int) -> bool:
-        return bool(self._online[sensor])
-
     def online_sensors(self) -> np.ndarray:
         """Indices of currently-online sensors, ascending."""
         return np.nonzero(self._online)[0]
@@ -218,13 +215,6 @@ class ChargerFleet:
     @property
     def all_available(self) -> bool:
         return self._n_down == 0
-
-    @property
-    def n_available(self) -> int:
-        return self.q - self._n_down
-
-    def is_available(self, charger: int) -> bool:
-        return bool(self._available[charger])
 
     def set_available(self, charger: int, available: bool) -> None:
         """Flip one charger's availability (breakdown or repair)."""

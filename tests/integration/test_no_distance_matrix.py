@@ -104,3 +104,19 @@ def test_small_cold_plan_never_imports_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_baseline_panel_builds_no_matrix(tmp_path, monkeypatch):
+    """The abl-baselines panel (mtd, greedy, naive and the periodic
+    baseline) plans and simulates from coordinates alone."""
+    from repro.cli import main
+
+    def run(name):
+        path = tmp_path / f"{name}.csv"
+        assert main(["run", "abl-baselines", "--reps", "1", "--quiet",
+                     "--csv", str(path)]) == 0
+        return path.read_bytes()
+
+    ref = run("ref")
+    monkeypatch.setattr(model, "distance_matrix", _no_matrix)
+    assert run("patched") == ref

@@ -11,7 +11,6 @@ from repro.baselines.greedy import GreedyOnDemandPolicy
 from repro.baselines.naive import NaiveChargeAllPolicy
 from repro.baselines.periodic import periodic_per_sensor_plan
 from repro.core.bounds import empirical_ratio, lemma3_lower_bound
-from repro.core.cost import cost_series, per_charger_cost, service_cost
 from repro.core.feasibility import check_feasibility
 from repro.core.mintotal import min_total_distance
 from repro.sim.engine import simulate
@@ -40,7 +39,7 @@ class TestFixedPipeline:
     def test_simulated_cost_equals_analytic(self, pipeline):
         net, res, mtd, _ = pipeline
         assert mtd.metrics.service_cost == pytest.approx(
-            service_cost(net.dist, res.plan))
+            res.plan.total_cost(net.dist))
 
     def test_mtd_beats_greedy_linear(self, pipeline):
         _, _, mtd, greedy = pipeline
@@ -60,13 +59,16 @@ class TestFixedPipeline:
 
     def test_per_charger_decomposition(self, pipeline):
         net, res, mtd, _ = pipeline
-        per = per_charger_cost(net.dist, res.plan)
+        per = np.zeros(net.q)
+        for sched in res.plan:  # tour l of every dispatch is charger l's
+            for l, tour in enumerate(sched.tours):
+                per[l] += tour.cost(net.dist)
         np.testing.assert_allclose(per, mtd.metrics.per_charger, rtol=1e-9)
         assert per.sum() == pytest.approx(mtd.metrics.service_cost)
 
     def test_cost_series_sums_to_total(self, pipeline):
         net, res, mtd, _ = pipeline
-        _, costs = cost_series(net.dist, res.plan)
+        costs = np.asarray([sched.cost(net.dist) for sched in res.plan])
         assert costs.sum() == pytest.approx(mtd.metrics.service_cost)
 
     def test_every_sensor_charged(self, pipeline):
@@ -95,7 +97,7 @@ class TestOtherBaselines:
                        100.0)
         assert out.metrics.perpetual
         assert out.metrics.service_cost == pytest.approx(
-            service_cost(net.dist, plan))
+            plan.total_cost(net.dist))
 
 
 class TestRandomDistributionPipeline:

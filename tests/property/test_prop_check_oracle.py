@@ -61,7 +61,7 @@ def plans(draw) -> SchedulePlan:
     for tick in sorted(ticks):
         charged = frozenset(draw(st.sets(st.integers(0, _NET.n - 1))))
         schedulings.append(_scheduling(tick * 0.25, charged))
-    return SchedulePlan(schedulings=tuple(schedulings), horizon=_HORIZON)
+    return SchedulePlan.from_schedulings(tuple(schedulings), horizon=_HORIZON)
 
 
 class TestOracleAgreement:
@@ -91,7 +91,7 @@ class TestOracleAgreement:
         assert oracle_dead == sim_dead
 
     def test_empty_plan_feasible_iff_horizon_within_min_cycle(self):
-        empty = SchedulePlan(schedulings=(), horizon=_HORIZON)
+        empty = SchedulePlan(horizon=_HORIZON)
         assert not check_feasibility(empty, _NET.cycles).feasible
-        short = SchedulePlan(schedulings=(), horizon=float(np.min(_CYCLES)))
+        short = SchedulePlan(horizon=float(np.min(_CYCLES)))
         assert check_feasibility(short, _NET.cycles).feasible

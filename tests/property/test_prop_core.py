@@ -104,11 +104,10 @@ class TestAlgorithm3Properties:
         """LB <= OPT <= cost of any feasible solution — so the certificate
         must sit below Algorithm 3's cost on every instance."""
         from repro.core.bounds import lemma3_lower_bound
-        from repro.core.cost import service_cost
 
         horizon = 100.0
         res = min_total_distance(net, horizon)
-        cost = service_cost(net.dist, res.plan)
+        cost = res.plan.total_cost(net.dist)
         lb = lemma3_lower_bound(net, horizon)
         assert lb.bound <= cost + 1e-6
 

@@ -83,7 +83,7 @@ class TestPlanRoundTrip:
         tours = (Tour(depot=10, order=(10, 0, 1)), Tour.empty(11))
         scheds = tuple(ChargingScheduling(time=float(j + 1), tours=tours)
                        for j in range(k))
-        plan = SchedulePlan(schedulings=scheds, horizon=float(k + 2))
+        plan = SchedulePlan.from_schedulings(scheds, horizon=float(k + 2))
         loaded = plan_from_dict(plan_to_dict(plan))
         assert len(loaded) == k
         if k >= 2:

@@ -42,7 +42,7 @@ def plans(draw) -> SchedulePlan:
         ChargingScheduling(time=float(j + 1), tours=pool[pick])
         for j, pick in enumerate(picks))
     horizon = float(n_sched + draw(st.integers(1, 50)))
-    return SchedulePlan(schedulings=schedulings, horizon=horizon)
+    return SchedulePlan.from_schedulings(schedulings, horizon=horizon)
 
 
 @settings(max_examples=200, deadline=None)
@@ -50,9 +50,9 @@ def plans(draw) -> SchedulePlan:
 def test_round_trip_identical(plan):
     """plan_from_dict(plan_to_dict(p)) is tour-for-tour identical."""
     restored = plan_from_dict(plan_to_dict(plan))
-    assert restored == plan  # dataclass equality: horizon + every scheduling
+    assert restored == plan  # horizon, tour-set table, times and refs
     assert restored.horizon == plan.horizon
-    for a, b in zip(plan.schedulings, restored.schedulings):
+    for a, b in zip(plan, restored):
         assert a.time == b.time
         assert a.tours == b.tours  # tour-for-tour, order and depots included
 
@@ -71,13 +71,13 @@ def test_block_metadata_dedupes_and_restores_sharing(plan):
     """The tour-set table stores each distinct set once; loading restores
     the sharing (Algorithm 3's repeated blocks stay cheap after reload)."""
     data = plan_to_dict(plan)
-    distinct = {s.tours for s in plan.schedulings}
+    distinct = {s.tours for s in plan}
     assert len(data["tour_sets"]) == len(distinct)
     assert len(data["schedulings"]) == len(plan)
 
     restored = plan_from_dict(data)
     seen: dict[int, tuple] = {}
-    for ref, sched in zip(data["schedulings"], restored.schedulings):
+    for ref, sched in zip(data["schedulings"], restored):
         idx = ref["tours"]
         if idx in seen:  # same table row -> the very same tuple object
             assert sched.tours is seen[idx]
@@ -89,7 +89,7 @@ def test_block_metadata_dedupes_and_restores_sharing(plan):
 def test_empty_tours_preserved(plan):
     """Stay-at-home tours (`order == (depot,)`) survive the round trip."""
     restored = plan_from_dict(plan_to_dict(plan))
-    for a, b in zip(plan.schedulings, restored.schedulings):
+    for a, b in zip(plan, restored):
         for ta, tb in zip(a.tours, b.tours):
             assert ta.is_empty == tb.is_empty
             assert ta.depot == tb.depot

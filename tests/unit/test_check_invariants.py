@@ -37,7 +37,7 @@ class TestCleanRuns:
         # and the checker must agree that it did so *correctly*.
         from repro.core.schedule import SchedulePlan
 
-        plan = SchedulePlan(schedulings=(), horizon=20.0)
+        plan = SchedulePlan(horizon=20.0)
         checker = InvariantChecker(tiny_network)
         out = simulate(tiny_network, PlannedPolicy(plan),
                        FixedWorkload.from_network(tiny_network), 20.0,

@@ -29,6 +29,16 @@ class TestParser:
 
 
 class TestMain:
+    def test_bare_report_renders_every_registered_panel(self, monkeypatch, tmp_path):
+        import repro.reporting.experiments_md as experiments_md
+        from repro.experiments.figures import FIGURES
+
+        seen = []
+        monkeypatch.setattr(experiments_md, "experiments_markdown",
+                            lambda ids, **kw: seen.extend(ids) or "# doc\n")
+        assert main(["report", "--out", str(tmp_path / "EXP.md"), "--quiet"]) == 0
+        assert seen == list(FIGURES) and "abl-failures" in seen
+
     def test_list_prints_catalogue(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -1,10 +1,10 @@
-"""Unit tests for :mod:`repro.core.cost` and :mod:`repro.core.bounds`."""
+"""Unit tests for plan costing (:meth:`SchedulePlan.total_cost`) and
+:mod:`repro.core.bounds`."""
 
 import numpy as np
 import pytest
 
 from repro.core.bounds import empirical_ratio, lemma3_lower_bound
-from repro.core.cost import cost_series, per_charger_cost, service_cost
 from repro.core.mintotal import min_total_distance
 from repro.errors import ScheduleError
 from repro.rooted.qtsp import tours_total_cost
@@ -12,35 +12,43 @@ from repro.rooted.qtsp import tours_total_cost
 
 class TestServiceCost:
     def test_matches_plan_total(self, tiny_network):
+        """``total_cost`` equals a left-to-right per-dispatch sum, bit for bit."""
         res = min_total_distance(tiny_network, horizon=16.0)
         d = tiny_network.dist
-        assert service_cost(d, res.plan) == pytest.approx(res.plan.total_cost(d))
+        expected = 0.0
+        for sched in res.plan:
+            expected += sched.cost(d)
+        assert res.plan.total_cost(d) == expected
 
     def test_per_charger_sums_to_total(self, tiny_network):
         res = min_total_distance(tiny_network, horizon=16.0)
         d = tiny_network.dist
-        per = per_charger_cost(d, res.plan)
-        assert per.shape == (tiny_network.q,)
-        assert per.sum() == pytest.approx(service_cost(d, res.plan))
+        per = np.zeros(tiny_network.q)
+        for sched in res.plan:  # tour l of every dispatch is charger l's
+            for l, tour in enumerate(sched.tours):
+                per[l] += tour.cost(d)
+        assert per.sum() == pytest.approx(res.plan.total_cost(d))
 
     def test_cost_series_periodicity(self, tiny_network):
+        """Algorithm 3's dispatches repeat one block: refs (and so the
+        per-dispatch costs) are periodic with the block size."""
         res = min_total_distance(tiny_network, horizon=32.0)
-        times, costs = cost_series(tiny_network.dist, res.plan)
         bs = res.quantization.block_size
-        np.testing.assert_allclose(costs[:bs], costs[bs:2 * bs])
-        assert times.shape == costs.shape
+        np.testing.assert_array_equal(res.plan.refs[:bs], res.plan.refs[bs:2 * bs])
+        costs = np.asarray([sched.cost(tiny_network.dist) for sched in res.plan])
+        np.testing.assert_array_equal(costs[:bs], costs[bs:2 * bs])
+        assert len(res.plan.tour_sets) <= res.quantization.K + 1
 
     def test_empty_plan(self, tiny_network):
         res = min_total_distance(tiny_network, horizon=1.0)
-        assert service_cost(tiny_network.dist, res.plan) == 0.0
-        assert per_charger_cost(tiny_network.dist, res.plan).size == 0
+        assert len(res.plan) == 0 and res.plan.tour_sets == ()
+        assert res.plan.total_cost(tiny_network.dist) == 0.0
 
     def test_coords_costing_equals_matrix_costing_exactly(self, paper_network_small):
         net = paper_network_small
         res = min_total_distance(net, horizon=200.0)
         d, c = net.dist, net.coordinates
         assert res.plan.total_cost(coords=c) == res.plan.total_cost(d)
-        assert service_cost(None, res.plan, coords=c) == service_cost(d, res.plan)
         for tours in res.levels:
             assert tours_total_cost(None, tours, coords=c) == tours_total_cost(d, tours)
 
@@ -56,14 +64,14 @@ class TestLemma3Bound:
     def test_bound_below_algorithm_cost(self, paper_network_small):
         horizon = 200.0
         res = min_total_distance(paper_network_small, horizon)
-        cost = service_cost(paper_network_small.dist, res.plan)
+        cost = res.plan.total_cost(paper_network_small.dist)
         lb = lemma3_lower_bound(paper_network_small, horizon)
         assert 0 < lb.bound <= cost
 
     def test_ratio_within_guarantee(self, paper_network_small):
         horizon = 200.0
         res = min_total_distance(paper_network_small, horizon)
-        cost = service_cost(paper_network_small.dist, res.plan)
+        cost = res.plan.total_cost(paper_network_small.dist)
         lb = lemma3_lower_bound(paper_network_small, horizon)
         ratio = empirical_ratio(cost, lb)
         assert ratio <= 2 * (res.quantization.K + 2) + 1e-9

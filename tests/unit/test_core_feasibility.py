@@ -20,7 +20,7 @@ def _plan(times_by_sensor: dict[int, list[float]], horizon: float,
     for t in sorted(by_time):
         tour = Tour(depot=depot, order=(depot, *sorted(by_time[t])))
         scheds.append(ChargingScheduling(time=t, tours=(tour,)))
-    return SchedulePlan(schedulings=tuple(scheds), horizon=horizon)
+    return SchedulePlan.from_schedulings(tuple(scheds), horizon=horizon)
 
 
 class TestFeasible:
@@ -35,7 +35,7 @@ class TestFeasible:
         assert check_feasibility(plan, np.array([3.0])).feasible
 
     def test_never_charged_but_tau_covers_horizon(self):
-        plan = SchedulePlan(schedulings=(), horizon=5.0)
+        plan = SchedulePlan(horizon=5.0)
         assert check_feasibility(plan, np.array([5.0])).feasible
 
     def test_multiple_sensors_independent(self):

@@ -34,11 +34,6 @@ class TestChargingScheduling:
     def test_q(self, sched):
         assert sched.q == 2
 
-    def test_at_time_shares_tours(self, sched):
-        later = sched.at_time(9.0)
-        assert later.time == 9.0
-        assert later.tours is sched.tours
-
     def test_rejects_negative_time(self):
         with pytest.raises(ScheduleError):
             ChargingScheduling(time=-1.0, tours=(Tour.empty(0),))
@@ -54,15 +49,15 @@ class TestChargingScheduling:
 
 class TestSchedulePlan:
     def _plan(self, sched):
-        return SchedulePlan(
-            schedulings=(sched.at_time(1.0), sched.at_time(2.0), sched.at_time(8.0)),
-            horizon=10.0)
+        return SchedulePlan(horizon=10.0, tour_sets=(sched.tours,),
+                            times=[1.0, 2.0, 8.0], refs=[0, 0, 0])
 
     def test_len_iter_getitem(self, sched):
         plan = self._plan(sched)
         assert len(plan) == 3
         assert [s.time for s in plan] == [1.0, 2.0, 8.0]
         assert plan[1].time == 2.0
+        assert all(s.tours is sched.tours for s in plan)
 
     def test_total_cost_caches_repeated_blocks(self, sched, dist):
         plan = self._plan(sched)
@@ -71,19 +66,35 @@ class TestSchedulePlan:
     def test_total_cost_costs_equal_distinct_tour_sets_once(self, sched, dist,
                                                           monkeypatch):
         """Tour sets are matched by identity, then by value: an equal but
-        distinct tuple reuses the first one's cost."""
+        distinct tuple shares the first one's table entry and cost."""
         twin = ChargingScheduling(time=8.0, tours=tuple(
             Tour(depot=t.depot, order=tuple(t.order)) for t in sched.tours))
         assert twin.tours == sched.tours and twin.tours is not sched.tours
-        plan = SchedulePlan(
-            schedulings=(sched.at_time(1.0), sched.at_time(2.0), twin),
-            horizon=10.0)
+        plan = SchedulePlan.from_schedulings(
+            [ChargingScheduling(1.0, sched.tours),
+             ChargingScheduling(2.0, sched.tours), twin], horizon=10.0)
+        assert plan.tour_sets == (sched.tours,)
+        assert plan.refs.tolist() == [0, 0, 0]
         costed = []
-        real = ChargingScheduling.cost
-        monkeypatch.setattr(ChargingScheduling, "cost",
-                            lambda s, *a, **k: costed.append(s) or real(s, *a, **k))
-        assert plan.total_cost(dist) == 3 * real(sched, dist)
-        assert len(costed) == 1
+        real = Tour.cost
+        monkeypatch.setattr(Tour, "cost",
+                            lambda t, *a, **k: costed.append(t) or real(t, *a, **k))
+        assert plan.total_cost(dist) == 3 * sched.cost(dist)
+        assert len(costed) == 2 * len(sched.tours)  # once above, once for sched
+
+    def test_total_cost_adds_left_to_right(self, dist):
+        """One entry cost per dispatch, summed in dispatch order: the same
+        bits as a per-dispatch loop, which ``cost x count`` would not give."""
+        sets = tuple((Tour(depot=4, order=(4, *stops)),)
+                     for stops in [(0,), (0, 1), (0, 1, 2), (3,)])
+        refs = [0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2]
+        plan = SchedulePlan(horizon=20.0, tour_sets=sets,
+                            times=[float(j + 1) for j in range(len(refs))],
+                            refs=refs)
+        expected = 0.0
+        for s in plan:
+            expected += s.cost(dist)
+        assert plan.total_cost(dist) == expected
 
     def test_charge_times_of(self, sched):
         plan = self._plan(sched)
@@ -93,37 +104,57 @@ class TestSchedulePlan:
     def test_sensors_covered(self, sched):
         assert self._plan(sched).sensors_covered() == {0, 1}
 
-    def test_between(self, sched):
-        plan = self._plan(sched)
-        assert [s.time for s in plan.between(1.5, 8.0)] == [2.0]
-
     def test_rejects_unsorted(self, sched):
         with pytest.raises(ScheduleError, match="increasing"):
-            SchedulePlan(schedulings=(sched.at_time(5.0), sched.at_time(1.0)),
-                         horizon=10.0)
+            SchedulePlan(horizon=10.0, tour_sets=(sched.tours,),
+                         times=[5.0, 1.0], refs=[0, 0])
 
     def test_rejects_duplicate_times(self, sched):
         with pytest.raises(ScheduleError, match="increasing"):
-            SchedulePlan(schedulings=(sched.at_time(5.0), sched.at_time(5.0)),
-                         horizon=10.0)
+            SchedulePlan.from_schedulings(
+                [ChargingScheduling(5.0, sched.tours)] * 2, horizon=10.0)
 
     def test_rejects_dispatch_at_horizon(self, sched):
         with pytest.raises(ScheduleError, match="horizon"):
-            SchedulePlan(schedulings=(sched.at_time(10.0),), horizon=10.0)
+            SchedulePlan(horizon=10.0, tour_sets=(sched.tours,),
+                         times=[10.0], refs=[0])
+
+    @pytest.mark.parametrize("times", [[-1.0], [float("nan")], [float("inf")]])
+    def test_rejects_bad_times(self, sched, times):
+        with pytest.raises(ScheduleError, match="finite and >= 0"):
+            SchedulePlan(horizon=10.0, tour_sets=(sched.tours,), times=times,
+                         refs=[0])
+
+    @pytest.mark.parametrize("refs", [[1], [-1], [0.0], [True]])
+    def test_rejects_bad_refs(self, sched, refs):
+        with pytest.raises(ScheduleError, match="ref"):
+            SchedulePlan(horizon=10.0, tour_sets=(sched.tours,), times=[1.0],
+                         refs=refs)
+
+    def test_rejects_bad_tour_sets(self):
+        with pytest.raises(ScheduleError, match="one depot"):
+            SchedulePlan(horizon=10.0, tour_sets=((Tour.empty(3), Tour.empty(3)),))
+        with pytest.raises(ScheduleError, match="at least one tour"):
+            SchedulePlan(horizon=10.0, tour_sets=((),))
 
     def test_from_schedulings_sorts(self, sched):
         plan = SchedulePlan.from_schedulings(
-            [sched.at_time(5.0), sched.at_time(1.0)], horizon=10.0)
+            [ChargingScheduling(5.0, sched.tours),
+             ChargingScheduling(1.0, sched.tours)], horizon=10.0)
         assert [s.time for s in plan] == [1.0, 5.0]
 
-    def test_merged_with(self, sched):
+    def test_equality_compares_all_fields_by_value(self, sched):
         plan = self._plan(sched)
-        merged = plan.merged_with([sched.at_time(0.5)])
-        assert [s.time for s in merged] == [0.5, 1.0, 2.0, 8.0]
+        assert plan == self._plan(sched)
+        assert plan != SchedulePlan(horizon=10.0, tour_sets=(sched.tours,),
+                                    times=[1.0, 2.0, 9.0], refs=[0, 0, 0])
+        assert plan != SchedulePlan(horizon=11.0, tour_sets=(sched.tours,),
+                                    times=[1.0, 2.0, 8.0], refs=[0, 0, 0])
 
     def test_empty_plan_is_valid(self):
-        plan = SchedulePlan(schedulings=(), horizon=10.0)
+        plan = SchedulePlan(horizon=10.0)
         assert len(plan) == 0 and plan.sensors_covered() == frozenset()
+        assert plan.total_cost(coords=np.zeros((1, 2))) == 0.0
 
 
 class TestValidateFor:
@@ -136,18 +167,16 @@ class TestValidateFor:
     def test_wrong_depot_rejected(self, tiny_network):
         # Depot index 0 is a *sensor* in the tiny network (depots are 6, 7).
         tour = Tour(depot=0, order=(0, 1))
-        plan = SchedulePlan(
-            schedulings=(ChargingScheduling(time=1.0, tours=(tour,)),),
-            horizon=10.0)
+        plan = SchedulePlan(horizon=10.0, tour_sets=((tour,),), times=[1.0],
+                            refs=[0])
         with pytest.raises(ScheduleError, match="not a depot"):
             plan.validate_for(tiny_network)
 
     def test_out_of_range_node_rejected(self, tiny_network):
         depot = tiny_network.depot_index(0)
         tour = Tour(depot=depot, order=(depot, 99))
-        plan = SchedulePlan(
-            schedulings=(ChargingScheduling(time=1.0, tours=(tour,)),),
-            horizon=10.0)
+        plan = SchedulePlan(horizon=10.0, tour_sets=((tour,),), times=[1.0],
+                            refs=[0])
         with pytest.raises(ScheduleError, match="out of range"):
             plan.validate_for(tiny_network)
 
@@ -159,14 +188,13 @@ class TestValidateFor:
         good = (Tour(depot=n, order=(n, 0, 1)), Tour.empty(n + 1))
         bad = (Tour(depot=n, order=(n, 2, n + 1)),)
         tours = [good, good, good, good, bad, good, bad]
-        plan = SchedulePlan(
-            schedulings=tuple(ChargingScheduling(time=float(t), tours=ts)
-                              for t, ts in enumerate(tours)),
-            horizon=10.0)
+        plan = SchedulePlan.from_schedulings(
+            [ChargingScheduling(time=float(t), tours=ts)
+             for t, ts in enumerate(tours)], horizon=10.0)
         with pytest.raises(ScheduleError,
                            match=rf"at t=4\.0 charges non-sensor nodes \[{n + 1}\]"):
             plan.validate_for(tiny_network)
-        SchedulePlan(schedulings=plan.schedulings[:4], horizon=10.0).validate_for(
+        SchedulePlan.from_schedulings(list(plan)[:4], horizon=10.0).validate_for(
             tiny_network)  # the good set alone is fine
 
     def test_cli_simulate_rejects_mismatched_files(self, tmp_path):

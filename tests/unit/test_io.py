@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import service_cost
 from repro.core.mintotal import min_total_distance
 from repro.errors import ReproError
 from repro.io.files import load_json, save_json
@@ -84,8 +83,8 @@ class TestPlanRoundTrip:
         loaded = load_plan(p)
         assert len(loaded) == len(res.plan)
         np.testing.assert_array_equal(loaded.times, res.plan.times)
-        assert service_cost(tiny_network.dist, loaded) == pytest.approx(
-            service_cost(tiny_network.dist, res.plan))
+        assert loaded.total_cost(tiny_network.dist) == res.plan.total_cost(
+            tiny_network.dist)
 
     def test_sharing_restored(self, tiny_network, tmp_path):
         res = min_total_distance(tiny_network, horizon=32.0)
@@ -107,10 +106,10 @@ class TestPlanRoundTrip:
         from repro.tsp.tour import Tour
 
         plan = min_total_distance(tiny_network, horizon=64.0).plan
-        copied = SchedulePlan(schedulings=tuple(
+        copied = SchedulePlan.from_schedulings([
             ChargingScheduling(time=s.time, tours=tuple(
                 Tour(depot=t.depot, order=tuple(t.order)) for t in s.tours))
-            for s in plan), horizon=plan.horizon)
+            for s in plan], horizon=plan.horizon)
         assert copied[0].tours == plan[0].tours
         assert copied[0].tours is not plan[0].tours
         assert plan_to_dict(copied) == plan_to_dict(plan)
@@ -139,3 +138,15 @@ class TestPlanRoundTrip:
         with pytest.raises(ReproError, match="malformed"):
             plan_from_dict({"horizon": 10.0, "tour_sets": [], "schedulings": [
                 {"time": 1.0, "tours": 5}]})
+
+    @pytest.mark.parametrize("ref", [-1, True, 1.9, "0", None])
+    def test_bad_ref_rejected(self, ref):
+        """A ref must be a non-bool integer index into the table: ``-1``
+        would wrap to the last entry and ``True``/``1.9`` truncate to 1."""
+        tours = [[{"depot": 3, "order": [3]}], [{"depot": 3, "order": [3, 0]}]]
+        data = {"horizon": 10.0, "tour_sets": tours, "schedulings": [
+            {"time": 1.0, "tours": 0}, {"time": 2.0, "tours": ref}]}
+        with pytest.raises(ReproError, match="tour-set ref"):
+            plan_from_dict(data)
+        data["schedulings"][1]["tours"] = 1
+        assert [s.tours[0].order for s in plan_from_dict(data)] == [(3,), (3, 0)]

@@ -80,7 +80,7 @@ class TestKernelObservability:
     def test_refine_plan_records_kernel_spans_and_counters(self, paper_network_small):
         obs = Instrumentation()
         result = min_total_distance(paper_network_small, 200.0, refine=True, obs=obs)
-        tours = result.plan.schedulings[0].tours
+        tours = result.plan[0].tours
         refine_tours(paper_network_small.dist, tours, method="2opt+oropt", obs=obs)
         counters = obs.snapshot().counters
         for kernel in ("prim", "two_opt", "or_opt"):

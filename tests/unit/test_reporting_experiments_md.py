@@ -4,6 +4,7 @@ import dataclasses
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -42,6 +43,16 @@ class TestFigureMarkdown:
                                                 "mean mtd/greedy > 0.75 (got 0.71)"])
         assert ("*Registered shape check:* **FAIL: deaths == 0 (got 3); "
                 "mean mtd/greedy > 0.75 (got 0.71)**." in md)
+
+    def test_deaths_are_stated_and_the_check_judges(self, tiny_sweep, monkeypatch):
+        """A panel whose deaths are the measured outcome (abl-failures) is
+        not called a violation; the registered check carries the verdict."""
+        monkeypatch.setattr(type(tiny_sweep), "deaths",
+                            lambda self, alg: np.array([0, 2]))
+        md = figure_markdown(get_figure("abl-failures"), tiny_sweep, [])
+        assert "*Perpetuity:* 4 deaths recorded." in md
+        assert "violation" not in md
+        assert "*Registered shape check:* **PASS**." in md
 
     def test_paper_panels_constant(self):
         assert PAPER_PANELS == ("fig1a", "fig1b", "fig2a", "fig2b",
@@ -100,6 +111,19 @@ class TestExperimentsMarkdown:
                      "--quiet"]) == 0
         assert out.exists()
         assert "### fig1a" in out.read_text()
+
+    def test_summary_states_deaths_neutrally(self, monkeypatch, tiny_sweep):
+        from repro.experiments import figures as figs
+
+        monkeypatch.setattr(
+            figs.FigureSpec, "run",
+            lambda self, *, n_topologies=None, full=False, progress=None,
+            obs=None, jobs=1: tiny_sweep)
+        monkeypatch.setattr(type(tiny_sweep), "deaths",
+                            lambda self, alg: np.array([1, 0]))
+        md = experiments_markdown(["fig1a"])
+        assert re.search(r"^\| \[fig1a\].* \| no \(2 deaths\) \|", md, flags=re.M)
+        assert "NO (" not in md
 
     def test_cli_report_validates_figures_before_running(self, tmp_path, capsys):
         from repro.cli import main

@@ -157,7 +157,7 @@ class TestNonSensorValidation:
         n = net.n
         assert net.q == 2
         sim = Simulator(net)
-        idle = PlannedPolicy(SchedulePlan(schedulings=(), horizon=10.0))
+        idle = PlannedPolicy(SchedulePlan(horizon=10.0))
         rt = SimRuntime(sim, idle, FixedWorkload.from_network(net), 10.0,
                         Metrics.create(net.q))
         rt.state.drain(net.rates, 0.5, 0.0)
