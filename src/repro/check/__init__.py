@@ -23,8 +23,6 @@ equivalence, plus the paper's own invariants, on randomized instances:
   frozen pre-event-queue simulation loop and the differential that proves
   the event engine replays it bit for bit (``repro check sim``), plus the
   failure-storm determinism check.
-* :mod:`repro.check.oracles` — loop-form reference kernels that the
-  ``kernels`` differential compares the production improvers against.
 
 Everything reports through ``check.*`` counters on an optional
 :class:`~repro.obs.Instrumentation` context.

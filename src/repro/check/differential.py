@@ -37,12 +37,11 @@ each other on one :class:`~repro.check.scenario.Scenario`:
     (:mod:`repro.check.legacy_engine`) — the refactor's bit-compatibility
     proof, also run standalone by ``repro check sim``.
 ``kernels``
-    The production improvers (:mod:`repro.tsp.improve`) must be
-    move-for-move identical to their oracles: the refined plan must equal
-    the full-scan 2-opt (:func:`~repro.tsp.improve.two_opt_scan`) applied
-    to each tour of the unrefined plan, 2-opt and Or-opt
-    (:func:`~repro.check.oracles.or_opt_reference`) must agree on the
-    all-sensor tour, and 2-opt must agree on two seeded tours of 64-96
+    The production 2-opt (:func:`~repro.tsp.improve.two_opt`) must be
+    move-for-move identical to its oracle, the full-scan
+    :func:`~repro.tsp.improve.two_opt_scan`: the refined plan must equal
+    the oracle applied to each tour of the unrefined plan, and the two
+    must agree on the all-sensor tour, on two seeded tours of 64-96
     stops (past its 16-nearest neighbour lists) and on one of at least
     384 stops (its blocked scan).
 ``msf``
@@ -81,7 +80,6 @@ import numpy as np
 
 from repro.adaptive.patch import build_patch
 from repro.check.invariants import InvariantChecker
-from repro.check.oracles import or_opt_reference
 from repro.check.scenario import Scenario
 from repro.core.bounds import lemma3_lower_bound
 from repro.core.feasibility import check_feasibility
@@ -104,7 +102,7 @@ from repro.rooted.qtsp import q_rooted_tsp, tours_total_cost
 from repro.sim.engine import SimulationResult, simulate
 from repro.sim.policies import PlannedPolicy
 from repro.sim.workload import FixedWorkload
-from repro.tsp.improve import or_opt, two_opt, two_opt_scan
+from repro.tsp.improve import two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 __all__ = ["CheckFailure", "ScenarioChecker", "ALL_CHECKS", "plans_equal"]
@@ -276,14 +274,12 @@ class ScenarioChecker:
             CheckFailure("oracle", f"invariant violation: {v}")
             for v in checker.violations)
 
-        if not _close(run.metrics.service_cost,
-                      result.plan.total_cost(net.dist),
-                      rel=1e-9):
+        plan_cost = result.plan.total_cost(distance_matrix(net.coordinates))
+        if not _close(run.metrics.service_cost, plan_cost, rel=1e-9):
             failures.append(CheckFailure(
                 "oracle", f"simulated service cost "
                           f"{run.metrics.service_cost!r} differs from the "
-                          f"plan's own total "
-                          f"{result.plan.total_cost(net.dist)!r}"))
+                          f"plan's own total {plan_cost!r}"))
         return failures
 
     def _check_engine(self, scenario: Scenario) -> list[CheckFailure]:
@@ -399,13 +395,14 @@ class ScenarioChecker:
         net = scenario.build_network()
         quant = self._plan(scenario).quantization
         depots = [int(i) for i in net.depot_indices]
+        dist = distance_matrix(net.coordinates)
         for coverage in distinct_coverage(quant):
             if not coverage or len(coverage) > _EXACT_SENSOR_CAP:
                 continue
             approx = plan_tours(net, coverage, refine=scenario.refine)
-            optimal = exact_q_rooted_tsp(net.dist, sorted(coverage), depots)
-            c_approx = tours_total_cost(net.dist, approx)
-            c_exact = tours_total_cost(net.dist, optimal)
+            optimal = exact_q_rooted_tsp(dist, sorted(coverage), depots)
+            c_approx = tours_total_cost(dist, approx)
+            c_exact = tours_total_cost(dist, optimal)
             slack = _REL_TOL * max(1.0, c_exact)
             if c_approx < c_exact - slack:
                 failures.append(CheckFailure(
@@ -426,7 +423,7 @@ class ScenarioChecker:
         failures: list[CheckFailure] = []
         net = scenario.build_network()
         result = self._plan(scenario)
-        plan_cost = result.plan.total_cost(net.dist)
+        plan_cost = result.plan.total_cost(distance_matrix(net.coordinates))
         lb = lemma3_lower_bound(net, scenario.horizon)
         quant = lb.quantization
         slack = _REL_TOL * max(1.0, plan_cost, lb.bound)
@@ -455,7 +452,7 @@ class ScenarioChecker:
     def _check_kernels(self, scenario: Scenario) -> list[CheckFailure]:
         failures: list[CheckFailure] = []
         net = scenario.build_network()
-        dist = net.dist
+        dist = distance_matrix(net.coordinates)
 
         # Whole pipeline: the refine pass is exactly the 2-opt oracle
         # applied to every tour of the unrefined plan.
@@ -476,10 +473,6 @@ class ScenarioChecker:
         if two_opt(dist, tour) != two_opt_scan(dist, tour):
             failures.append(CheckFailure(
                 "kernels", "two_opt differs from the full-scan oracle on the "
-                           "scenario's all-sensor tour"))
-        if or_opt(dist, tour) != or_opt_reference(dist, tour):
-            failures.append(CheckFailure(
-                "kernels", "or_opt differs from the loop-form oracle on the "
                            "scenario's all-sensor tour"))
 
         # Scenario tours are short enough for 2-opt's complete neighbour
@@ -519,10 +512,11 @@ class ScenarioChecker:
             for deployment in ("uniform", "clustered", "grid")]
         for label, net, base in networks:
             depots = [int(i) for i in net.depot_indices]
+            dist = distance_matrix(net.coordinates)
             for coverage in distinct_coverage(quantize_cycles(net.cycles, base=base)):
                 sensors = sorted(coverage)
                 if (q_rooted_msf(None, sensors, depots, coords=net.coordinates)
-                        != q_rooted_msf(net.dist, sensors, depots)):
+                        != q_rooted_msf(dist, sensors, depots)):
                     failures.append(CheckFailure(
                         "msf", f"{label} topology: the forest from coordinates "
                                f"over {len(sensors)} sensors differs from the "
@@ -563,7 +557,7 @@ class ScenarioChecker:
         doc = network_to_dict(net)
         local = self._plan(scenario)
         local_doc = plan_to_dict(local.plan)
-        local_cost = local.plan.total_cost(net.dist)
+        local_cost = local.plan.total_cost(distance_matrix(net.coordinates))
 
         remote = client.plan(doc, scenario.horizon, refine=scenario.refine,
                              base=scenario.base)

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.schedule import ChargingScheduling
 from repro.errors import SensorDeathError, SimulationError
+from repro.geometry.distance import distance_matrix
 from repro.network.model import SensorNetwork
 from repro.sim.engine import SimulationResult
 from repro.sim.events import ChargeEvent, DeathEvent, DispatchEvent
@@ -43,13 +44,12 @@ def _view(net: SensorNetwork, t: float, state: EnergyState,
                           observed_rates=rates.copy())
 
 
-def _execute(net: SensorNetwork, sched: ChargingScheduling, t: float,
-             state: EnergyState, metrics: Metrics) -> None:
-    d = net.dist
+def _execute(net: SensorNetwork, dist: np.ndarray, sched: ChargingScheduling,
+             t: float, state: EnergyState, metrics: Metrics) -> None:
     total = 0.0
     active = 0
     for l, tour in enumerate(sched.tours):
-        c = tour.cost(d)
+        c = tour.cost(dist)
         total += c
         if not tour.is_empty:
             active += 1
@@ -75,6 +75,7 @@ def simulate_legacy(network: SensorNetwork, policy: ChargingPolicy,
     if horizon <= 0 or not math.isfinite(horizon):
         raise SimulationError(f"horizon must be positive and finite, got {horizon}")
     net = network
+    dist = distance_matrix(net.coordinates)
     state = EnergyState(net.batteries)
     metrics = Metrics(q=net.q)
     policy.reset(net, horizon)
@@ -131,7 +132,7 @@ def simulate_legacy(network: SensorNetwork, policy: ChargingPolicy,
         if abs(t - t_policy) <= tol:
             sched = policy.dispatch(_view(net, t, state, rates))
             if sched is not None:
-                _execute(net, sched, t, state, metrics)
+                _execute(net, dist, sched, t, state, metrics)
 
     return SimulationResult(metrics=metrics, final_energy=state.energy.copy(),
                             horizon=horizon)

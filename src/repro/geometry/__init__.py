@@ -14,24 +14,15 @@ on:
 """
 
 from repro.geometry.bbox import Rect
-from repro.geometry.distance import (
-    check_metric,
-    distance_matrix,
-    euclidean,
-    pairwise_from_points,
-    path_length,
-)
+from repro.geometry.distance import distance_matrix, path_length
 from repro.geometry.point import Point, points_to_array
 from repro.geometry.rng import make_rng, spawn
 
 __all__ = [
     "Point",
     "Rect",
-    "check_metric",
     "distance_matrix",
-    "euclidean",
     "make_rng",
-    "pairwise_from_points",
     "path_length",
     "points_to_array",
     "spawn",

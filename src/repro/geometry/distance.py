@@ -1,7 +1,7 @@
-"""Dense Euclidean distance matrices, tour lengths and metric sanity checks.
+"""Dense Euclidean distance matrices and tour lengths.
 
 The paper works on complete metric graphs, and its all-pairs solvers (Prim,
-2-opt, Or-opt, the exact oracles) index a dense ``(n, n)`` float64 matrix.
+2-opt, the exact oracles) index a dense ``(n, n)`` float64 matrix.
 Measuring a tour or a forest needs only its own edges, though:
 :func:`edge_lengths` and :func:`closed_tour_length` read them straight from
 the coordinates with the same per-pair arithmetic as :func:`distance_matrix`,
@@ -12,28 +12,18 @@ All routines here are vectorised; no Python-level loops over node pairs.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.point import Point, points_to_array
 
 __all__ = [
-    "euclidean",
     "distance_matrix",
-    "pairwise_from_points",
     "path_length",
     "edge_lengths",
     "closed_tour_length",
-    "check_metric",
 ]
-
-
-def euclidean(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def distance_matrix(coords: np.ndarray) -> np.ndarray:
@@ -70,11 +60,6 @@ def distance_matrix(coords: np.ndarray) -> np.ndarray:
     np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def pairwise_from_points(points: Iterable[Point] | Sequence[Point]) -> np.ndarray:
-    """:func:`distance_matrix` over a collection of :class:`Point`."""
-    return distance_matrix(points_to_array(points))
 
 
 def path_length(dist: np.ndarray, order: Sequence[int], *, closed: bool = False) -> float:
@@ -133,30 +118,3 @@ def closed_tour_length(coords: np.ndarray, order: Sequence[int]) -> float:
     edges = np.sqrt(sq[:, 0] + sq[:, 1])
     return float(edges[:-1].sum()) + float(edges[-1])
 
-
-def check_metric(dist: np.ndarray, *, rtol: float = 1e-9, atol: float = 1e-9) -> None:
-    """Validate that ``dist`` is a metric: symmetric, non-negative, zero
-    diagonal, and triangle inequality (checked exhaustively, O(n^3) — test
-    and debug use only, never on the hot path).
-
-    Raises
-    ------
-    GeometryError
-        On the first violated axiom, with a message naming it.
-    """
-    d = np.asarray(dist, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise GeometryError(f"check_metric: matrix must be square, got shape {d.shape}")
-    if not np.allclose(d, d.T, rtol=rtol, atol=atol):
-        raise GeometryError("check_metric: matrix is not symmetric")
-    if np.any(d < -atol):
-        raise GeometryError("check_metric: negative distances present")
-    if not np.allclose(np.diag(d), 0.0, atol=atol):
-        raise GeometryError("check_metric: diagonal is not zero")
-    n = d.shape[0]
-    # d[i, k] <= d[i, j] + d[j, k] for all i, j, k — vectorised per-j slab.
-    slack = atol + rtol * np.abs(d)
-    for j in range(n):
-        via_j = d[:, j][:, np.newaxis] + d[j, :][np.newaxis, :]
-        if np.any(d > via_j + slack):
-            raise GeometryError(f"check_metric: triangle inequality violated via node {j}")

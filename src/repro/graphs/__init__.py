@@ -1,24 +1,19 @@
-"""Graph kernels: MSTs, rooted forests, Eulerian circuits, traversals.
+"""Graph kernels: MSTs, rooted forests, traversals.
 
 These are the combinatorial primitives under the paper's Algorithms 1 and 2:
 
 * :func:`~repro.graphs.mst.prim_mst` — dense-matrix Prim in ``O(n^2)``
   (exactly the complexity the paper's analysis charges for the MST step).
 * :func:`~repro.graphs.mst.kruskal_mst` — sparse Kruskal over an explicit
-  edge list, used by the adaptive patch phase whose auxiliary graphs are
-  not complete.
+  edge list, the independent oracle the tests check Prim against.
 * :class:`~repro.graphs.unionfind.UnionFind` — path-halving + union by size.
 * :class:`~repro.graphs.forest.RootedForest` — the output type of the
   q-rooted MSF algorithm: disjoint trees, each anchored at a depot.
-* :func:`~repro.graphs.euler.eulerian_circuit` — Hierholzer on an even-degree
-  multigraph (the doubled-tree step of Algorithm 2, and the tour-merging
-  argument of Lemma 3).
 * :func:`~repro.graphs.traversal.preorder` — DFS preorder of a tree, which is
   the "double + Euler + shortcut" composite in one pass.
 """
 
-from repro.graphs.euler import eulerian_circuit
-from repro.graphs.forest import RootedForest, forest_from_parent
+from repro.graphs.forest import RootedForest
 from repro.graphs.mst import kruskal_mst, mst_weight, prim_mst
 from repro.graphs.traversal import adjacency_from_edges, preorder
 from repro.graphs.unionfind import UnionFind
@@ -27,8 +22,6 @@ __all__ = [
     "RootedForest",
     "UnionFind",
     "adjacency_from_edges",
-    "eulerian_circuit",
-    "forest_from_parent",
     "kruskal_mst",
     "mst_weight",
     "preorder",

@@ -9,7 +9,7 @@ tree to the tour-construction step of Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.errors import GraphError
 from repro.geometry.distance import edge_lengths
 from repro.graphs.traversal import adjacency_from_edges, preorder
 
-__all__ = ["RootedForest", "forest_from_parent"]
+__all__ = ["RootedForest"]
 
 Edge = tuple[int, int]
 
@@ -118,46 +118,3 @@ class RootedForest:
         if missing:
             raise GraphError(f"RootedForest: nodes not spanned: {sorted(missing)}")
 
-
-def forest_from_parent(roots: Sequence[int],
-                       parent: Mapping[int, int]) -> RootedForest:
-    """Build a :class:`RootedForest` from a parent map.
-
-    Parameters
-    ----------
-    roots:
-        Root ids (keys absent from ``parent``).
-    parent:
-        ``parent[v] = u`` meaning edge ``(u, v)``; following parents from any
-        node must terminate at one of ``roots``.
-    """
-    root_set = set(roots)
-    # Resolve which root each node hangs under, memoised.
-    owner: dict[int, int] = {r: r for r in roots}
-
-    def resolve(v: int) -> int:
-        trail: list[int] = []
-        on_trail: set[int] = set()
-        while v not in owner:
-            if v in on_trail:
-                raise GraphError(
-                    f"forest_from_parent: cycle through node {v} reaches no root")
-            trail.append(v)
-            on_trail.add(v)
-            if v not in parent:
-                raise GraphError(f"forest_from_parent: node {v} reaches no root")
-            v = parent[v]
-        r = owner[v]
-        for t in trail:
-            owner[t] = r
-        return r
-
-    buckets: dict[int, list[Edge]] = {r: [] for r in roots}
-    for v, u in parent.items():
-        if v in root_set:
-            raise GraphError(f"forest_from_parent: root {v} listed with a parent")
-        buckets[resolve(v)].append((u, v))
-    return RootedForest(
-        roots=tuple(roots),
-        trees=tuple(tuple(buckets[r]) for r in roots),
-    )

@@ -25,7 +25,6 @@ from repro.network.cycles import (
 )
 from repro.network.deployment import deploy_sensors, place_depots
 from repro.network.depot import BaseStation, Depot
-from repro.network.energy import EnergyProfile, cycles_from_rates, rates_from_cycles
 from repro.network.model import SensorNetwork
 from repro.network.sensor import Sensor
 
@@ -33,7 +32,6 @@ __all__ = [
     "BaseStation",
     "CycleDistribution",
     "Depot",
-    "EnergyProfile",
     "ExplicitCycles",
     "LinearCycleDistribution",
     "NetworkBuilder",
@@ -41,8 +39,6 @@ __all__ = [
     "Sensor",
     "SensorNetwork",
     "build_paper_network",
-    "cycles_from_rates",
     "deploy_sensors",
     "place_depots",
-    "rates_from_cycles",
 ]

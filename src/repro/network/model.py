@@ -242,12 +242,11 @@ class SensorNetwork:
 
         Built on first access, ``O((n+q)^2)`` time and memory, then cached.
         The remaining users are the adaptive patch step
-        (:mod:`repro.adaptive.patch`), the baselines
-        (:mod:`repro.baselines`), the Lemma-3 bound (:mod:`repro.core.bounds`),
-        the timescale analysis behind ``repro simulate --speed``
-        (:mod:`repro.analysis.timescale`) and the ``repro check`` oracles.
-        Planning and measuring pass :attr:`coordinates` as ``coords=``
-        instead, which gives bit-identical forests, tours and lengths.
+        (:mod:`repro.adaptive.patch`) and the Lemma-3 bound
+        (:mod:`repro.core.bounds`); the ``repro check`` oracles build their
+        own matrix. Planning and measuring pass :attr:`coordinates` as
+        ``coords=`` instead, which gives bit-identical forests, tours and
+        lengths.
         """
         d = distance_matrix(self.coordinates)
         d.setflags(write=False)

@@ -3,8 +3,7 @@
 A sensor in the paper is characterised by its location, its battery capacity
 ``B_i`` and its maximum charging cycle ``tau_i = B_i / rho_i`` (``rho_i``
 being its energy-consumption rate). The experiments parameterise sensors by
-``tau_i`` directly, so :class:`Sensor` stores the cycle and derives the rate;
-:mod:`repro.network.energy` converts in both directions.
+``tau_i`` directly, so :class:`Sensor` stores the cycle and derives the rate.
 """
 
 from __future__ import annotations

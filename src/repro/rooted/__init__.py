@@ -9,7 +9,7 @@
 * :func:`~repro.rooted.qtsp.q_rooted_tsp` — the 2-approximation for the
   q-rooted TSP (Algorithm 2): per-tree double/Euler/shortcut, realised as a
   DFS preorder walk.
-* :func:`~repro.rooted.refine.refine_tours` — optional 2-opt/Or-opt
+* :func:`~repro.rooted.refine.refine_tours` — optional 2-opt
   post-pass (never worsens a tour, so the 2x guarantee is preserved).
 """
 

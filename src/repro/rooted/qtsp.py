@@ -47,7 +47,7 @@ def q_rooted_tsp(dist: np.ndarray | None, sensors: Sequence[int],
         ``depots[l]``. Depots with nothing assigned yield empty tours of
         cost zero (the charger stays home), exactly as the paper allows.
     refine:
-        Apply the 2-opt/Or-opt post-pass. Off by default — the paper's
+        Apply the 2-opt post-pass. Off by default — the paper's
         algorithm does not include it; the ``abl-refine`` bench measures
         what it buys.
     obs:

@@ -1,7 +1,7 @@
 """Optional post-optimisation of q-rooted tours.
 
-The improvers only ever accept strictly better orders, so refined solutions
-keep every guarantee of the construction they start from. This is the
+2-opt only ever accepts strictly better orders, so refined solutions keep
+every guarantee of the construction they start from. This is the
 ``abl-refine`` ablation's subject, not part of the paper's algorithm.
 """
 
@@ -11,19 +11,18 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.geometry.distance import distance_matrix
 from repro.obs.instrument import Instrumentation
-from repro.tsp.improve import or_opt, two_opt
+from repro.tsp.improve import two_opt
 from repro.tsp.tour import Tour
 
 __all__ = ["refine_tours"]
 
 
 def refine_tours(dist: np.ndarray | None, tours: Sequence[Tour],
-                 *, method: str = "2opt", coords: np.ndarray | None = None,
+                 *, coords: np.ndarray | None = None,
                  obs: Instrumentation | None = None) -> list[Tour]:
-    """Improve each tour independently with local search.
+    """Improve each tour independently with 2-opt.
 
     Parameters
     ----------
@@ -33,14 +32,12 @@ def refine_tours(dist: np.ndarray | None, tours: Sequence[Tour],
     tours:
         Tours to improve (depot assignments are never changed — the q-rooted
         structure, i.e. which charger serves which sensors, is preserved).
-    method:
-        ``"2opt"`` (default) or ``"2opt+oropt"`` for the heavier pipeline.
     coords:
         ``(N, 2)`` node coordinates. Each tour's ``k x k`` matrix over its
         own nodes is then built from them instead of sliced out of
         ``dist``; the entries, hence the refined tours, are identical.
     obs:
-        Optional instrumentation context, forwarded to the improvers
+        Optional instrumentation context, forwarded to :func:`two_opt`
         (``two_opt.passes`` / ``two_opt.moves`` counters and friends).
 
     Returns
@@ -48,8 +45,6 @@ def refine_tours(dist: np.ndarray | None, tours: Sequence[Tour],
     list[Tour]
         Improved tours; each costs at most its input's cost.
     """
-    if method not in ("2opt", "2opt+oropt"):
-        raise ConfigError(f"refine_tours: unknown method {method!r}")
     if (dist is None) == (coords is None):
         raise TypeError("refine_tours: pass exactly one of dist or coords=")
     out: list[Tour] = []
@@ -59,8 +54,5 @@ def refine_tours(dist: np.ndarray | None, tours: Sequence[Tour],
         d = (np.asarray(dist)[np.ix_(nodes, nodes)] if coords is None
              else distance_matrix(np.asarray(coords)[nodes]))
         improved = two_opt(d, Tour(depot=0, order=tuple(range(nodes.size))), obs=obs)
-        if method == "2opt+oropt":
-            improved = or_opt(d, improved, obs=obs)
-            improved = two_opt(d, improved, obs=obs)
         out.append(t.with_order(nodes[list(improved.order)].tolist()))
     return out

@@ -1,37 +1,25 @@
-"""TSP toolbox: tours, constructors, local search, lower bounds.
+"""TSP building blocks: tours, Algorithm 2's tour walk, 2-opt, exact TSP.
 
-The paper reduces everything to rooted travelling-salesman subproblems, so a
-small but complete single-TSP kit underpins the q-rooted layer:
+The paper reduces everything to rooted travelling-salesman subproblems;
+the q-rooted layer builds on:
 
 * :class:`~repro.tsp.tour.Tour` — an immutable closed tour anchored at a
   depot, with cost, validation and canonicalisation.
-* :mod:`~repro.tsp.construct` — tour constructors: MST-doubling (the 2-approx
-  the paper uses), nearest neighbour, cheapest insertion.
-* :mod:`~repro.tsp.improve` — 2-opt and Or-opt local search, used by the
-  optional refinement layer (an ablation; the paper's guarantees do not
-  depend on it).
-* :mod:`~repro.tsp.lower_bounds` — MST and Held–Karp-style 1-tree lower
-  bounds for empirical-approximation-ratio reporting.
+* :mod:`~repro.tsp.construct` — :func:`~repro.tsp.construct.tours_from_forest`,
+  Algorithm 2's double/Euler/shortcut walk over every tree of a forest.
+* :mod:`~repro.tsp.improve` — 2-opt local search, used by the optional
+  refinement layer (an ablation; the paper's guarantees do not depend on
+  it), and its full-scan oracle.
+* :mod:`~repro.tsp.exact` — Held–Karp exact TSP for small instances, the
+  oracle behind :func:`~repro.rooted.exact.exact_q_rooted_tsp`.
 """
 
-from repro.tsp.construct import (
-    cheapest_insertion_tour,
-    mst_doubling_tour,
-    nearest_neighbor_tour,
-)
 from repro.tsp.exact import held_karp_tsp
-from repro.tsp.improve import or_opt, two_opt
-from repro.tsp.lower_bounds import held_karp_lower_bound, mst_lower_bound
+from repro.tsp.improve import two_opt
 from repro.tsp.tour import Tour
 
 __all__ = [
     "Tour",
-    "cheapest_insertion_tour",
-    "held_karp_lower_bound",
     "held_karp_tsp",
-    "mst_doubling_tour",
-    "mst_lower_bound",
-    "nearest_neighbor_tour",
-    "or_opt",
     "two_opt",
 ]

@@ -2,8 +2,7 @@
 
 ``O(2^k k^2)`` time and ``O(2^k k)`` memory — practical to ``k ≈ 18``.
 Used to measure *true* approximation ratios of the heuristics on small
-instances (the bounds in :mod:`repro.tsp.lower_bounds` only certify one
-side), and by :mod:`repro.rooted.exact` for the exact q-rooted problem.
+instances, and by :mod:`repro.rooted.exact` for the exact q-rooted problem.
 """
 
 from __future__ import annotations

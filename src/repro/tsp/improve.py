@@ -1,28 +1,22 @@
-"""Local-search tour improvement: 2-opt and Or-opt.
+"""Local-search tour improvement: 2-opt.
 
-These improvers never worsen a tour (strict-improvement acceptance), so
-applying them after Algorithm 2 keeps every approximation guarantee while
+The improver never worsens a tour (strict-improvement acceptance), so
+applying it after Algorithm 2 keeps every approximation guarantee while
 typically shaving 10–25 % off MST-doubling tours on uniform instances — the
 ``abl-refine`` bench quantifies exactly this. The depot stays fixed at
 position 0 throughout; only the visiting order of the stops changes.
 
-Both improvers are deterministic down to their tie-breaks, so refined
-tours are bit-reproducible across platforms:
+:func:`two_opt` is deterministic down to its tie-breaks, so refined tours
+are bit-reproducible across platforms: per pass, anchors ``i`` ascend and
+each applies the single best strictly improving reversal over ``j > i``
+(``argmin``, lowest ``j`` on ties). It prunes candidates exactly with
+neighbour lists and skips anchors with don't-look bits, so it makes the
+same moves in the same order as the full-matrix scan :func:`two_opt_scan`:
+tours under :data:`_LARGE_K` stops are walked one anchor at a time over
+Python lists, longer ones in blocks of NumPy rows. :func:`two_opt_scan` is
+the oracle the tests and ``repro check`` compare against at every size.
 
-* :func:`two_opt` — per pass, anchors ``i`` ascend and each applies the
-  single best strictly improving reversal over ``j > i`` (``argmin``,
-  lowest ``j`` on ties). It prunes candidates exactly with neighbour
-  lists and skips anchors with don't-look bits, so it makes the same
-  moves in the same order as the full-matrix scan :func:`two_opt_scan`:
-  tours under :data:`_LARGE_K` stops are walked one anchor at a time
-  over Python lists, longer ones in blocks of NumPy rows.
-  :func:`two_opt_scan` is the oracle the tests and ``repro check``
-  compare against at every size.
-* :func:`or_opt` — segment relocation with a vectorised ``(j, flip)``
-  scan; equal gains resolve to the lowest ``j``, un-flipped first. Its
-  loop-form oracle is :func:`repro.check.oracles.or_opt_reference`.
-
-See ``docs/ALGORITHMS.md`` §7 for the pruning argument.
+See ``docs/ALGORITHMS.md`` §6 for the pruning argument.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ import numpy as np
 from repro.obs.instrument import Instrumentation, ensure
 from repro.tsp.tour import Tour
 
-__all__ = ["two_opt", "two_opt_scan", "or_opt"]
+__all__ = ["two_opt", "two_opt_scan"]
 
 #: Minimum gain for a move to be accepted; guards against float-noise loops.
 _EPS = 1e-10
@@ -401,83 +395,3 @@ def _two_opt_pruned(dist: np.ndarray, tour: Tour,
     final = nodes[p] if relabelled else p
     return final.tolist(), passes, moves
 
-
-def or_opt(dist: np.ndarray, tour: Tour, *, segment_lengths: tuple[int, ...] = (1, 2, 3),
-           max_rounds: int = 20, obs: Instrumentation | None = None) -> Tour:
-    """Or-opt: relocate short segments to better positions.
-
-    For each segment length ``s`` in ``segment_lengths``, tries moving every
-    consecutive run of ``s`` stops to every other position (both
-    orientations), accepting strict improvements. Complements 2-opt, which
-    cannot express single-node relocations cheaply.
-
-    Tie-breaking: insertion points ``j`` are ranked ascending with the
-    un-flipped orientation first, and the first candidate attaining the
-    maximum gain wins — equal-gain moves resolve to the **lowest** ``j``,
-    un-flipped. The two flip variants are interleaved into one ``(2n,)``
-    gain vector in exactly that order and ``argmax`` (first maximal index)
-    selects, so the ``O(n)`` inner scan is one vectorised expression.
-
-    ``obs`` records a ``kernel.or_opt`` span, the ``kernel.or_opt.calls``
-    counter and the ``or_opt.passes`` / ``or_opt.moves`` counters.
-    """
-    o = ensure(obs)
-    o.incr("kernel.or_opt.calls")
-    with o.span("kernel.or_opt", k=len(tour.order)):
-        if len(tour.order) < 3:
-            return tour
-        d = np.asarray(dist)
-        p = list(tour.order)
-        passes = 0
-        moves = 0
-        n = len(p)
-
-        def refresh(seq: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            arr = np.asarray(seq, dtype=np.intp)
-            succ = np.concatenate([arr[1:], arr[:1]])
-            return arr, succ, d[arr, succ]
-
-        p_arr, succ_arr, d_ab = refresh(p)
-
-        for _ in range(max_rounds):
-            improved = False
-            passes += 1
-            for s in segment_lengths:
-                if n - s < 2:
-                    continue
-                i = 1
-                while i + s <= n:
-                    seg0, seg_last = p[i], p[i + s - 1]
-                    pre, post = p[i - 1], p[(i + s) % n]
-                    save = d[pre, seg0] + d[seg_last, post] - d[pre, post]
-                    # Insertion cost at every j, both orientations, in the
-                    # oracle's operation order: (d[a, head] + d[tail, b]) - d[a, b].
-                    add_f = d[p_arr, seg0] + d[seg_last, succ_arr] - d_ab
-                    add_t = d[p_arr, seg_last] + d[seg0, succ_arr] - d_ab
-                    cand = np.empty(2 * n, dtype=np.float64)
-                    cand[0::2] = save - add_f
-                    cand[1::2] = save - add_t
-                    # j inside the removed span [i-1, i+s-1] is not a position.
-                    cand[2 * (i - 1):2 * (i + s)] = -np.inf
-                    best = int(np.argmax(cand))
-                    if cand[best] > _EPS:
-                        best_j, best_flip = best // 2, bool(best % 2)
-                        seg = p[i:i + s]
-                        if best_flip:
-                            seg = seg[::-1]
-                        rest = p[:i] + p[i + s:]
-                        anchor = p[best_j]
-                        at = rest.index(anchor)
-                        p = rest[:at + 1] + seg + rest[at + 1:]
-                        improved = True
-                        moves += 1
-                        p_arr, succ_arr, d_ab = refresh(p)
-                    i += 1
-            if not improved:
-                break
-        if p[0] != tour.depot:
-            at = p.index(tour.depot)
-            p = p[at:] + p[:at]
-        o.incr("or_opt.passes", passes)
-        o.incr("or_opt.moves", moves)
-        return tour.with_order(p)

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.bbox import Rect
-from repro.geometry.distance import (
-    check_metric, closed_tour_length, distance_matrix, path_length)
+from repro.geometry.distance import closed_tour_length, distance_matrix, path_length
 from repro.geometry.point import Point
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=32)
@@ -59,7 +58,13 @@ class TestDistanceMatrixProperties:
     @settings(max_examples=50, deadline=None)
     def test_always_a_metric(self, pts):
         d = distance_matrix(np.asarray(pts, dtype=np.float64))
-        check_metric(d)  # symmetry, non-negativity, zero diagonal, triangle
+        assert np.array_equal(d, d.T)
+        assert np.all(d >= 0.0)
+        assert np.all(np.diag(d) == 0.0)
+        # d[i, k] <= d[i, j] + d[j, k] for all i, j, k, one slab per j.
+        for j in range(d.shape[0]):
+            via_j = d[:, j][:, np.newaxis] + d[j, :][np.newaxis, :]
+            assert np.all(d <= via_j + 1e-9 + 1e-9 * d)
 
     @given(st.lists(st.tuples(st.floats(0, 100, allow_nan=False, width=32),
                               st.floats(0, 100, allow_nan=False, width=32)),

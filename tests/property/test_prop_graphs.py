@@ -1,6 +1,6 @@
 """Property-based tests for the graph kernels (hypothesis).
 
-Oracles: networkx for MST weight and Eulerian-ness; first-principles
+Oracles: networkx for MST weight and connected components; first-principles
 invariants for everything else.
 """
 
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.distance import distance_matrix
-from repro.graphs.euler import eulerian_circuit
 from repro.graphs.mst import kruskal_mst, mst_weight, prim_mst
 from repro.graphs.traversal import adjacency_from_edges, preorder
 from repro.graphs.unionfind import UnionFind
@@ -84,25 +83,6 @@ class TestPreorderProperties:
         order = preorder(adj, 0)
         tour_cost = path_length(dist, order, closed=True)
         assert tour_cost <= 2 * mst_weight(dist, edges) + 1e-6
-
-
-class TestEulerProperties:
-    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                    min_size=1, max_size=20))
-    @settings(max_examples=50, deadline=None)
-    def test_doubled_multigraph_circuit(self, base):
-        base = [(u, v) for u, v in base if u != v]
-        if not base:
-            return
-        # Keep only the component of base[0][0]; doubling makes it Eulerian.
-        g = nx.Graph(base)
-        keep = nx.node_connected_component(g, base[0][0])
-        edges = [(u, v) for u, v in base if u in keep and v in keep]
-        doubled = edges + edges
-        start = edges[0][0]
-        circuit = eulerian_circuit(doubled, start)
-        assert circuit[0] == circuit[-1] == start
-        assert len(circuit) == len(doubled) + 1
 
 
 class TestUnionFindProperties:

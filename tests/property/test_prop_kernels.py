@@ -6,11 +6,10 @@ Two families:
   are independent MST algorithms; on the same metric their trees must
   weigh exactly the same (the tree itself may differ under ties, the
   weight cannot).
-* **Production vs oracle**: the 2-opt and Or-opt in
-  :mod:`repro.tsp.improve` must be *move-for-move* identical to their
-  oracles (the full-matrix scan and :mod:`repro.check.oracles`) on tours
-  drawn across the 2-opt's neighbour-list width, over matrices exactly the
-  tour's size and over subsets of larger ones, on uniform and tie-heavy
+* **Production vs oracle**: the 2-opt in :mod:`repro.tsp.improve` must be
+  *move-for-move* identical to its oracle, the full-matrix scan, on tours
+  drawn across its neighbour-list width, over matrices exactly the tour's
+  size and over subsets of larger ones, on uniform and tie-heavy
   integer-lattice points.
 """
 
@@ -22,8 +21,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.distance import distance_matrix
 from repro.graphs.mst import kruskal_mst, mst_weight, prim_mst
-from repro.check.oracles import or_opt_reference
-from repro.tsp.improve import or_opt, two_opt, two_opt_scan
+from repro.tsp.improve import two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 
@@ -83,10 +81,4 @@ class TestFastBackendExact:
     def test_two_opt_identical(self, instance):
         dist, tour = instance
         assert two_opt(dist, tour) == two_opt_scan(dist, tour)
-
-    @given(tour_instances(max_stops=47))
-    @settings(max_examples=40, deadline=None)
-    def test_or_opt_identical(self, instance):
-        dist, tour = instance
-        assert or_opt(dist, tour) == or_opt_reference(dist, tour)
 

@@ -61,16 +61,15 @@ class TestCoordsForestEqualsDense:
 
 
 class TestCoordsRefineEqualsDense:
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(20, 120), st.integers(1, 4),
-           st.sampled_from(["2opt", "2opt+oropt"]))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(20, 120), st.integers(1, 4))
     @settings(max_examples=25, deadline=None)
-    def test_refined_tours_identical(self, seed, n, q, method):
+    def test_refined_tours_identical(self, seed, n, q):
         rng = np.random.default_rng(seed)
         coords = rng.uniform(0.0, 100.0, size=(n + q, 2))
         dist = distance_matrix(coords)
         tours = q_rooted_tsp(dist, list(range(n)), list(range(n, n + q)))
-        assert (refine_tours(None, tours, method=method, coords=coords)
-                == refine_tours(dist, tours, method=method))
+        assert (refine_tours(None, tours, coords=coords)
+                == refine_tours(dist, tours))
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)

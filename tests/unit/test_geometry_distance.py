@@ -1,17 +1,12 @@
 """Unit tests for :mod:`repro.geometry.distance`."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.distance import (
-    check_metric,
-    distance_matrix,
-    euclidean,
-    pairwise_from_points,
-    path_length,
-)
-from repro.geometry.point import Point
+from repro.geometry.distance import distance_matrix, path_length
 
 
 class TestDistanceMatrix:
@@ -31,10 +26,10 @@ class TestDistanceMatrix:
     def test_matches_scalar_euclidean(self, rng):
         coords = rng.uniform(0, 10, size=(10, 2))
         d = distance_matrix(coords)
-        pts = [Point(x, y) for x, y in coords]
         for i in range(10):
             for j in range(10):
-                assert d[i, j] == pytest.approx(euclidean(pts[i], pts[j]))
+                (xi, yi), (xj, yj) = coords[i], coords[j]
+                assert d[i, j] == pytest.approx(math.hypot(xi - xj, yi - yj))
 
     def test_single_point(self):
         d = distance_matrix(np.array([[1.0, 2.0]]))
@@ -44,12 +39,6 @@ class TestDistanceMatrix:
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(GeometryError):
             distance_matrix(np.zeros(shape))
-
-    def test_pairwise_from_points_agrees(self):
-        pts = [Point(0, 0), Point(1, 1), Point(2, 0)]
-        np.testing.assert_allclose(
-            pairwise_from_points(pts),
-            distance_matrix(np.array([[0, 0], [1, 1], [2, 0]], dtype=float)))
 
 
 class TestPathLength:
@@ -67,34 +56,3 @@ class TestPathLength:
         assert path_length(d, [1]) == 0.0
         assert path_length(d, [0], closed=True) == 0.0
 
-
-class TestCheckMetric:
-    def test_accepts_euclidean(self, rng):
-        d = distance_matrix(rng.uniform(0, 50, size=(15, 2)))
-        check_metric(d)  # must not raise
-
-    def test_rejects_asymmetric(self):
-        d = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(GeometryError, match="symmetric"):
-            check_metric(d)
-
-    def test_rejects_negative(self):
-        d = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(GeometryError, match="negative"):
-            check_metric(d)
-
-    def test_rejects_nonzero_diagonal(self):
-        d = np.array([[1.0, 2.0], [2.0, 0.0]])
-        with pytest.raises(GeometryError, match="diagonal"):
-            check_metric(d)
-
-    def test_rejects_triangle_violation(self):
-        d = np.array([[0.0, 1.0, 10.0],
-                      [1.0, 0.0, 1.0],
-                      [10.0, 1.0, 0.0]])
-        with pytest.raises(GeometryError, match="triangle"):
-            check_metric(d)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(GeometryError, match="square"):
-            check_metric(np.zeros((2, 3)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.forest import RootedForest, forest_from_parent
+from repro.graphs.forest import RootedForest
 
 
 @pytest.fixture
@@ -70,21 +70,3 @@ class TestRootedForest:
     def test_q(self, simple_forest):
         assert simple_forest.q == 2
 
-
-class TestForestFromParent:
-    def test_basic(self):
-        f = forest_from_parent([10, 11], {0: 10, 1: 0, 2: 11})
-        assert f.nodes_of(0) == {10, 0, 1}
-        assert f.nodes_of(1) == {11, 2}
-
-    def test_unreachable_node_raises(self):
-        with pytest.raises(GraphError, match="no root"):
-            forest_from_parent([10], {0: 1, 1: 0})
-
-    def test_root_with_parent_raises(self):
-        with pytest.raises(GraphError, match="root"):
-            forest_from_parent([10], {10: 0, 0: 10})
-
-    def test_empty_parent_map(self):
-        f = forest_from_parent([4, 5], {})
-        assert f.all_nodes() == {4, 5}

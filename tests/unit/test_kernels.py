@@ -1,5 +1,5 @@
-"""Unit tests for the planner's kernels: the exact 2-opt / Or-opt against
-their oracles and the kernel spans and counters.
+"""Unit tests for the planner's kernels: the exact 2-opt against its
+oracle and the kernel spans and counters.
 
 The exactness tests here are seeded spot checks around the 2-opt's
 neighbour-list width and its blocked-scan cutoff; the property-based
@@ -10,13 +10,11 @@ differential in :mod:`repro.check` (the ``kernels`` check).
 
 import numpy as np
 
-from repro.check.oracles import or_opt_reference
 from repro.core.mintotal import min_total_distance
 from repro.geometry.distance import distance_matrix
 from repro.obs.instrument import Instrumentation
 from repro.rooted.qtsp import q_rooted_tsp
-from repro.rooted.refine import refine_tours
-from repro.tsp.improve import _LARGE_K, or_opt, two_opt, two_opt_scan
+from repro.tsp.improve import _LARGE_K, two_opt, two_opt_scan
 from repro.tsp.tour import Tour
 
 
@@ -35,8 +33,8 @@ def _random_tour(rng, nodes):
 
 
 class TestFastMatchesReference:
-    """Seeded spot checks that the production improvers are move-for-move
-    exact against their oracles on both sides of each size cutoff."""
+    """Seeded spot checks that the production 2-opt is move-for-move exact
+    against its oracle on both sides of each size cutoff."""
 
     def test_two_opt_identical_tours(self, rng):
         for k in _SIZES:
@@ -60,12 +58,6 @@ class TestFastMatchesReference:
                     assert len(tour.order) == k
                     assert two_opt(d, tour) == two_opt_scan(d, tour), k
 
-    def test_or_opt_identical_tours(self, rng):
-        for k in _SIZES:
-            d = _random_instance(rng, k)
-            tour = _random_tour(rng, k)
-            assert or_opt(d, tour) == or_opt_reference(d, tour), k
-
     def test_two_opt_counters_match_the_scan(self, rng):
         d = _random_instance(rng, 60)
         tour = _random_tour(rng, 60)
@@ -79,11 +71,9 @@ class TestFastMatchesReference:
 class TestKernelObservability:
     def test_refine_plan_records_kernel_spans_and_counters(self, paper_network_small):
         obs = Instrumentation()
-        result = min_total_distance(paper_network_small, 200.0, refine=True, obs=obs)
-        tours = result.plan[0].tours
-        refine_tours(paper_network_small.dist, tours, method="2opt+oropt", obs=obs)
+        min_total_distance(paper_network_small, 200.0, refine=True, obs=obs)
         counters = obs.snapshot().counters
-        for kernel in ("prim", "two_opt", "or_opt"):
+        for kernel in ("prim", "two_opt"):
             assert counters[f"kernel.{kernel}.calls"] >= 1
             spans = obs.spans(f"kernel.{kernel}")
             assert len(spans) == counters[f"kernel.{kernel}.calls"]

@@ -1,5 +1,4 @@
-"""Unit tests for :mod:`repro.network.deployment`, :mod:`repro.network.builder`
-and :mod:`repro.network.energy`."""
+"""Unit tests for :mod:`repro.network.deployment` and :mod:`repro.network.builder`."""
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from repro.network.builder import NetworkBuilder, build_paper_network
 from repro.network.cycles import LinearCycleDistribution
 from repro.network.deployment import deploy_sensors, place_depots
 from repro.network.depot import BaseStation
-from repro.network.energy import EnergyProfile, cycles_from_rates, rates_from_cycles
 
 
 class TestDeployment:
@@ -48,31 +46,6 @@ class TestDeployment:
         a = place_depots(4, area, bs, rng=5)
         b = place_depots(4, area, bs, rng=5)
         assert [d.position for d in a] == [d.position for d in b]
-
-
-class TestEnergyConversions:
-    def test_round_trip(self):
-        tau = np.array([1.0, 2.0, 8.0])
-        np.testing.assert_allclose(cycles_from_rates(rates_from_cycles(tau)), tau)
-
-    def test_battery_scaling(self):
-        np.testing.assert_allclose(
-            rates_from_cycles(np.array([4.0]), batteries=2.0), [0.5])
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(NetworkModelError):
-            rates_from_cycles(np.array([0.0]))
-        with pytest.raises(NetworkModelError):
-            cycles_from_rates(np.array([-1.0]))
-
-    def test_profile(self):
-        p = EnergyProfile(batteries=np.array([2.0, 2.0]), cycles=np.array([4.0, 1.0]))
-        assert p.n == 2
-        np.testing.assert_allclose(p.rates, [0.5, 2.0])
-
-    def test_profile_rejects_mismatch(self):
-        with pytest.raises(NetworkModelError):
-            EnergyProfile(batteries=np.ones(2), cycles=np.ones(3))
 
 
 class TestNetworkBuilder:

@@ -6,7 +6,6 @@ from repro.geometry.distance import distance_matrix
 from repro.rooted.msf import q_rooted_msf
 from repro.rooted.qtsp import q_rooted_tsp, tours_from_forest, tours_total_cost
 from repro.rooted.refine import refine_tours
-from repro.errors import ConfigError
 
 
 @pytest.fixture
@@ -74,21 +73,10 @@ class TestToursFromForest:
 
 
 class TestRefineTours:
-    def test_methods(self, instance):
+    def test_keeps_depots_and_never_worsens(self, instance):
         tours = q_rooted_tsp(instance, SENSORS, DEPOTS)
-        for method in ("2opt", "2opt+oropt"):
-            out = refine_tours(instance, tours, method=method)
-            assert (tours_total_cost(instance, out)
-                    <= tours_total_cost(instance, tours) + 1e-9)
-            assert [t.depot for t in out] == DEPOTS
-
-    def test_unknown_method_raises(self, instance):
-        with pytest.raises(ConfigError):
-            refine_tours(instance, [], method="3opt")
-
-    def test_oropt_pipeline_at_least_as_good_as_2opt(self, instance):
-        tours = q_rooted_tsp(instance, SENSORS, DEPOTS)
-        a = tours_total_cost(instance, refine_tours(instance, tours, method="2opt"))
-        b = tours_total_cost(instance, refine_tours(instance, tours,
-                                                    method="2opt+oropt"))
-        assert b <= a + 1e-9
+        out = refine_tours(instance, tours)
+        assert (tours_total_cost(instance, out)
+                <= tours_total_cost(instance, tours) + 1e-9)
+        assert [t.depot for t in out] == DEPOTS
+        assert [t.visited() for t in out] == [t.visited() for t in tours]

@@ -1,18 +1,16 @@
-"""Unit tests for :mod:`repro.tsp.construct`."""
+"""Unit tests for :mod:`repro.tsp.construct`: Algorithm 2's tour walk.
+
+With a single root, :func:`tours_from_forest` over the q-rooted MSF is the
+classic MST-doubling tour: the MST of the node set walked in DFS preorder.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import TourError
 from repro.geometry.distance import distance_matrix
 from repro.graphs.mst import mst_weight, prim_mst
-from repro.tsp.construct import (
-    cheapest_insertion_tour,
-    mst_doubling_tour,
-    nearest_neighbor_tour,
-)
-
-CONSTRUCTORS = [mst_doubling_tour, nearest_neighbor_tour, cheapest_insertion_tour]
+from repro.rooted.msf import q_rooted_msf
+from repro.tsp.construct import tours_from_forest
 
 
 @pytest.fixture
@@ -21,77 +19,25 @@ def cloud(rng):
     return distance_matrix(coords)
 
 
-class TestCommonBehaviour:
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_covers_all_nodes(self, build, cloud):
-        t = build(cloud, 0, list(range(1, 25)))
-        assert t.visited() == set(range(25))
-        assert t.order[0] == 0
-
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_depot_only(self, build, cloud):
-        t = build(cloud, 3, [])
-        assert t.is_empty and t.depot == 3
-
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_single_stop(self, build, cloud):
-        t = build(cloud, 0, [7])
-        assert t.order == (0, 7)
-
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_depot_in_nodes_is_tolerated(self, build, cloud):
-        t = build(cloud, 0, [0, 1, 2])
-        assert t.visited() == {0, 1, 2}
-
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_out_of_range_node_raises(self, build, cloud):
-        with pytest.raises(TourError):
-            build(cloud, 0, [99])
-
-    @pytest.mark.parametrize("build", CONSTRUCTORS)
-    def test_duplicate_nodes_raise(self, build, cloud):
-        with pytest.raises(TourError):
-            build(cloud, 0, [1, 1])
+def _single_root_tour(dist, depot, nodes):
+    return tours_from_forest(q_rooted_msf(dist, nodes, [depot]))[0]
 
 
 class TestMstDoubling:
     def test_within_twice_mst(self, cloud):
-        nodes = list(range(1, 25))
-        t = mst_doubling_tour(cloud, 0, nodes)
-        sub = cloud[np.ix_(range(25), range(25))]
-        mst_w = mst_weight(sub, prim_mst(sub))
+        t = _single_root_tour(cloud, 0, list(range(1, 25)))
+        assert t.visited() == set(range(25)) and t.order[0] == 0
+        mst_w = mst_weight(cloud, prim_mst(cloud))
         assert t.cost(cloud) <= 2 * mst_w + 1e-9
 
     def test_collinear_points_optimal(self):
         # On a line the doubled-MST tour is exactly optimal (out and back).
         coords = np.array([[float(i), 0.0] for i in range(6)])
         d = distance_matrix(coords)
-        t = mst_doubling_tour(d, 0, [1, 2, 3, 4, 5])
+        t = _single_root_tour(d, 0, [1, 2, 3, 4, 5])
         assert t.cost(d) == pytest.approx(10.0)
 
     def test_deterministic(self, cloud):
-        a = mst_doubling_tour(cloud, 0, list(range(1, 25)))
-        b = mst_doubling_tour(cloud, 0, list(range(1, 25)))
+        a = _single_root_tour(cloud, 0, list(range(1, 25)))
+        b = _single_root_tour(cloud, 0, list(range(1, 25)))
         assert a.order == b.order
-
-
-class TestNearestNeighbor:
-    def test_greedy_first_hop(self, rng):
-        coords = np.array([[0, 0], [1, 0], [10, 0], [11, 0]], dtype=float)
-        d = distance_matrix(coords)
-        t = nearest_neighbor_tour(d, 0, [1, 2, 3])
-        assert t.order == (0, 1, 2, 3)
-
-
-class TestCheapestInsertion:
-    def test_reasonable_on_square(self):
-        coords = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
-        d = distance_matrix(coords)
-        t = cheapest_insertion_tour(d, 0, [1, 2, 3])
-        assert t.cost(d) == pytest.approx(4.0)  # the optimal square tour
-
-    def test_not_worse_than_twice_mst(self, cloud):
-        nodes = list(range(1, 25))
-        t = cheapest_insertion_tour(cloud, 0, nodes)
-        mst_w = mst_weight(cloud, prim_mst(cloud))
-        assert t.cost(cloud) <= 2 * mst_w + 1e-9
