@@ -248,11 +248,11 @@ class MinTotalDistanceVarPolicy(PlannedPolicy):
                                     tie_break=self.patch_tie_break,
                                     cache=self._cache,
                                     obs=self._obs)
-                for j in range(1, min(len(patch.tours), keep + 1)):
-                    if patch.tours[j] is not None:  # dispatch j is refs[j - 1]
+                for j, tours in patch.tours.items():
+                    if 1 <= j <= keep:  # dispatch j is refs[j - 1]
                         refs[j - 1] = len(tour_sets)
-                        tour_sets.append(patch.tours[j])
-                if patch.tours[0] is not None:
+                        tour_sets.append(tours)
+                if 0 in patch.tours:
                     times = np.concatenate(([t], times))
                     refs = np.concatenate(([len(tour_sets)], refs))
                     tour_sets.append(patch.tours[0])

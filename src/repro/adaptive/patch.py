@@ -19,8 +19,16 @@ than their first scheduled charge would die in the gap. The paper's repair:
   so later classes can attach through sensors patched earlier, exactly as
   the paper's iterative construction ``V(C^(k+1)_j)`` does.
 
+Only the supernodes that can win are built: scheduling ``0``, the grown
+ones up to ``b^k``, and of the ungrown ones ``b^0 .. b^k`` (ascending ties)
+or ``b^k`` alone (descending ties). Every other ungrown scheduling's set lies
+inside an earlier column's, so it never owns a sensor (``docs/ALGORITHMS.md``
+§1). That is O(K + grown) columns per class, not ``b^k + 1``.
+
 Finally, every scheduling whose node set grew (and a non-empty ``C'_0``)
 gets fresh tours from Algorithms 1–2 (:func:`~repro.plan.pipeline.plan_tours`).
+Distances are measured from the node coordinates, bit for bit the entries
+of the network's distance matrix, which is never built.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import numpy as np
 
 from repro.core.quantize import Quantization
 from repro.errors import ScheduleError
+from repro.geometry.distance import edge_lengths
 from repro.network.model import SensorNetwork
 from repro.obs.instrument import Instrumentation, ensure
 from repro.plan.cache import PlanArtifactCache
@@ -52,25 +61,22 @@ class PatchResult:
     Parameters
     ----------
     sets:
-        ``sets[j]`` is the final sensor set of scheduling ``C'_j`` for
-        ``j = 0 .. 2^K`` (``sets[0]`` is the immediate scheduling; may be
-        empty, in which case no ``C'_0`` is dispatched).
+        ``sets[j]`` is the final sensor set of scheduling ``C'_j``, keyed in
+        ascending ``j`` by the schedulings the repair changed only. Key
+        ``0`` (the immediate scheduling) is present iff ``C'_0`` is
+        dispatched; every scheduling ``1 <= j <= b^K`` not present keeps its
+        coverage level's set, ``quant.level_members(quant.level_of(j))``.
     tours:
-        ``tours[j]`` is the recomputed tour tuple for scheduling ``j``, or
-        ``None`` where the base block's tours remain valid (the set did not
-        change). ``tours[0]`` is ``None`` iff ``sets[0]`` is empty.
+        ``tours[j]`` is the recomputed tour tuple of scheduling ``j``, for
+        the keys of ``sets``; the base block's tours stay valid for every
+        other scheduling.
     urgent:
         ``V^a`` — the sensors that needed patching at all.
     """
 
-    sets: tuple[frozenset[int], ...]
-    tours: tuple[tuple[Tour, ...] | None, ...]
+    sets: dict[int, frozenset[int]]
+    tours: dict[int, tuple[Tour, ...]]
     urgent: frozenset[int]
-
-    @property
-    def n_patched_schedulings(self) -> int:
-        """How many schedulings had to be re-toured."""
-        return sum(1 for t in self.tours if t is not None)
 
 
 def build_patch(network: SensorNetwork, quant: Quantization,
@@ -83,7 +89,7 @@ def build_patch(network: SensorNetwork, quant: Quantization,
     Parameters
     ----------
     network:
-        The WSN instance (for distances and depot indices).
+        The WSN instance (for coordinates and depot indices).
     quant:
         Quantisation of the *new* plan (built from the updated cycle
         estimates at time ``t``); supplies ``tau_1``, ``K``, the class
@@ -130,33 +136,28 @@ def build_patch(network: SensorNetwork, quant: Quantization,
     tau1 = quant.tau1
     K = quant.K
     b = quant.base
-    n_sched = quant.enumerable_block_size() + 1  # schedulings 0 .. b^K (guarded: O(b^K) tables below)
-    dist = network.dist
-    depots = [int(i) for i in network.depot_indices]
+    coords = network.coordinates
+    depots = np.asarray(network.depot_indices, dtype=np.intp)
 
     assigned = quant.assigned
     urgent_mask = l_hat < assigned * (1.0 - _REL_TOL)
     urgent = np.nonzero(urgent_mask)[0]
     o.incr("patch.urgent", int(urgent.size))
-
-    # Base node sets: sets[0] empty for now, sets[j] = sensors due at j,
-    # which depends on j only through its coverage level.
-    level_sets = [frozenset(quant.level_members(v).tolist()) for v in range(K + 1)]
-    base_sets: list[frozenset[int]] = [frozenset()]
-    base_sets += [level_sets[quant.level_of(j)] for j in range(1, n_sched)]
-
     if urgent.size == 0:
-        return PatchResult(
-            sets=tuple(base_sets),
-            tours=tuple(None for _ in range(n_sched)),
-            urgent=frozenset(),
-        )
-    sets = [set(s) for s in base_sets]
+        return PatchResult(sets={}, tours={}, urgent=frozenset())
+
+    def base_of(j: int) -> np.ndarray:
+        """The sensors scheduling ``j`` charges before the repair."""
+        return quant.level_members(quant.level_of(j)) if j else np.empty(0, np.intp)
+
+    # Scheduling -> its node set, from the first sensor the repair adds on.
+    grown: dict[int, set[int]] = {}
 
     with o.span("patch", urgent=int(urgent.size)) as sp:
         # Class partition of the urgent sensors by residual lifetime.
         immediate = urgent[l_hat[urgent] < tau1 * (1.0 - _REL_TOL)]
-        sets[0].update(int(s) for s in immediate)
+        if immediate.size:
+            grown[0] = {int(s) for s in immediate}
         o.incr("patch.immediate", int(immediate.size))
         rest = np.setdiff1d(urgent, immediate, assume_unique=True)
         if rest.size:
@@ -173,39 +174,51 @@ def build_patch(network: SensorNetwork, quant: Quantization,
             if members.size == 0:
                 continue
             s_idx = members.astype(np.intp)
-            n_roots = min(b ** k, quant.block_size) + 1  # schedulings 0..b^k
+            top = b ** k
             # Column order controls tie-breaking: the MSF's argmin prefers the
             # first column, so descending order defers charges on ties and
-            # ascending order front-loads them.
+            # ascending order front-loads them. Ungrown schedulings that an
+            # earlier column contains are left out (module docstring).
             if tie_break == "defer":
-                col_to_sched = list(range(n_roots - 1, -1, -1))
+                cols = sorted({0, top, *(j for j in grown if j <= top)},
+                              reverse=True)
             else:
-                col_to_sched = list(range(n_roots))
-            root_costs = np.full((s_idx.size, n_roots), np.inf)
-            for col, j in enumerate(col_to_sched):
-                anchor = sorted(sets[j]) + depots
-                root_costs[:, col] = dist[np.ix_(
-                    s_idx, np.asarray(anchor, dtype=np.intp))].min(axis=1)
-            assignment = rooted_msf(dist[np.ix_(s_idx, s_idx)], root_costs,
+                cols = sorted({0, *(b ** v for v in range(k + 1)),
+                               *(j for j in grown if j <= top)})
+            root_costs = np.empty((s_idx.size, len(cols)))
+            for col, j in enumerate(cols):
+                anchor = np.fromiter(grown[j], np.intp) if j in grown else base_of(j)
+                root_costs[:, col] = _distances(
+                    coords, s_idx, np.concatenate([anchor, depots])).min(axis=1)
+            assignment = rooted_msf(_distances(coords, s_idx, s_idx), root_costs,
                                     obs=obs)
             for local, owner in enumerate(assignment.owner):
-                sets[col_to_sched[int(owner)]].add(int(s_idx[local]))
+                j = cols[int(owner)]
+                if j not in grown:
+                    grown[j] = set(base_of(j).tolist())
+                grown[j].add(int(s_idx[local]))
 
-        # Re-tour every scheduling whose set grew (base_sets[0] is empty, so
-        # that includes a non-empty C'_0). Grown sets j >= 1 skip the cache:
-        # a base set plus this replan's urgent sensors almost never recurs
-        # (at fig5's ΔT = 1, ~3,000 extra lookups would yield ~130 hits and
-        # only drag the tour hit rate down).
-        tours = [None if sets[j] == base_sets[j]
-                 else plan_tours(network, frozenset(sets[j]), refine=refine,
-                                 cache=cache if j == 0 else None, obs=obs)
-                 for j in range(n_sched)]
-        retoured = sum(1 for t in tours if t is not None)
-        o.incr("patch.retoured", retoured)
-        sp.set(retoured=retoured)
+        # Re-tour every scheduling whose set grew: a lifetime an ulp under
+        # its own assigned cycle can round into its own class, and joins a
+        # scheduling that already charges it. Grown sets j >= 1 skip the
+        # cache: a base set plus this replan's urgent sensors almost never
+        # recurs (at fig5's ΔT = 1, ~3,000 extra lookups would yield ~130
+        # hits and only drag the tour hit rate down).
+        sets = {j: frozenset(grown[j]) for j in sorted(grown)
+                if len(grown[j]) > base_of(j).size}
+        tours = {j: plan_tours(network, s, refine=refine,
+                               cache=cache if j == 0 else None, obs=obs)
+                 for j, s in sets.items()}
+        o.incr("patch.retoured", len(tours))
+        sp.set(retoured=len(tours))
 
-    return PatchResult(
-        sets=tuple(frozenset(s) for s in sets),
-        tours=tuple(tours),
-        urgent=frozenset(int(s) for s in urgent),
-    )
+    return PatchResult(sets=sets, tours=tours,
+                       urgent=frozenset(int(s) for s in urgent))
+
+
+def _distances(coords: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(rows.size, cols.size)`` distances between two node-index arrays,
+    measured from ``coords``: bit for bit the ``np.ix_(rows, cols)`` slice of
+    the full distance matrix (see :func:`~repro.geometry.distance.edge_lengths`)."""
+    return edge_lengths(coords, np.repeat(rows, cols.size),
+                        np.tile(cols, rows.size)).reshape(rows.size, cols.size)

@@ -90,8 +90,8 @@ def lemma3_lower_bound(network: SensorNetwork, horizon: float,
     prefix: list[int] = []
     for k in range(quant.K + 1):
         prefix.extend(int(s) for s in quant.members(k))
-        forest = q_rooted_msf(network.dist, prefix, depots)
-        msf_weights[k] = forest.weight(network.dist)
+        forest = q_rooted_msf(None, prefix, depots, coords=network.coordinates)
+        msf_weights[k] = forest.weight(coords=network.coordinates)
         windows = horizon / (np.ldexp(quant.tau1, k + 1))
         # Fewer than one full window proves nothing for this level.
         per_level[k] = msf_weights[k] * max(windows, 0.0) if windows >= 1.0 else 0.0

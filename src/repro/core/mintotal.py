@@ -153,10 +153,14 @@ def min_total_distance(network: SensorNetwork, horizon: float,
         o.incr("plan.schedulings", len(plan))
         for k in range(quant.K + 1):  # class coverage of the quantisation
             o.observe("plan.class_size", int(quant.members(k).size))
-        entry_costs = [tours_total_cost(None, tours, coords=network.coordinates)
-                       for tours in plan.tour_sets]
-        for r in plan.refs.tolist():  # per-scheduling tour-set length
-            o.observe("plan.tour_length", entry_costs[r])
+        # Per-scheduling tour-set length: one weighted sample per table
+        # entry, the final dispatch's entry last (it is the gauge reading).
+        uses = np.bincount(plan.refs, minlength=len(plan.tour_sets)).tolist()
+        last = int(plan.refs[-1]) if plan.refs.size else -1
+        for r in sorted((r for r, c in enumerate(uses) if c), key=lambda r: r == last):
+            o.observe("plan.tour_length",
+                      tours_total_cost(None, plan.tour_sets[r], coords=network.coordinates),
+                      count=uses[r])
     return MinTotalDistanceResult(plan=plan, quantization=quant, levels=levels)
 
 

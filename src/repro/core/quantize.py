@@ -47,12 +47,6 @@ _REL_TOL = 1e-9
 #: reject it before anything downstream trusts ``K``.
 _MAX_K = 512
 
-#: Largest block a caller may *enumerate* scheduling-by-scheduling.
-#: ``block_size = b^K`` is a perfectly good integer at any K, but
-#: materialising per-scheduling structures (the adaptive patch tables) is
-#: O(b^K) memory; ``enumerable_block_size`` guards that path.
-_MAX_ENUMERABLE_BLOCK = 1 << 22
-
 
 @dataclass(frozen=True)
 class Quantization:
@@ -100,27 +94,6 @@ class Quantization:
     def block_size(self) -> int:
         """``b^K`` — number of schedulings in one block."""
         return self.base ** self.K
-
-    def enumerable_block_size(self, limit: int = _MAX_ENUMERABLE_BLOCK) -> int:
-        """``block_size``, guarded for scheduling-by-scheduling enumeration.
-
-        Raises
-        ------
-        ScheduleError
-            When one block holds more than ``limit`` schedulings. Wide cycle
-            spreads (``tau_max/tau_1 = 2^40`` and beyond) are legal inputs —
-            quantisation, the distinct coverage sets and the horizon-bounded
-            plan unroll all stay O(K) or O(T/tau_1) — but code that builds
-            a per-scheduling structure of the whole block (the adaptive
-            patch tables, :func:`repro.adaptive.patch.build_patch`) must
-            refuse instead of attempting a ``b^K``-element allocation.
-        """
-        if self.block_size > limit:
-            raise ScheduleError(
-                f"block of {self.base}^{self.K} schedulings is too large to "
-                f"enumerate (limit {limit}); use the level-indexed API "
-                f"(coverage_sets / level_of) instead")
-        return self.block_size
 
     def members(self, k: int) -> np.ndarray:
         """Sensor ids in class ``V_k`` (possibly empty)."""

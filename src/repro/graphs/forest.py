@@ -97,14 +97,6 @@ class RootedForest:
             return float(edge_lengths(coords, idx[:, 0], idx[:, 1]).sum())
         return float(np.asarray(dist)[idx[:, 0], idx[:, 1]].sum())
 
-    def tree_weight(self, l: int, dist: np.ndarray) -> float:
-        """Edge weight of tree ``l`` alone."""
-        tree = self.trees[l]
-        if not tree:
-            return 0.0
-        idx = np.asarray(tree, dtype=np.intp)
-        return float(np.asarray(dist)[idx[:, 0], idx[:, 1]].sum())
-
     def preorder_of(self, l: int) -> list[int]:
         """DFS preorder of tree ``l`` from its root (Algorithm 2's tour order)."""
         root = self.roots[l]

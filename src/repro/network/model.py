@@ -19,15 +19,15 @@ them; nothing else builds them. A network pickles as its columns, base
 station and area only, so shipping one to a worker process costs
 ``O(n)`` bytes whatever derived state was cached.
 
-The full ``(n+q, n+q)`` distance matrix :attr:`SensorNetwork.dist` is built
+The full ``(n+q, n+q)`` distance matrix (the ``dist`` property) is built
 lazily, on first access, and then cached. Planning does not touch it: the
 staged planner (:func:`repro.plan.pipeline.plan_tours`) solves each q-rooted
 MSF from :attr:`coordinates` (a Delaunay candidate graph, or a matrix over
 the coverage set's own nodes) and refines each tour over a matrix of its own
 nodes; tour lengths and service costs read the edges from the coordinates
 too (see :func:`repro.geometry.distance.closed_tour_length`). So a plan,
-cold or warm, and a simulation never build the matrix. See
-:attr:`SensorNetwork.dist` for the callers that still do.
+cold or warm, a replan's repair step, the Lemma-3 bound and a simulation
+never build the matrix; no module of the package reads it.
 """
 
 from __future__ import annotations
@@ -241,12 +241,12 @@ class SensorNetwork:
         """Dense ``(n+q, n+q)`` Euclidean distance matrix (read-only).
 
         Built on first access, ``O((n+q)^2)`` time and memory, then cached.
-        The remaining users are the adaptive patch step
-        (:mod:`repro.adaptive.patch`) and the Lemma-3 bound
-        (:mod:`repro.core.bounds`); the ``repro check`` oracles build their
-        own matrix. Planning and measuring pass :attr:`coordinates` as
-        ``coords=`` instead, which gives bit-identical forests, tours and
-        lengths.
+        No module of the package reads it: planning, the adaptive patch step
+        and the Lemma-3 bound measure from :attr:`coordinates` (``coords=``),
+        which gives bit-identical forests, tours and lengths, and the
+        ``repro check`` oracles build their own matrix. Only tests and the
+        end-to-end benchmark still read it, so it can go once that
+        benchmark measures with ``coords=``.
         """
         d = distance_matrix(self.coordinates)
         d.setflags(write=False)

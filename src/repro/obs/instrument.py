@@ -44,10 +44,11 @@ class RunningStat:
         self.vmin = float("inf")
         self.vmax = float("-inf")
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, count: int = 1) -> None:
+        """Record ``value`` as ``count`` equal samples."""
         v = float(value)
-        self.count += 1
-        self.total += v
+        self.count += count
+        self.total += v * count
         if v < self.vmin:
             self.vmin = v
         if v > self.vmax:
@@ -203,12 +204,12 @@ class Instrumentation:
         """Add ``value`` to counter ``name`` (creating it at 0)."""
         self.counters[name] = self.counters.get(name, 0.0) + float(value)
 
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample of the value series ``name``."""
+    def observe(self, name: str, value: float, count: int = 1) -> None:
+        """Record ``count`` equal samples of the value series ``name``."""
         stat = self.series.get(name)
         if stat is None:
             stat = self.series[name] = RunningStat()
-        stat.add(value)
+        stat.add(value, count)
         self.gauges[name] = float(value)
 
     def span(self, name: str, _mark: bool = False, **attrs: Any) -> _Span:
@@ -332,7 +333,7 @@ class NullInstrumentation(Instrumentation):
     def incr(self, name: str, value: float = 1.0) -> None:
         return None
 
-    def observe(self, name: str, value: float) -> None:
+    def observe(self, name: str, value: float, count: int = 1) -> None:
         return None
 
     def span(self, name: str, _mark: bool = False,  # type: ignore[override]

@@ -123,7 +123,7 @@ def plan_tours(network: SensorNetwork, coverage: frozenset[int],
         One tour per depot, jointly covering ``coverage``.
 
     Every stage reads the geometry from ``network.coordinates``, so a plan,
-    cold or warm, with or without refine, never builds ``network.dist``.
+    cold or warm, with or without refine, never builds the network's distance matrix.
     """
     depots = [int(i) for i in network.depot_indices]
     coords = network.coordinates

@@ -162,6 +162,7 @@ def compare_scorecards(current: Scorecard, baseline: Scorecard
     return regressions, improvements
 
 
-def default_baseline_path(suite: str, root: str | Path = ".") -> Path:
-    """Checked-in golden location for a suite: ``golden/SCORECARD.<suite>.json``."""
-    return Path(root) / "golden" / f"SCORECARD.{suite}.json"
+def default_baseline_path(suite: str) -> Path:
+    """Checked-in golden location for a suite: ``golden/SCORECARD.<suite>.json``
+    in the checkout that holds this package, whatever the working directory."""
+    return Path(__file__).resolve().parents[3] / "golden" / f"SCORECARD.{suite}.json"

@@ -1,13 +1,14 @@
-"""Plan requests, cold or warm, and simulate requests never build the
-distance matrix.
+"""Plan requests, cold or warm, simulate requests, the variable-cycle
+replan and the Lemma-3 bound never build the distance matrix.
 
 Measuring a tour reads its edges from the node coordinates
 (:func:`repro.geometry.distance.closed_tour_length`); the q-rooted MSF is
 solved from the coordinates too (a Delaunay candidate graph, or a matrix
-over the coverage set's own nodes), and refine builds each tour's own
-matrix. Here the builder of :attr:`SensorNetwork.dist` is patched to raise,
-so a request path that still builds the O(n²) matrix fails loudly, and the
-answers must equal a reference computed before the patch exactly.
+over the coverage set's own nodes), refine builds each tour's own matrix,
+and the repair step measures its root costs per edge. Here the builder of
+:attr:`SensorNetwork.dist` is patched to raise, so a path that still builds
+the O(n²) matrix fails loudly, and the answers must equal a reference
+computed before the patch (or from a dense matrix) exactly.
 """
 
 import os
@@ -15,15 +16,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 import repro.network.model as model
+from repro.core.bounds import lemma3_lower_bound
 from repro.core.mintotal import min_total_distance
+from repro.core.quantize import quantize_cycles
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_cell
+from repro.geometry.distance import distance_matrix
 from repro.io.network_json import network_from_dict, network_to_dict
 from repro.io.plan_json import plan_to_dict
 from repro.network.builder import build_paper_network
 from repro.plan.cache import PlanArtifactCache
+from repro.rooted.msf import q_rooted_msf
 from repro.serve.worker import execute_plan, execute_simulate
 
 STORM = {"failure_rate": 0.04, "failure_mttr": 8.0, "churn_rate": 0.05,
@@ -120,3 +128,41 @@ def test_baseline_panel_builds_no_matrix(tmp_path, monkeypatch):
     ref = run("ref")
     monkeypatch.setattr(model, "distance_matrix", _no_matrix)
     assert run("patched") == ref
+
+
+def test_variable_cell_builds_no_matrix(monkeypatch):
+    """The executor pins' variable cell (test_executor_pins.py): every
+    mtd-var replan, repair step included, runs from coordinates."""
+    cell = ExperimentConfig(
+        n=20, q=3, horizon=80.0, n_topologies=2, seed=5,
+        variable=True, slot_duration=10.0,
+        algorithms=("mtd-var", "mtd-var-defer", "greedy"))
+
+    def columns():
+        table = run_cell(cell, jobs=1)
+        return [table.column(spec, alg, field).tobytes()
+                for spec, alg in table.rows
+                for field in ("cost", "deaths", "dispatches")]
+
+    ref = columns()
+    monkeypatch.setattr(model, "distance_matrix", _no_matrix)
+    assert columns() == ref
+
+
+def test_lemma3_bound_builds_no_matrix(monkeypatch):
+    # n=600 puts the upper levels above the Delaunay floor.
+    net = build_paper_network(n=600, q=5, seed=21)
+    monkeypatch.setattr(model, "distance_matrix", _no_matrix)
+    lb = lemma3_lower_bound(net, 300.0)
+
+    dist = distance_matrix(net.coordinates)
+    quant = quantize_cycles(net.cycles)
+    depots = [int(i) for i in net.depot_indices]
+    weights, prefix = [], []
+    for k in range(quant.K + 1):
+        prefix.extend(quant.members(k).tolist())
+        weights.append(q_rooted_msf(dist, prefix, depots).weight(dist))
+    assert lb.msf_weights.tolist() == weights
+    windows = 300.0 / np.ldexp(quant.tau1, np.arange(1, quant.K + 2))
+    assert lb.bound == max(w * x if x >= 1.0 else 0.0
+                           for w, x in zip(weights, windows))

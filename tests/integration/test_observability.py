@@ -60,6 +60,17 @@ class TestPlanObservations:
         assert len(obs.spans("plan")) == 1
         assert len(obs.spans("plan.block")) == 1
 
+    def test_tour_length_series_matches_each_dispatch(self, small_net):
+        # One weighted sample per table entry reads as one per dispatch.
+        obs = Instrumentation()
+        plan = min_total_distance(small_net, 30.0, obs=obs).plan
+        costs = [sum(t.cost(coords=small_net.coordinates) for t in s.tours)
+                 for s in plan]
+        stat = obs.series["plan.tour_length"]
+        assert (stat.count, stat.vmin, stat.vmax) == (len(costs), min(costs), max(costs))
+        assert stat.total == pytest.approx(sum(costs))
+        assert obs.gauges["plan.tour_length"] == costs[-1]
+
     def test_defaults_without_instrumentation(self, small_net):
         # Every public entry point stays callable with no obs argument.
         result = min_total_distance(small_net, 30.0)

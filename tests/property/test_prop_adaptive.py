@@ -36,6 +36,11 @@ def patch_instances(draw):
     return net, quant, lifetimes
 
 
+def _due_at(quant, j):
+    """Scheduling ``j``'s sensor set before the repair."""
+    return frozenset(int(s) for s in quant.sensors_due_at(j)) if j else frozenset()
+
+
 class TestPatchProperties:
     @given(patch_instances(), st.sampled_from(["immediate", "defer"]))
     @settings(max_examples=40, deadline=None)
@@ -45,7 +50,8 @@ class TestPatchProperties:
         net, quant, lifetimes = inst
         patch = build_patch(net, quant, lifetimes, tie_break=mode)
         for s in patch.urgent:
-            js = [j for j in range(quant.block_size + 1) if s in patch.sets[j]]
+            js = [j for j in range(quant.block_size + 1)
+                  if s in patch.sets.get(j, _due_at(quant, j))]
             assert js, f"urgent sensor {s} not scheduled at all"
             earliest = min(js)
             # Scheduling j dispatches at relative time j * tau1.
@@ -57,20 +63,21 @@ class TestPatchProperties:
         """Sensors outside V^a keep exactly their base-block schedule."""
         net, quant, lifetimes = inst
         patch = build_patch(net, quant, lifetimes, tie_break=mode)
+        assert 0 not in patch.sets or patch.sets[0] <= patch.urgent
         for j in range(1, quant.block_size + 1):
-            base = {int(s) for s in quant.sensors_due_at(j)}
-            extra = patch.sets[j] - base
+            base = _due_at(quant, j)
+            final = patch.sets.get(j, base)
+            extra = final - base
             assert extra <= patch.urgent, (
                 f"scheduling {j} gained non-urgent sensors {extra - patch.urgent}")
-            assert base <= patch.sets[j], "patching must never drop a sensor"
+            assert base <= final, "patching must never drop a sensor"
 
     @given(patch_instances(), st.sampled_from(["immediate", "defer"]))
     @settings(max_examples=30, deadline=None)
     def test_retoured_schedulings_cover_their_sets(self, inst, mode):
         net, quant, lifetimes = inst
         patch = build_patch(net, quant, lifetimes, tie_break=mode)
-        for j, tours in enumerate(patch.tours):
-            if tours is None:
-                continue
+        assert patch.tours.keys() == patch.sets.keys()
+        for j, tours in patch.tours.items():
             covered = set().union(*(t.visited() for t in tours))
             assert patch.sets[j] <= covered

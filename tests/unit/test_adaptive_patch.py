@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.adaptive.patch import build_patch
+from repro.adaptive.patch import _REL_TOL, build_patch
 from repro.core.quantize import quantize_cycles
 from repro.errors import ScheduleError
+from repro.network.builder import build_paper_network
+from repro.rooted.msf import rooted_msf
 
 
 @pytest.fixture
@@ -14,19 +16,59 @@ def quant(tiny_network):
     return quantize_cycles(tiny_network.cycles)
 
 
+def base_set(quant, j):
+    """Scheduling ``j``'s sensor set before the repair."""
+    if j == 0:
+        return frozenset()
+    return frozenset(quant.level_members(quant.level_of(j)).tolist())
+
+
+def set_of(patch, quant, j):
+    """Scheduling ``j``'s final set: the grown one, else its level's."""
+    return patch.sets.get(j, base_set(quant, j))
+
+
+def charged_at(patch, quant, s):
+    """Every scheduling ``0 .. b^K`` whose final set holds sensor ``s``."""
+    return [j for j in range(quant.block_size + 1) if s in set_of(patch, quant, j)]
+
+
+def dense_patch_sets(network, quant, lifetimes, tie_break):
+    """The repair with every scheduling ``0 .. b^k`` as a root column, over
+    slices of the full distance matrix: the grown sets it yields."""
+    dist = network.dist
+    depots = [int(i) for i in network.depot_indices]
+    urgent = np.nonzero(lifetimes < quant.assigned * (1.0 - _REL_TOL))[0]
+    sets = [set(base_set(quant, j)) for j in range(quant.block_size + 1)]
+    immediate = urgent[lifetimes[urgent] < quant.tau1 * (1.0 - _REL_TOL)]
+    sets[0].update(int(s) for s in immediate)
+    rest = np.setdiff1d(urgent, immediate, assume_unique=True)
+    k_of = np.clip(np.floor(np.log(lifetimes[rest] / quant.tau1 * (1.0 + _REL_TOL))
+                            / np.log(float(quant.base))).astype(np.int64), 0, quant.K)
+    for k in range(quant.K + 1):
+        s_idx = rest[k_of == k].astype(np.intp)
+        if s_idx.size == 0:
+            continue
+        cols = list(range(quant.base ** k + 1))
+        if tie_break == "defer":
+            cols.reverse()
+        root_costs = np.empty((s_idx.size, len(cols)))
+        for col, j in enumerate(cols):
+            anchor = np.asarray(sorted(sets[j]) + depots, dtype=np.intp)
+            root_costs[:, col] = dist[np.ix_(s_idx, anchor)].min(axis=1)
+        assignment = rooted_msf(dist[np.ix_(s_idx, s_idx)], root_costs)
+        for local, owner in enumerate(assignment.owner):
+            sets[cols[int(owner)]].add(int(s_idx[local]))
+    return {j: frozenset(s) for j, s in enumerate(sets) if s != base_set(quant, j)}
+
+
 class TestNoUrgentSensors:
     def test_all_lifetimes_sufficient(self, tiny_network, quant):
         # Everyone survives to their assigned cycle: no patch needed.
         lifetimes = quant.assigned.copy()
         patch = build_patch(tiny_network, quant, lifetimes)
         assert patch.urgent == frozenset()
-        assert all(t is None for t in patch.tours)
-        assert patch.sets[0] == frozenset()
-
-    def test_base_sets_match_quantisation(self, tiny_network, quant):
-        patch = build_patch(tiny_network, quant, quant.assigned.copy())
-        for j in range(1, quant.block_size + 1):
-            assert patch.sets[j] == frozenset(int(s) for s in quant.sensors_due_at(j))
+        assert patch.sets == {} and patch.tours == {}
 
 
 class TestImmediateCharging:
@@ -36,7 +78,7 @@ class TestImmediateCharging:
         patch = build_patch(tiny_network, quant, lifetimes)
         assert 3 in patch.urgent
         assert 3 in patch.sets[0]
-        assert patch.tours[0] is not None
+        assert 0 in patch.tours
         covered = set().union(*(t.visited() for t in patch.tours[0]))
         assert 3 in covered
 
@@ -56,9 +98,7 @@ class TestClassedAttachment:
         for mode in ("immediate", "defer"):
             patch = build_patch(tiny_network, quant, lifetimes, tie_break=mode)
             assert 3 in patch.urgent
-            charged_js = [j for j in range(quant.block_size + 1)
-                          if 3 in patch.sets[j]]
-            assert min(charged_js) <= 2
+            assert min(charged_at(patch, quant, 3)) <= 2
 
     def test_defer_avoids_spurious_immediate_dispatch(self, tiny_network, quant):
         # With the deferring tie-break and an empty C'_0, the patch must not
@@ -66,7 +106,7 @@ class TestClassedAttachment:
         lifetimes = quant.assigned.copy()
         lifetimes[3] = 2.5
         patch = build_patch(tiny_network, quant, lifetimes, tie_break="defer")
-        assert patch.sets[0] == frozenset()
+        assert 0 not in patch.sets and 0 not in patch.tours
 
     def test_unknown_tie_break_raises(self, tiny_network, quant):
         with pytest.raises(ScheduleError):
@@ -86,39 +126,84 @@ class TestClassedAttachment:
         for mode in ("immediate", "defer"):
             patch = build_patch(tiny_network, quant3, lifetimes, tie_break=mode)
             assert 3 in patch.urgent
-            js = [j for j in range(quant3.block_size + 1)
-                  if 3 in patch.sets[j]]
-            assert min(js) <= 3  # within the base-3 class-1 window
+            assert min(charged_at(patch, quant3, 3)) <= 3  # base-3 class-1 window
         # Deferring must avoid the spurious immediate dispatch.
-        assert min(j for j in range(quant3.block_size + 1)
-                   if 3 in patch.sets[j]) >= 1
+        assert min(charged_at(patch, quant3, 3)) >= 1
 
     def test_sensor_with_exact_tau1_lifetime_in_class0(self, tiny_network, quant):
         lifetimes = quant.assigned.copy()
         lifetimes[3] = 1.0  # exactly tau1: class V^a_0 -> scheduling 0 or 1
         patch = build_patch(tiny_network, quant, lifetimes)
-        charged_js = [j for j in range(quant.block_size + 1) if 3 in patch.sets[j]]
-        assert min(charged_js) <= 1
+        assert min(charged_at(patch, quant, 3)) <= 1
 
     def test_only_changed_schedulings_retoured(self, tiny_network, quant):
         lifetimes = quant.assigned.copy()
         lifetimes[3] = 2.5
         patch = build_patch(tiny_network, quant, lifetimes)
-        changed = {j for j in range(quant.block_size + 1)
-                   if patch.tours[j] is not None}
         # Exactly the schedulings whose sets grew (no immediate C'_0 here).
-        for j in changed:
-            assert j == 0 or patch.sets[j] != frozenset(
-                int(s) for s in quant.sensors_due_at(j))
-        assert patch.n_patched_schedulings == len(changed)
+        assert list(patch.tours) == list(patch.sets) == sorted(patch.sets)
+        for j in patch.sets:
+            assert j == 0 or patch.sets[j] > base_set(quant, j)
 
     def test_patched_tours_cover_their_sets(self, tiny_network, quant):
         lifetimes = quant.assigned * 0.6  # everyone urgent
         patch = build_patch(tiny_network, quant, lifetimes)
-        for j in range(quant.block_size + 1):
-            if patch.tours[j] is not None:
-                covered = set().union(*(t.visited() for t in patch.tours[j]))
-                assert patch.sets[j] <= covered
+        assert patch.tours
+        for j, tours in patch.tours.items():
+            covered = set().union(*(t.visited() for t in tours))
+            assert patch.sets[j] <= covered
+
+    def test_wide_spread_is_repaired(self, tiny_network):
+        # K = 30: a block of 2^30 schedulings, of which the repair builds
+        # only the O(K) that can win plus the ones it grows.
+        quant = quantize_cycles(
+            np.array([1.0, 2.0 ** 30, 4.0, 2.0 ** 10, 2.0, 2.0 ** 20]))
+        assert quant.K == 30
+        lifetimes = quant.assigned.copy()
+        lifetimes[1] = 2.0 ** 12 + 0.5  # class 12: schedulings 0 .. 4096
+        lifetimes[5] = 3.0              # class 1: schedulings 0 .. 2
+        for mode in ("immediate", "defer"):
+            patch = build_patch(tiny_network, quant, lifetimes, tie_break=mode)
+            assert patch.urgent == {1, 5}
+            assert list(patch.tours) == list(patch.sets)
+            for s, window in ((1, 2 ** 12), (5, 2)):
+                assert any(s in patch.sets[j] for j in patch.sets if j <= window)
+            for j, tours in patch.tours.items():
+                assert patch.sets[j] <= set().union(*(t.visited() for t in tours))
+
+
+class TestDenseOracle:
+    """Keeping only the root columns that can win changes nothing: the
+    repair equals the one with every scheduling ``0 .. b^k`` as a column."""
+
+    @pytest.mark.parametrize("tie_break", ["immediate", "defer"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_matches_every_slot_as_a_column(self, base, tie_break):
+        rng = np.random.default_rng([base, tie_break == "defer"])
+        grown = 0
+        for _ in range(12):
+            n = int(rng.integers(10, 80))
+            net = build_paper_network(n=n, q=int(rng.integers(1, 5)),
+                                      seed=int(rng.integers(1 << 30)))
+            quant = quantize_cycles(rng.uniform(1.0, 60.0, n), base=base)
+            lifetimes = quant.assigned * rng.uniform(0.05, 1.5, n)
+            patch = build_patch(net, quant, lifetimes, tie_break=tie_break)
+            assert patch.sets == dense_patch_sets(net, quant, lifetimes, tie_break)
+            assert list(patch.tours) == list(patch.sets)
+            grown += sum(j >= 1 for j in patch.sets)
+        assert grown >= 12
+
+    @pytest.mark.parametrize("tie_break", ["immediate", "defer"])
+    def test_lifetime_rounding_into_own_class_grows_nothing(self, tiny_network,
+                                                           quant, tie_break):
+        # Urgent by an ulp: the class rounds up to sensor 3's own level, so
+        # it joins scheduling 8, which already charges it.
+        lifetimes = quant.assigned.copy()
+        lifetimes[3] = np.nextafter(8.0 * (1.0 - _REL_TOL), 0.0)
+        patch = build_patch(tiny_network, quant, lifetimes, tie_break=tie_break)
+        assert patch.urgent == {3}
+        assert patch.sets == patch.tours == {}
+        assert dense_patch_sets(tiny_network, quant, lifetimes, tie_break) == {}
 
 
 class TestValidation:
@@ -163,7 +248,7 @@ class TestIncrementalRetouring:
                 assert warm.sets == cold.sets
                 assert warm.tours == cold.tours
                 assert warm.urgent == cold.urgent
-                grown += sum(t is not None for t in warm.tours[1:])
+                grown += sum(j >= 1 for j in warm.tours)
         assert grown >= 1
 
     def test_without_cache_falls_back_to_full(self, tiny_network, quant):
@@ -175,5 +260,5 @@ class TestIncrementalRetouring:
         patch = build_patch(tiny_network, quant, lifetimes, cache=None,
                             obs=obs)
         counters = obs.snapshot().counters
-        assert patch.n_patched_schedulings >= 1
-        assert counters["patch.retoured"] == patch.n_patched_schedulings
+        assert len(patch.tours) >= 1
+        assert counters["patch.retoured"] == len(patch.tours)

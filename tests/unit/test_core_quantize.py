@@ -159,13 +159,6 @@ class TestCoverageLevels:
         with pytest.raises(ScheduleError, match="not a schedulable instance"):
             quantize_cycles(np.array([1.0, 1e300]))
 
-    def test_enumerable_block_size_guard(self):
-        q = quantize_cycles(np.array([1.0, 2.0 ** 40]))
-        with pytest.raises(ScheduleError, match="too large to enumerate"):
-            q.enumerable_block_size()
-        small = quantize_cycles(np.array([1.0, 8.0]))
-        assert small.enumerable_block_size() == 8
-
 
 class TestValidation:
     @pytest.mark.parametrize("bad", [

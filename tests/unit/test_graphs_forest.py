@@ -34,12 +34,9 @@ class TestRootedForest:
     def test_weight(self, simple_forest, dist6x12):
         # edges (10,0)=10, (0,1)=1, (11,2)=9
         assert simple_forest.weight(dist6x12) == pytest.approx(20.0)
-        assert simple_forest.tree_weight(0, dist6x12) == pytest.approx(11.0)
-        assert simple_forest.tree_weight(1, dist6x12) == pytest.approx(9.0)
 
     def test_empty_tree_weight(self):
         f = RootedForest(roots=(5,), trees=((),))
-        assert f.tree_weight(0, np.zeros((6, 6))) == 0.0
         assert f.weight(np.zeros((6, 6))) == 0.0
 
     def test_preorder_starts_at_root(self, simple_forest):

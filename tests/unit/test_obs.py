@@ -53,6 +53,9 @@ class TestCounters:
         stat = obs.series["len"]
         assert stat.count == 2
         assert stat.mean == 20.0
+        obs.observe("len", 5.0, count=2)  # two equal samples at once
+        assert (stat.count, stat.total, stat.vmin, stat.vmax) == (4, 50.0, 5.0, 30.0)
+        assert obs.gauges["len"] == 5.0
 
     def test_observe_accepts_numpy_scalars(self):
         obs = Instrumentation()

@@ -69,7 +69,8 @@ class TestToursFromForest:
         for l, t in enumerate(tours):
             assert t.visited() == forest.nodes_of(l)
             # cost <= 2 * tree weight (the per-tree doubling bound)
-            assert t.cost(instance) <= 2 * forest.tree_weight(l, instance) + 1e-9
+            tree_weight = sum(instance[u, v] for u, v in forest.trees[l])
+            assert t.cost(instance) <= 2 * tree_weight + 1e-9
 
 
 class TestRefineTours:

@@ -149,3 +149,8 @@ class TestSerialisation:
     def test_default_baseline_path(self):
         assert str(default_baseline_path("quick")).endswith(
             "golden/SCORECARD.quick.json")
+
+    def test_default_baseline_path_ignores_working_directory(self, tmp_path,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert default_baseline_path("quick").exists()
